@@ -118,19 +118,15 @@ def _embedding_source(args):
 
 def _load_generations(path) -> dict[str, str]:
     generations: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                record_id = str(payload["record_id"])
-                text = payload["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SchemaError(f"bad generation entry: {exc}", line=lineno) from exc
-            if record_id in generations:
-                raise SchemaError(f"duplicate generation for record {record_id!r}", line=lineno)
-            generations[record_id] = text
+    for lineno, payload in corpus.iter_jsonl(path):
+        try:
+            record_id = str(payload["record_id"])
+            text = payload["text"]
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"bad generation entry: {exc}", line=lineno) from exc
+        if record_id in generations:
+            raise SchemaError(f"duplicate generation for record {record_id!r}", line=lineno)
+        generations[record_id] = text
     return generations
 
 
@@ -329,15 +325,11 @@ def cmd_eval(args) -> int:
     payload = report.to_dict()
     if args.external_scores:
         scores = {}
-        with open(args.external_scores, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    scores[str(row["record_id"])] = float(row["score"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise SchemaError(f"bad external score entry: {exc}", line=lineno) from exc
+        for lineno, row in corpus.iter_jsonl(args.external_scores):
+            try:
+                scores[str(row["record_id"])] = float(row["score"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad external score entry: {exc}", line=lineno) from exc
         outcomes, _ = evaluation.build_outcomes(records, generations, embedder=embedder, table=table)
         paired = [
             (scores[o.record_id], float(o.similarities[o.gold_ranking[0]]))

@@ -105,7 +105,6 @@ class FilterConfig:
     max_question_tokens: int = 0
     max_response_tokens: int = 0
     since: datetime | None = None
-    require_code_block: bool = False
 
     def __post_init__(self):
         for name in (
@@ -158,10 +157,12 @@ def _parse_rows(path: Path) -> Iterator[dict]:
 def parse_dump(path) -> DumpParseResult:
     """Parse a Posts XML dump into question entries with attached answer pools.
 
-    Rows missing a required attribute (or with an unparseable timestamp)
-    are skipped and counted in the result's warnings; answers whose
-    question is absent are counted as orphans.  The `votes` attribute is
-    the row Score clamped to zero, since popularity is nonnegative.
+    Rows missing a required attribute, with an unparseable timestamp, or
+    (answers) with a non-integer Score are skipped and counted in the
+    result's warnings as ``missing_<attribute>``, ``bad_CreationDate`` or
+    ``bad_Score``; answers whose question is absent are counted as
+    orphans.  The `votes` attribute is the row Score clamped to zero,
+    since popularity is nonnegative.
     """
     path = Path(path)
     result = DumpParseResult()
@@ -191,6 +192,12 @@ def parse_dump(path) -> DumpParseResult:
         except ValueError:
             result.warnings["bad_CreationDate"] += 1
             continue
+        if post_type == "2":
+            try:
+                row["_votes"] = max(0, int(row["Score"]))
+            except ValueError:
+                result.warnings["bad_Score"] += 1
+                continue
         if post_type == "1":
             questions[row["Id"]] = row
             question_order.append(row["Id"])
@@ -212,7 +219,7 @@ def parse_dump(path) -> DumpParseResult:
             ResponseCandidate(
                 id=row["Id"],
                 content=row["Body"],
-                votes=max(0, int(row["Score"])),
+                votes=row["_votes"],
                 created_at=row["_created_at"],
                 accepted=(row["Id"] == accepted_id),
             )
@@ -312,8 +319,6 @@ def quality_reject_reason(record: QARecord, cfg: FilterConfig) -> str | None:
         return "response_too_long"
     if cfg.since is not None and record.question_created_at < cfg.since:
         return "question_too_old"
-    if cfg.require_code_block and not has_code_block(record.question_text):
-        return "no_code_block"
     return None
 
 
@@ -408,9 +413,9 @@ def write_records(path, records: Iterable[QARecord]) -> None:
             handle.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
 
 
-def read_records(path) -> list[QARecord]:
-    """Read JSON-Lines records; schema problems name the offending line."""
-    records: list[QARecord] = []
+def iter_jsonl(path) -> Iterator[tuple[int, object]]:
+    """Yield (line number, decoded JSON) per non-blank line; callers check
+    the fields.  Invalid JSON raises SchemaError naming the line."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -419,8 +424,15 @@ def read_records(path) -> list[QARecord]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc}", line=lineno) from exc
-            try:
-                records.append(record_from_dict(payload))
-            except (ValidationError, ValueError, TypeError, KeyError) as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
+            yield lineno, payload
+
+
+def read_records(path) -> list[QARecord]:
+    """Read JSON-Lines records; schema problems name the offending line."""
+    records: list[QARecord] = []
+    for lineno, payload in iter_jsonl(path):
+        try:
+            records.append(record_from_dict(payload))
+        except (ValidationError, ValueError, TypeError, KeyError) as exc:
+            raise SchemaError(str(exc), line=lineno) from exc
     return records

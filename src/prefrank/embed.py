@@ -106,9 +106,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def load_external_embeddings(path) -> dict[str, np.ndarray]:
     """Read `id<TAB>floats` lines into a map of unit-norm vectors.
 
-    All rows must share one dimension.  Duplicate ids and malformed rows
-    are errors; vectors are L2-normalized on load (an all-zero row stays
-    zero).
+    All rows must share one dimension.  Duplicate ids, malformed rows and
+    non-finite values are errors; vectors are L2-normalized on load (an
+    all-zero row stays zero).
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -126,6 +126,8 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
                 raise SchemaError(f"bad float in embedding row: {exc}", line=lineno) from exc
             if values.size == 0:
                 raise SchemaError("embedding row has no values", line=lineno)
+            if not np.all(np.isfinite(values)):
+                raise SchemaError("non-finite value in embedding row", line=lineno)
             if dim is None:
                 dim = values.size
             elif values.size != dim:

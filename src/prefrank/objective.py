@@ -153,23 +153,36 @@ def comparison_round_positives(d_r: DynamicRanking, mode: str = MODE_LITERAL) ->
     return [d_r.order[m] for m in range(0, len(d_r) - 1)]
 
 
-def _comparison_terms(
+def perceptual_comparison_loss(
     pi_s: np.ndarray,
     d_r: DynamicRanking,
     single_matrices: list[ApdfMatrix],
     multi: ApdfMatrix,
-    mode: str,
-):
-    """Yield (round_index, positive, included_candidates, log_scores) per round.
+    mode: str = MODE_LITERAL,
+) -> float:
+    """Weighted list-wise softmax loss over M-1 rounds; >= 0 and finite."""
+    return comparison_loss_and_score_grad(pi_s, d_r, single_matrices, multi, mode)[0]
 
-    ``included_candidates`` lists the positive first, then every negative
-    whose penalty weight is strictly positive; zero-weight negatives
-    contribute nothing to the denominator and are dropped.
+
+def comparison_loss_and_score_grad(
+    pi_s: np.ndarray,
+    d_r: DynamicRanking,
+    single_matrices: list[ApdfMatrix],
+    multi: ApdfMatrix,
+    mode: str = MODE_LITERAL,
+) -> tuple[float, np.ndarray]:
+    """Comparison loss plus its gradient with respect to the score vector.
+
+    Each round's softmax runs over the positive, then every negative whose
+    penalty weight is strictly positive; zero-weight negatives contribute
+    nothing to the denominator and are dropped.
     """
     size = multi.size
     pi_s = validate_policy_scores(pi_s, size)
     if size < 2:
         raise ValidationError("comparison loss requires a pool of at least 2 candidates")
+    grad = np.zeros_like(pi_s)
+    loss = 0.0
     for m, b in enumerate(comparison_round_positives(d_r, mode)):
         weights = round_weights(single_matrices, multi, d_r, b)
         if weights.reward == 0.0:
@@ -182,37 +195,7 @@ def _comparison_terms(
             if penalty > 0.0:
                 included.append(candidate)
                 log_scores.append(pi_s[candidate] + math.log(penalty))
-        yield m, b, included, np.array(log_scores)
-
-
-def perceptual_comparison_loss(
-    pi_s: np.ndarray,
-    d_r: DynamicRanking,
-    single_matrices: list[ApdfMatrix],
-    multi: ApdfMatrix,
-    mode: str = MODE_LITERAL,
-) -> float:
-    """Weighted list-wise softmax loss over M-1 rounds; >= 0 and finite."""
-    loss = 0.0
-    for _, _, _, log_scores in _comparison_terms(pi_s, d_r, single_matrices, multi, mode):
-        loss += _logsumexp(log_scores) - float(log_scores[0])
-    return loss
-
-
-def comparison_loss_and_score_grad(
-    pi_s: np.ndarray,
-    d_r: DynamicRanking,
-    single_matrices: list[ApdfMatrix],
-    multi: ApdfMatrix,
-    mode: str = MODE_LITERAL,
-) -> tuple[float, np.ndarray]:
-    """Comparison loss plus its gradient with respect to the score vector."""
-    pi_s = np.asarray(pi_s, dtype=np.float64)
-    grad = np.zeros_like(pi_s)
-    loss = 0.0
-    for _, b, included, log_scores in _comparison_terms(
-        pi_s, d_r, single_matrices, multi, mode
-    ):
+        log_scores = np.array(log_scores)
         lse = _logsumexp(log_scores)
         loss += lse - float(log_scores[0])
         probs = np.exp(log_scores - lse)

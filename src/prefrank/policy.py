@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objective
-from .corpus import QARecord
+from .corpus import QARecord, iter_jsonl
 from .errors import DegenerateInputError, SchemaError, ValidationError
 from .pipeline import PerceptionBundle, PreparedRecord
 
@@ -60,10 +60,10 @@ class LogProbTable:
     def from_policy(cls, policy: "ToyPolicy", records: list[QARecord]) -> "LogProbTable":
         entries = {}
         for record in records:
+            table = log_prob_table(policy, record.question_text)
             for candidate in record.candidates:
-                entries[(record.question_id, candidate.id)] = score(
-                    policy, record.question_text, candidate.content
-                )
+                contexts, tokens = _response_arrays(candidate.content)
+                entries[(record.question_id, candidate.id)] = table[contexts, tokens]
         return cls(entries)
 
     def write(self, path) -> None:
@@ -94,22 +94,18 @@ def _validate_logprobs(logprobs: np.ndarray, key) -> np.ndarray:
 def load_logprob_file(path) -> LogProbTable:
     """Read the JSON-Lines logprob format; problems name the line."""
     entries: dict[tuple[str, str], np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                key = (str(payload["record_id"]), str(payload["candidate_id"]))
-                logprobs = np.asarray(payload["logprobs"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad logprob entry: {exc}", line=lineno) from exc
-            if key in entries:
-                raise SchemaError(f"duplicate entry for {key}", line=lineno)
-            try:
-                entries[key] = _validate_logprobs(logprobs, key)
-            except ValidationError as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
+    for lineno, payload in iter_jsonl(path):
+        try:
+            key = (str(payload["record_id"]), str(payload["candidate_id"]))
+            logprobs = np.asarray(payload["logprobs"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad logprob entry: {exc}", line=lineno) from exc
+        if key in entries:
+            raise SchemaError(f"duplicate entry for {key}", line=lineno)
+        try:
+            entries[key] = _validate_logprobs(logprobs, key)
+        except ValidationError as exc:
+            raise SchemaError(str(exc), line=lineno) from exc
     return LogProbTable(entries)
 
 
@@ -217,9 +213,16 @@ def _response_arrays(response: str) -> tuple[np.ndarray, np.ndarray]:
     return contexts, tokens
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def log_prob_table(policy: ToyPolicy, question: str) -> np.ndarray:
+    """Next-byte log-probabilities for every context row under one question.
+
+    Row c is the log-softmax of ``weights[c]`` plus the question bias.  It
+    depends only on the previous byte c (BOS before the first byte), so
+    one CONTEXTS x VOCAB table scores every candidate of a question.
+    """
+    logits = policy.weights + question_bias(question, policy.question_scale)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def score(policy: ToyPolicy, question: str, response: str) -> np.ndarray:
@@ -229,16 +232,17 @@ def score(policy: ToyPolicy, question: str, response: str) -> np.ndarray:
     bytes before k.
     """
     contexts, tokens = _response_arrays(response)
-    logits = policy.weights[contexts] + question_bias(question, policy.question_scale)
-    log_probs = _log_softmax(logits)
-    return log_probs[np.arange(tokens.size), tokens]
+    return log_prob_table(policy, question)[contexts, tokens]
+
+
+def _pool_scores(table: np.ndarray, pool: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    return objective.policy_scores_from_logprobs([table[contexts, tokens] for contexts, tokens in pool])
 
 
 def record_scores(policy: ToyPolicy, record: QARecord) -> np.ndarray:
     """Mean token log-probability per candidate, in pool order."""
-    return objective.policy_scores_from_logprobs(
-        [score(policy, record.question_text, c.content) for c in record.candidates]
-    )
+    pool = [_response_arrays(c.content) for c in record.candidates]
+    return _pool_scores(log_prob_table(policy, record.question_text), pool)
 
 
 def record_loss(
@@ -265,37 +269,33 @@ def loss_gradient(
     alpha: float = objective.DEFAULT_ALPHA,
     mode: str = objective.MODE_LITERAL,
 ) -> tuple[objective.LossBreakdown, np.ndarray]:
-    """Loss and its exact gradient with respect to the policy weights."""
-    qbias = question_bias(record.question_text, policy.question_scale)
-    per_candidate = []
-    pi_list = []
-    for candidate in record.candidates:
-        contexts, tokens = _response_arrays(candidate.content)
-        logits = policy.weights[contexts] + qbias
-        log_probs = _log_softmax(logits)
-        token_logprobs = log_probs[np.arange(tokens.size), tokens]
-        per_candidate.append((contexts, tokens, np.exp(log_probs)))
-        pi_list.append(float(token_logprobs.mean()))
-    pi_s = np.array(pi_list)
+    """Loss and its exact gradient with respect to the policy weights.
+
+    With token k of candidate c weighted w_k = -dL/dpi_c / T_c, row r of
+    the gradient is sum over tokens with context r of w_k * (probs[r] -
+    onehot(token k)): the row's total w times probs[r], minus w per bigram.
+    """
+    table = log_prob_table(policy, record.question_text)
+    pool = [_response_arrays(c.content) for c in record.candidates]
+    pi_s = _pool_scores(table, pool)
 
     top = perception.dynamic.top()
     l_pa = float(-pi_s[top])
     l_pc, d_pi = objective.comparison_loss_and_score_grad(
         pi_s, perception.dynamic, perception.singles, perception.multi, mode
     )
-    d_pi = d_pi.copy()
     d_pi[top] -= alpha
     breakdown = objective.total_loss(l_pc, l_pa, alpha)
 
-    grad = np.zeros_like(policy.weights)
-    for coeff, (contexts, tokens, probs) in zip(d_pi, per_candidate):
-        if coeff == 0.0:
-            continue
-        # d(pi)/d(logits) = (onehot - probs) / t, and dL/dW accumulates
-        # coeff * that over the rows each context touches.
-        delta = probs.copy()
-        delta[np.arange(tokens.size), tokens] -= 1.0
-        np.add.at(grad, contexts, (-coeff / tokens.size) * delta)
+    lengths = np.array([tok.size for _, tok in pool])
+    token_weight = np.repeat(-d_pi / lengths, lengths)
+    contexts = np.concatenate([ctx for ctx, _ in pool])
+    tokens = np.concatenate([tok for _, tok in pool])
+    row_weight = np.bincount(contexts, weights=token_weight, minlength=CONTEXTS)
+    bigram_weight = np.bincount(
+        contexts * VOCAB + tokens, weights=token_weight, minlength=CONTEXTS * VOCAB
+    ).reshape(CONTEXTS, VOCAB)
+    grad = row_weight[:, None] * np.exp(table) - bigram_weight
     return breakdown, grad
 
 

@@ -76,6 +76,18 @@ class TestParseDump:
         assert result.entries[0].pool_size == 1
         assert sum(result.warnings.values()) == 1
 
+    def test_non_integer_score_skips_with_warning(self, tmp_path):
+        rows = [
+            question_row(1, PLAIN_BODY),
+            answer_row(11, 1, score=1),
+            answer_row(12, 1, score="3.5"),
+        ]
+        path = tmp_path / "Posts.xml"
+        path.write_text(posts_xml(rows), encoding="utf-8")
+        result = parse_dump(path)
+        assert [c.id for c in result.entries[0].candidates] == ["11"]
+        assert result.warnings == {"bad_Score": 1}
+
     def test_malformed_xml_reports_line(self, tmp_path):
         path = tmp_path / "Posts.xml"
         path.write_text('<posts>\n  <row Id="1" PostTypeId="1"\n</posts>\n', encoding="utf-8")

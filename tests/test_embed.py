@@ -118,9 +118,10 @@ class TestExternalEmbeddings:
 
     def test_bad_float_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
-        path.write_text("a\t1 oops\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match="line 1"):
-            load_external_embeddings(path)
+        for bad_row in ("a\t1 oops\n", "a\t1 nan\n", "a\t-inf 1\n"):
+            path.write_text("b\t1 0\n" + bad_row, encoding="utf-8")
+            with pytest.raises(SchemaError, match="line 2"):
+                load_external_embeddings(path)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -7,7 +7,7 @@ import pytest
 
 from prefrank.apdf import GainVector, multi_apdf, single_apdf
 from prefrank.errors import SchemaError, ValidationError
-from prefrank.objective import MODE_TOP_ANCHORED
+from prefrank.objective import MODE_LITERAL, MODE_TOP_ANCHORED, comparison_loss_and_score_grad
 from prefrank.pipeline import PerceptionBundle
 from prefrank.policy import (
     BOS,
@@ -163,6 +163,38 @@ class TestLossGradient:
             )
             assert err < 1e-4
 
+    def test_loss_equals_record_loss(self, synthetic_suite):
+        policy = ToyPolicy.fresh(seed=15, init_scale=5e-2)
+        for item in synthetic_suite:
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                breakdown, _ = loss_gradient(policy, item.record, item.perception, 0.05, mode)
+                assert breakdown == record_loss(policy, item.record, item.perception, 0.05, mode)
+
+    def test_matches_per_token_reference(self, synthetic_suite):
+        # Reference: accumulate d(pi)/d(logits) = (onehot - probs) / T token
+        # by token.  The closed form sums in another order, so compare to
+        # float64 rounding relative to the largest entry.
+        policy = ToyPolicy.fresh(seed=16, init_scale=5e-2)
+        for item in synthetic_suite[:10]:
+            record, perception = item.record, item.perception
+            _, grad = loss_gradient(policy, record, perception, 0.05, MODE_TOP_ANCHORED)
+            pi_s = record_scores(policy, record)
+            _, d_pi = comparison_loss_and_score_grad(
+                pi_s, perception.dynamic, perception.singles, perception.multi, MODE_TOP_ANCHORED
+            )
+            d_pi[perception.dynamic.top()] -= 0.05
+            bias = question_bias(record.question_text, policy.question_scale)
+            expected = np.zeros_like(policy.weights)
+            for coeff, candidate in zip(d_pi, record.candidates):
+                data = candidate.content.encode("utf-8")
+                for context, token in zip((BOS, *data[:-1]), data):
+                    logits = policy.weights[context] + bias
+                    probs = np.exp(logits - logits.max())
+                    probs /= probs.sum()
+                    probs[token] -= 1.0
+                    expected[context] -= (coeff / len(data)) * probs
+            assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_alpha_zero_is_comparison_gradient_alone(self, synthetic_suite):
         item = synthetic_suite[0]
         policy = ToyPolicy.fresh(seed=12, init_scale=5e-2)
@@ -296,6 +328,9 @@ class TestLogProbTable:
         table = LogProbTable.from_policy(policy, records)
         for record in records:
             assert np.allclose(table.scores_for(record), record_scores(policy, record), atol=0)
+            for candidate in record.candidates:
+                expected = score(policy, record.question_text, candidate.content)
+                assert table.tokens_for(record.question_id, candidate.id).tobytes() == expected.tobytes()
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "logprobs.jsonl"
