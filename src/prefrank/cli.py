@@ -124,6 +124,10 @@ def _load_generations(path) -> dict[str, str]:
             text = payload["text"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad generation entry: {exc}", line=lineno) from exc
+        if not isinstance(text, str):
+            raise SchemaError(
+                f"generation 'text' must be a string, got {type(text).__name__}", line=lineno
+            )
         if record_id in generations:
             raise SchemaError(f"duplicate generation for record {record_id!r}", line=lineno)
         generations[record_id] = text

@@ -378,6 +378,12 @@ def record_to_dict(record: QARecord) -> dict:
     }
 
 
+def _require_str(value, what: str):
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 def record_from_dict(payload: dict) -> QARecord:
     for key in _RECORD_KEYS:
         if key not in payload:
@@ -390,7 +396,7 @@ def record_from_dict(payload: dict) -> QARecord:
         candidates.append(
             ResponseCandidate(
                 id=str(entry["id"]),
-                content=entry["content"],
+                content=_require_str(entry["content"], "candidate 'content'"),
                 votes=int(entry["votes"]),
                 created_at=parse_timestamp(entry["created_at"]),
                 accepted=bool(entry["accepted"]),
@@ -399,7 +405,7 @@ def record_from_dict(payload: dict) -> QARecord:
     gold = payload["gold_ranking"]
     return QARecord(
         question_id=str(payload["question_id"]),
-        question_text=payload["question_text"],
+        question_text=_require_str(payload["question_text"], "'question_text'"),
         question_created_at=parse_timestamp(payload["question_created_at"]),
         candidates=tuple(candidates),
         gold_ranking=tuple(gold) if gold is not None else None,

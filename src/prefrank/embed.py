@@ -26,7 +26,9 @@ class Embedder(ABC):
 
     Implementations must be bit-stable: the same text yields the same
     vector on every call.  Instances are immutable after construction,
-    so concurrent embed calls are safe.
+    so concurrent embed calls are safe; a cache an implementation keeps
+    must not change any output bit and must stay out of the pickled
+    instance, which is shipped to worker processes.
     """
 
     dim: int
@@ -36,43 +38,69 @@ class Embedder(ABC):
         """Return a unit-norm float64 vector (all-zero only for empty text)."""
 
 
-def _signed_bucket(data: bytes, dim: int) -> tuple[int, float]:
+# Per-process memo from n-gram bytes to its 64-bit digest, shared by every
+# dim.  Full, it is replaced by an empty dict rather than cleared, so a call
+# holding the old dict (another thread's) never loses a key it just added.
+_DIGEST_MEMO_LIMIT = 1 << 18
+_digest_memo: dict[bytes, int] = {}
+
+
+def _digest(data: bytes) -> int:
     # blake2b rather than hash(): the builtin is salted per process.
-    digest = hashlib.blake2b(data, digest_size=8).digest()
-    value = int.from_bytes(digest, "big")
-    return (value >> 1) % dim, 1.0 if value & 1 else -1.0
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def _gram_digests(grams: list[bytes]) -> np.ndarray:
+    global _digest_memo
+    memo = _digest_memo
+    if len(memo) > _DIGEST_MEMO_LIMIT:
+        memo = _digest_memo = {}
+    for gram in set(grams).difference(memo):
+        memo[gram] = _digest(gram)
+    return np.fromiter(map(memo.__getitem__, grams), dtype=np.uint64, count=len(grams))
 
 
 def hashed_ngram_embed(text: str, dim: int = DEFAULT_DIM, ngram: int = DEFAULT_NGRAM) -> np.ndarray:
     """Embed text via signed hashing of character n-grams, then L2-normalize.
 
-    Empty text maps to the all-zero vector; any other text maps to a
-    unit-norm vector.
+    Each n-gram's digest picks a bucket (``(digest >> 1) % dim``) and a
+    sign (low bit set: +1, clear: -1).  Empty text maps to the all-zero
+    vector; any other text maps to a unit-norm vector.  Digests are
+    memoized per process (see :class:`HashedNgramEmbedder`).
     """
     if dim < 8:
         raise ValidationError(f"embedding dimension must be >= 8, got {dim}")
     if ngram < 1:
         raise ValidationError(f"ngram size must be >= 1, got {ngram}")
-    vec = np.zeros(dim, dtype=np.float64)
     if not text:
-        return vec
+        return np.zeros(dim, dtype=np.float64)
     encoded = text.encode("utf-8")
     grams = [encoded[i : i + ngram] for i in range(len(encoded) - ngram + 1)] or [encoded]
-    for gram in grams:
-        bucket, sign = _signed_bucket(gram, dim)
-        vec[bucket] += sign
+    digests = _gram_digests(grams)
+    # Slot 2*bucket + sign bit, so one bincount gives both signs' counts.
+    slots = (((digests >> 1) % dim) * 2 + (digests & 1)).astype(np.intp)
+    counts = np.bincount(slots, minlength=2 * dim)
+    vec = (counts[1::2] - counts[0::2]).astype(np.float64)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         # Signed collisions cancelled everything out; fall back to a
         # single bucket so non-empty text always has unit norm.
-        bucket, _ = _signed_bucket(encoded, dim)
-        vec[bucket] = 1.0
+        vec[(_digest(encoded) >> 1) % dim] = 1.0
         return vec
     return vec / norm
 
 
 class HashedNgramEmbedder(Embedder):
-    """Default embedder: character n-grams with signed feature hashing."""
+    """Default embedder: character n-grams with signed feature hashing.
+
+    Calls :func:`hashed_ngram_embed`, which hashes each distinct n-gram
+    once per process: a module-level memo (emptied past 2**18 entries)
+    maps n-gram bytes to their digest for every ``dim``.  Vectors are
+    bit-identical to hashing every n-gram on every call.  The memo is
+    safe to share between threads (a filled memo is replaced, never
+    cleared under a reader), is not part of a pickled embedder, and
+    each worker process fills its own.
+    """
 
     def __init__(self, dim: int = DEFAULT_DIM, ngram: int = DEFAULT_NGRAM):
         if dim < 8:
@@ -145,5 +173,5 @@ def write_external_embeddings(path, table: dict[str, np.ndarray]) -> None:
     """Write the TSV format read by :func:`load_external_embeddings`."""
     with open(path, "w", encoding="utf-8") as handle:
         for key, vec in table.items():
-            floats = " ".join(repr(float(v)) for v in np.asarray(vec, dtype=np.float64))
+            floats = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
             handle.write(f"{key}\t{floats}\n")

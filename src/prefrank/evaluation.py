@@ -156,9 +156,10 @@ def bleu(candidate: str, references: list[str], max_n: int = 4) -> float:
     log_precisions = []
     for n in range(1, effective_n + 1):
         cand_counts = _ngram_counts(cand_tokens, n)
+        ref_counts = [_ngram_counts(ref, n) for ref in ref_token_lists]
         clipped = 0
         for gram, count in cand_counts.items():
-            best_ref = max(_ngram_counts(ref, n).get(gram, 0) for ref in ref_token_lists)
+            best_ref = max(counts.get(gram, 0) for counts in ref_counts)
             clipped += min(count, best_ref)
         total = sum(cand_counts.values())
         if clipped == 0:

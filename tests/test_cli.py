@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior, exit codes, and manifests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,46 @@ class TestLoss:
             ["loss", "--records", records, "--logprobs", logprobs, "--out", out, "--workers", 1]
         )
         assert code == 4
+
+
+def assert_file_format_error(code, capsys, line):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "io"
+    assert f"line {line}" in payload["message"]
+
+
+class TestNonStringText:
+    @pytest.mark.parametrize(
+        "field, value", [("content", 7), ("content", None), ("question_text", ["q"])]
+    )
+    def test_record_text_is_file_format_error(self, records_file, tmp_path, capsys, field, value):
+        good = records_file.read_text()
+        bad = json.loads(good)
+        if field == "content":
+            bad["candidates"][0]["content"] = value
+        else:
+            bad["question_text"] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + json.dumps(bad) + "\n")
+        code = run(["rank", "--records", path, "--out", tmp_path / "r.jsonl", "--workers", 1])
+        assert_file_format_error(code, capsys, 2)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_generation_text_is_file_format_error(self, tmp_path, capsys, table):
+        records_file = tmp_path / "records.jsonl"
+        write_records(records_file, [replace(three_candidate_record(), gold_ranking=(2, 1, 0))])
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(json.dumps({"record_id": "r3", "text": 5}) + "\n")
+        args = ["eval", "--records", records_file, "--generations", gens, "--out", tmp_path / "e.json"]
+        if table:
+            emb = tmp_path / "emb.tsv"
+            assert run(["embed", "--records", records_file, "--out", emb]) == 0
+            capsys.readouterr()
+            args += ["--embeddings", emb]
+        assert_file_format_error(run(args), capsys, 1)
 
 
 class TestTrainToy:

@@ -1,8 +1,16 @@
 """Hashed n-gram embeddings, cosine, and the external vector format."""
 
+import hashlib
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from prefrank import embed
 from prefrank.embed import (
     HashedNgramEmbedder,
     cosine,
@@ -11,6 +19,29 @@ from prefrank.embed import (
     write_external_embeddings,
 )
 from prefrank.errors import SchemaError, ValidationError
+
+
+def reference_embed(text: str, dim: int, ngram: int) -> np.ndarray:
+    """The per-gram loop the memoized embedder must reproduce bit for bit."""
+
+    def signed_bucket(data: bytes) -> tuple[int, float]:
+        value = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+        return (value >> 1) % dim, 1.0 if value & 1 else -1.0
+
+    vec = np.zeros(dim, dtype=np.float64)
+    if not text:
+        return vec
+    encoded = text.encode("utf-8")
+    grams = [encoded[i : i + ngram] for i in range(len(encoded) - ngram + 1)] or [encoded]
+    for gram in grams:
+        bucket, sign = signed_bucket(gram)
+        vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        bucket, _ = signed_bucket(encoded)
+        vec[bucket] = 1.0
+        return vec
+    return vec / norm
 
 
 class TestHashedNgramEmbed:
@@ -45,6 +76,71 @@ class TestHashedNgramEmbed:
         embedder = HashedNgramEmbedder(dim=64, ngram=2)
         text = "import numpy as np"
         assert np.array_equal(embedder.embed(text), hashed_ngram_embed(text, 64, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(max_size=80),
+        ngram=st.sampled_from([1, 2, 3, 5]),
+        dims=st.sampled_from([(8, 256), (64, 17), (256, 64)]),
+    )
+    @example(text="", ngram=3, dims=(8, 256))
+    @example(text="ab", ngram=3, dims=(8, 256))
+    @example(text="é", ngram=5, dims=(64, 17))
+    def test_bit_identical_to_per_gram_loop(self, text, ngram, dims):
+        # Both dims in one call: the memo holds one digest per gram for
+        # every dim, so the second embedding reads what the first stored.
+        for dim in dims:
+            got = hashed_ngram_embed(text, dim, ngram)
+            assert got.dtype == np.float64
+            assert got.tobytes() == reference_embed(text, dim, ngram).tobytes()
+
+    def test_cancelled_collisions_fall_back_to_one_bucket(self):
+        # At dim=8, ngram=3 the grams "aaa" and "aab" share a bucket with
+        # opposite signs, so the signed sum is all-zero.
+        text = "aaab"
+        encoded = text.encode()
+        raw = np.zeros(8)
+        for gram in (encoded[0:3], encoded[1:4]):
+            value = int.from_bytes(hashlib.blake2b(gram, digest_size=8).digest(), "big")
+            raw[(value >> 1) % 8] += 1.0 if value & 1 else -1.0
+        assert not raw.any()
+        vec = hashed_ngram_embed(text, 8, 3)
+        assert vec.tobytes() == reference_embed(text, 8, 3).tobytes()
+        assert np.count_nonzero(vec) == 1 and vec.max() == 1.0
+
+    def test_full_memo_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(embed, "_DIGEST_MEMO_LIMIT", 16)
+        monkeypatch.setattr(embed, "_digest_memo", {})
+        for i in range(40):
+            text = f"row {i} of the table"
+            assert hashed_ngram_embed(text).tobytes() == reference_embed(text, 256, 3).tobytes()
+            # Replaced before a call once past the limit, so at most one
+            # text's grams beyond it.
+            assert len(embed._digest_memo) <= 16 + len(text)
+
+    def test_threads_share_a_memo_that_keeps_filling_up(self, monkeypatch):
+        monkeypatch.setattr(embed, "_DIGEST_MEMO_LIMIT", 8)
+        texts = [f"thread-safe text {i} " * (1 + i % 3) for i in range(200)]
+        expected = [reference_embed(text, 64, 3).tobytes() for text in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda: [hashed_ngram_embed(t, 64, 3).tobytes() for t in texts])
+                    for _ in range(4)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+
+    def test_memo_stays_out_of_pickled_embedder(self):
+        embedder = HashedNgramEmbedder()
+        before = len(pickle.dumps(embedder))
+        for i in range(500):
+            embedder.embed(f"text number {i}: " + "xyz" * (i % 7))
+        assert len(pickle.dumps(embedder)) == before
 
 
 class TestCosine:
