@@ -18,11 +18,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timedelta, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +75,12 @@ def _write_manifest(out_path, args: argparse.Namespace, inputs: list, extra: dic
 def _parse_base(value: str) -> float:
     if value == "e":
         return math.e
-    base = float(value)
-    if base <= 1.0:
-        raise ValidationError(f"discount log base must be > 1, got {value}")
+    try:
+        base = float(value)
+    except ValueError:
+        base = math.nan
+    if not 1.0 < base < math.inf:
+        raise ValidationError(f"--discount-base must be 'e' or a finite number > 1, got {value!r}")
     return base
 
 
@@ -97,6 +97,12 @@ def _parse_ks(value: str) -> tuple[int, ...]:
 def _decay_config(args, records) -> DecayConfig:
     if args.no_decay:
         return DecayConfig.disabled()
+    days = args.half_life_days
+    if not 0.0 < days <= timedelta.max.days or not timedelta(days=days):
+        raise ValidationError(
+            f"--half-life-days must be at least one microsecond and at most "
+            f"{timedelta.max.days} days, got {days}"
+        )
     if args.reference_time is not None:
         reference = corpus.parse_timestamp(args.reference_time)
     else:
@@ -105,7 +111,7 @@ def _decay_config(args, records) -> DecayConfig:
         stamps = [r.question_created_at for r in records]
         stamps += [c.created_at for r in records for c in r.candidates]
         reference = max(stamps) if stamps else datetime.now(timezone.utc)
-    return DecayConfig(reference_time=reference, half_life=timedelta(days=args.half_life_days))
+    return DecayConfig(reference_time=reference, half_life=timedelta(days=days))
 
 
 def _embedding_source(args):
@@ -132,38 +138,6 @@ def _load_generations(path) -> dict[str, str]:
             raise SchemaError(f"duplicate generation for record {record_id!r}", line=lineno)
         generations[record_id] = text
     return generations
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
-
-
-# Module-level workers so ProcessPoolExecutor can pickle them.
-
-
-def _rank_one(record, embedder, table, decay, base):
-    perception = pipeline.build_perception(
-        record, embedder=embedder, table=table, decay=decay, discount_base=base
-    )
-    return {"record_id": record.question_id, "order": perception.dynamic.order}
-
-
-def _loss_one(item, alpha, mode):
-    record, perception, pi_s, top_tokens = item
-    l_pa = objective.perceptual_alignment_loss(top_tokens)
-    l_pc = objective.perceptual_comparison_loss(
-        pi_s, perception.dynamic, perception.singles, perception.multi, mode
-    )
-    breakdown = objective.total_loss(l_pc, l_pa, alpha)
-    payload = {"record_id": record.question_id, "mode": mode}
-    payload.update(breakdown.to_dict())
-    return payload
 
 
 def cmd_ingest(args) -> int:
@@ -227,14 +201,16 @@ def cmd_rank(args) -> int:
     embedder, table, _ = _embedding_source(args)
     decay = _decay_config(args, records)
     base = _parse_base(args.discount_base)
-    worker = partial(_rank_one, embedder=embedder, table=table, decay=decay, base=base)
-    rows = _parallel_map(worker, records, args.workers)
+    prepared = pipeline.prepare_records(
+        records, embedder=embedder, table=table, decay=decay, discount_base=base
+    )
     with open(args.out, "w", encoding="utf-8") as handle:
-        for row in rows:
+        for item in prepared:
+            row = {"record_id": item.record.question_id, "order": item.perception.dynamic.order}
             handle.write(json.dumps(row) + "\n")
     inputs = [args.records] + ([args.embeddings] if args.embeddings else [])
     _write_manifest(args.out, args, inputs)
-    print(f"ranked\t{len(rows)}")
+    print(f"ranked\t{len(prepared)}")
     return EXIT_OK
 
 
@@ -248,17 +224,22 @@ def cmd_loss(args) -> int:
         raise ValidationError(f"unknown mode {args.mode!r}")
     # Deterministic reduction order: records sorted by id.
     records = sorted(records, key=lambda r: r.question_id)
-    items = []
-    for record in records:
-        perception = pipeline.build_perception(
-            record, embedder=embedder, table=table, decay=decay, discount_base=base
-        )
+    prepared = pipeline.prepare_records(
+        records, embedder=embedder, table=table, decay=decay, discount_base=base
+    )
+    rows = []
+    for item in prepared:
+        record, perception = item.record, item.perception
         pi_s = table_logprobs.scores_for(record)
         top = perception.dynamic.top()
         top_tokens = table_logprobs.tokens_for(record.question_id, record.candidates[top].id)
-        items.append((record, perception, pi_s, top_tokens))
-    worker = partial(_loss_one, alpha=args.alpha, mode=args.mode)
-    rows = _parallel_map(worker, items, args.workers)
+        l_pa = objective.perceptual_alignment_loss(top_tokens)
+        l_pc = objective.perceptual_comparison_loss(
+            pi_s, perception.dynamic, perception.singles, perception.multi, args.mode
+        )
+        row = {"record_id": record.question_id, "mode": args.mode}
+        row.update(objective.total_loss(l_pc, l_pa, args.alpha).to_dict())
+        rows.append(row)
     with open(args.out, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
@@ -419,15 +400,6 @@ def _add_discount_flag(parser: argparse.ArgumentParser):
     )
 
 
-def _add_workers_flag(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="parallel workers; output order is worker-count independent",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefrank",
@@ -465,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(p)
     _add_decay_flags(p)
     _add_discount_flag(p)
-    _add_workers_flag(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("loss", help="per-record loss breakdowns from a logprob file")
@@ -477,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(p)
     _add_decay_flags(p)
     _add_discount_flag(p)
-    _add_workers_flag(p)
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("train-toy", help="train the toy bigram policy")

@@ -28,7 +28,7 @@ class Embedder(ABC):
     vector on every call.  Instances are immutable after construction,
     so concurrent embed calls are safe; a cache an implementation keeps
     must not change any output bit and must stay out of the pickled
-    instance, which is shipped to worker processes.
+    instance.
     """
 
     dim: int
@@ -98,8 +98,7 @@ class HashedNgramEmbedder(Embedder):
     maps n-gram bytes to their digest for every ``dim``.  Vectors are
     bit-identical to hashing every n-gram on every call.  The memo is
     safe to share between threads (a filled memo is replaced, never
-    cleared under a reader), is not part of a pickled embedder, and
-    each worker process fills its own.
+    cleared under a reader) and is not part of a pickled embedder.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, ngram: int = DEFAULT_NGRAM):

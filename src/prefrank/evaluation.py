@@ -45,14 +45,11 @@ def pool_similarities(
     under `question_id/generation`; mixing externally-encoded candidates
     with hash-embedded generations would compare across spaces.
     """
-    from .pipeline import candidate_key
+    from .pipeline import candidate_key, table_vector
 
     if table is not None:
-        key = generation_key(record.question_id)
-        if key not in table:
-            raise ValidationError(f"no embedding for key {key!r}")
-        x_emb = table[key]
-        pool = [table[candidate_key(record, c.id)] for c in record.candidates]
+        x_emb = table_vector(table, generation_key(record.question_id))
+        pool = [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
     else:
         if embedder is None:
             raise ValidationError("either an embedder or an embedding table is required")

@@ -37,6 +37,14 @@ def candidate_key(record: QARecord, candidate_id: str) -> str:
     return f"{record.question_id}/{candidate_id}"
 
 
+def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
+    """The vector stored under `key`; a missing key is an error naming it."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ValidationError(f"no embedding for key {key!r}") from None
+
+
 def embeddings_for(
     record: QARecord,
     embedder: Embedder | None = None,
@@ -49,11 +57,8 @@ def embeddings_for(
     rather than a silent fallback.
     """
     if table is not None:
-        try:
-            question = table[question_key(record)]
-            candidates = [table[candidate_key(record, c.id)] for c in record.candidates]
-        except KeyError as exc:
-            raise ValidationError(f"no embedding for key {exc.args[0]!r}") from exc
+        question = table_vector(table, question_key(record))
+        candidates = [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
         return question, candidates
     if embedder is None:
         raise ValidationError("either an embedder or an embedding table is required")

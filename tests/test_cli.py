@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prefrank import objective
+from prefrank.apdf import DecayConfig
 from prefrank.cli import main
 from prefrank.corpus import read_records, write_records
 from prefrank.embed import HashedNgramEmbedder
-from prefrank.pipeline import build_perception
-from prefrank.policy import LogProbTable, ToyPolicy
+from prefrank.pipeline import build_perception, prepare_records
+from prefrank.policy import LogProbTable, ToyPolicy, load_logprob_file
 from prefrank.ranking import brute_force_rank
 
 from conftest import make_candidate, make_record
@@ -32,6 +34,10 @@ def three_candidate_record():
             make_candidate(2, content="rotate a list in place", votes=25),
         ),
     )
+
+
+def jsonl(rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
 
 
 @pytest.fixture
@@ -82,7 +88,7 @@ class TestIngest:
 class TestRank:
     def test_matches_library_and_oracle(self, records_file, tmp_path):
         out = tmp_path / "ranks.jsonl"
-        assert run(["rank", "--records", records_file, "--out", out, "--workers", 1]) == 0
+        assert run(["rank", "--records", records_file, "--out", out]) == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 1
         record = read_records(records_file)[0]
@@ -93,7 +99,8 @@ class TestRank:
         # candidate 2 dominates semantics and popularity
         assert rows[0]["order"][0] == 2
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_rank_and_loss_rows_match_library_loop(self, tmp_path):
+        # File order r3, q0..q5: sorting by id moves r3 from first to last.
         records = [three_candidate_record()]
         for i in range(6):
             records.append(
@@ -108,19 +115,48 @@ class TestRank:
             )
         path = tmp_path / "records.jsonl"
         write_records(path, records)
-        outputs = []
-        for workers in (1, 3):
-            out = tmp_path / f"ranks{workers}.jsonl"
-            assert run(["rank", "--records", path, "--out", out, "--workers", workers]) == 0
-            outputs.append(out.read_text())
-        assert outputs[0] == outputs[1]
+        logprobs = tmp_path / "logprobs.jsonl"
+        LogProbTable.from_policy(ToyPolicy.fresh(seed=2), read_records(path)).write(logprobs)
+        ranks, losses = tmp_path / "ranks.jsonl", tmp_path / "losses.jsonl"
+        assert run(["rank", "--records", path, "--out", ranks, "--no-decay"]) == 0
+        argv = ["loss", "--records", path, "--logprobs", logprobs, "--out", losses, "--no-decay"]
+        assert run(argv) == 0
+
+        prepared = prepare_records(
+            read_records(path), embedder=HashedNgramEmbedder(), decay=DecayConfig.disabled()
+        )
+        expected_ranks = [
+            {"record_id": p.record.question_id, "order": p.perception.dynamic.order}
+            for p in prepared
+        ]
+        assert expected_ranks[0]["record_id"] == "r3"
+        assert ranks.read_text() == jsonl(expected_ranks)
+
+        table = load_logprob_file(logprobs)
+        expected_losses = []
+        for p in sorted(prepared, key=lambda p: p.record.question_id):
+            record, perception = p.record, p.perception
+            top = record.candidates[perception.dynamic.top()].id
+            l_pa = objective.perceptual_alignment_loss(table.tokens_for(record.question_id, top))
+            l_pc = objective.perceptual_comparison_loss(
+                table.scores_for(record),
+                perception.dynamic,
+                perception.singles,
+                perception.multi,
+                "literal",
+            )
+            row = {"record_id": record.question_id, "mode": "literal"}
+            row.update(objective.total_loss(l_pc, l_pa, objective.DEFAULT_ALPHA).to_dict())
+            expected_losses.append(row)
+        assert expected_losses[-1]["record_id"] == "r3"
+        assert losses.read_text() == jsonl(expected_losses)
 
     def test_external_embeddings_match_hashed(self, records_file, tmp_path):
         emb = tmp_path / "emb.tsv"
         assert run(["embed", "--records", records_file, "--out", emb]) == 0
         out_hashed = tmp_path / "hashed.jsonl"
         out_table = tmp_path / "table.jsonl"
-        assert run(["rank", "--records", records_file, "--out", out_hashed, "--workers", 1]) == 0
+        assert run(["rank", "--records", records_file, "--out", out_hashed]) == 0
         assert (
             run(
                 [
@@ -131,8 +167,6 @@ class TestRank:
                     out_table,
                     "--embeddings",
                     emb,
-                    "--workers",
-                    1,
                 ]
             )
             == 0
@@ -158,8 +192,6 @@ class TestLoss:
                 out,
                 "--alpha",
                 0,
-                "--workers",
-                1,
             ]
         )
         assert code == 0
@@ -185,9 +217,7 @@ class TestLoss:
         logprobs = tmp_path / "logprobs.jsonl"
         table.write(logprobs)
         out = tmp_path / "loss.jsonl"
-        code = run(
-            ["loss", "--records", records, "--logprobs", logprobs, "--out", out, "--workers", 1]
-        )
+        code = run(["loss", "--records", records, "--logprobs", logprobs, "--out", out])
         assert code == 4
 
 
@@ -213,7 +243,7 @@ class TestNonStringText:
             bad["question_text"] = value
         path = tmp_path / "bad.jsonl"
         path.write_text(good + json.dumps(bad) + "\n")
-        code = run(["rank", "--records", path, "--out", tmp_path / "r.jsonl", "--workers", 1])
+        code = run(["rank", "--records", path, "--out", tmp_path / "r.jsonl"])
         assert_file_format_error(code, capsys, 2)
 
     @pytest.mark.parametrize("table", [False, True])
@@ -229,6 +259,22 @@ class TestNonStringText:
             capsys.readouterr()
             args += ["--embeddings", emb]
         assert_file_format_error(run(args), capsys, 1)
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--half-life-days", v) for v in ("nan", "inf", "1e300", "-1", "1e-12")]
+        + [("--discount-base", v) for v in ("nan", "inf", "-1", "two")],
+    )
+    def test_bad_value_is_validation_error(self, records_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.jsonl"
+        assert run(["rank", "--records", records_file, "--out", out, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert flag in payload["message"]
 
 
 class TestTrainToy:
@@ -370,6 +416,25 @@ class TestEval:
         assert "external_score_spearman" in report
 
 
+    def test_missing_candidate_vector_is_validation_error(self, tmp_path, capsys):
+        records_file = tmp_path / "records.jsonl"
+        write_records(records_file, [replace(three_candidate_record(), gold_ranking=(2, 1, 0))])
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(json.dumps({"record_id": "r3", "text": "rotate it"}) + "\n")
+        emb = tmp_path / "emb.tsv"
+        assert run(["embed", "--records", records_file, "--generations", gens, "--out", emb]) == 0
+        capsys.readouterr()
+        rows = emb.read_text().splitlines(keepends=True)
+        emb.write_text("".join(row for row in rows if not row.startswith("r3/a1\t")))
+        args = ["eval", "--records", records_file, "--generations", gens, "--embeddings", emb]
+        assert run(args + ["--out", tmp_path / "e.json"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert "'r3/a1'" in payload["message"]
+
+
 class TestExportHeatmap:
     def test_csv_matches_library(self, records_file, tmp_path):
         out = tmp_path / "heat.csv"
@@ -413,10 +478,10 @@ class TestExportHeatmap:
 class TestManifests:
     def test_manifest_digests_inputs(self, records_file, tmp_path):
         out = tmp_path / "ranks.jsonl"
-        assert run(["rank", "--records", records_file, "--out", out, "--workers", 1]) == 0
+        assert run(["rank", "--records", records_file, "--out", out]) == 0
         manifest = json.loads((tmp_path / "ranks.jsonl.manifest.json").read_text())
         assert manifest["command"] == "rank"
         assert manifest["version"]
         digest = manifest["inputs"][str(records_file)]
         assert len(digest) == 64
-        assert manifest["config"]["workers"] == 1
+        assert "workers" not in manifest["config"]
