@@ -33,7 +33,7 @@ from .embed import (
     load_external_embeddings,
     write_external_embeddings,
 )
-from .errors import DegenerateInputError, SchemaError, ValidationError
+from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .objective import COMPARISON_MODES, DEFAULT_ALPHA, MODE_LITERAL
 
 EXIT_OK = 0
@@ -234,9 +234,10 @@ def cmd_loss(args) -> int:
         top = perception.dynamic.top()
         top_tokens = table_logprobs.tokens_for(record.question_id, record.candidates[top].id)
         l_pa = objective.perceptual_alignment_loss(top_tokens)
-        l_pc = objective.perceptual_comparison_loss(
-            pi_s, perception.dynamic, perception.singles, perception.multi, args.mode
-        )
+        with naming_record(record.question_id):
+            l_pc = objective.perceptual_comparison_loss(
+                pi_s, perception.dynamic, perception.singles, perception.multi, args.mode
+            )
         row = {"record_id": record.question_id, "mode": args.mode}
         row.update(objective.total_loss(l_pc, l_pa, args.alpha).to_dict())
         rows.append(row)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation problems exit 2, I/O and
 file-format problems exit 3, numerically degenerate inputs exit 4.
 """
 
+from contextlib import contextmanager
+
 
 class PrefRankError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,3 +39,12 @@ class DegenerateInputError(PrefRankError):
     Callers are expected to filter such records out rather than mask the
     problem here.
     """
+
+
+@contextmanager
+def naming_record(record_id: str):
+    """Prefix a DegenerateInputError raised in the block with the record's id."""
+    try:
+        yield
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"record {record_id!r}: {exc}") from exc

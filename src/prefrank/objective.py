@@ -15,6 +15,14 @@ dynamically receive smaller penalties.  Two round schedules are
 supported: ``literal`` takes positives from dynamic-rank positions
 1..M-1 (the top response is handled by the alignment loss alone) and
 ``top_anchored`` takes positions 0..M-2.
+
+All rounds are computed at once: row r of an (M-1) x M weight matrix
+holds round r's reward at its positive and the penalties at its
+negatives, and one row-wise logsumexp over score + log(weight) gives
+every round's softmax.  A zero penalty is log 0 = -inf there, so that
+negative adds nothing to its round.  The cost is O(M^2 log M), the row
+sorts; ``reward_weight`` and ``penalty_weights`` read single rows of
+the same arrays.
 """
 
 from __future__ import annotations
@@ -101,19 +109,56 @@ def perceptual_alignment_loss(token_logprobs: np.ndarray) -> float:
     return float(-np.mean(token_logprobs))
 
 
-def reward_weight(single_matrices: list[ApdfMatrix], b: int) -> float:
-    """Product over attributes of the largest entry in row b."""
+def _reward_weights(single_matrices: list[ApdfMatrix], positives: np.ndarray) -> np.ndarray:
+    """Reward weight of each positive: the product over attributes of its row max."""
     if not single_matrices:
         raise ValidationError("reward weight requires at least one matrix")
     size = single_matrices[0].size
-    if not 0 <= b < size:
+    _check_candidates(positives, size)
+    rewards = np.ones(positives.size)
+    # Overflow is reported by the caller as a non-finite reward.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for matrix in single_matrices:
+            if matrix.size != size:
+                raise ValidationError("single-attribute matrices must share one shape")
+            rewards *= matrix.values.max(axis=1)[positives]
+    return rewards
+
+
+def _penalty_weights(
+    multi: ApdfMatrix, d_r: DynamicRanking, positives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Negatives and their penalty weights, one row per positive.
+
+    Row r lists the dynamic order without positives[r] and, aligned with
+    it, that positive's matrix row sorted ascending without its smallest
+    entry.  Entries are nonnegative and the diagonal is zero, so the
+    dropped entry is a zero, as the diagonal itself would be.
+    """
+    size = multi.size
+    if len(d_r) != size:
+        raise ValidationError("dynamic ranking does not match matrix size")
+    _check_candidates(positives, size)
+    order = np.asarray(d_r.order, dtype=np.intp)
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    slots = np.arange(size - 1)
+    negatives = order[slots + (slots >= position[positives][:, None])]
+    penalties = multi.values[positives]
+    penalties.sort(axis=1)
+    return negatives, penalties[:, 1:]
+
+
+def _check_candidates(candidates: np.ndarray, size: int) -> None:
+    outside = (candidates < 0) | (candidates >= size)
+    if outside.any():
+        b = int(candidates[outside.argmax()])
         raise ValidationError(f"candidate index {b} out of range for pool of {size}")
-    weight = 1.0
-    for matrix in single_matrices:
-        if matrix.size != size:
-            raise ValidationError("single-attribute matrices must share one shape")
-        weight *= float(matrix.row(b).max())
-    return weight
+
+
+def reward_weight(single_matrices: list[ApdfMatrix], b: int) -> float:
+    """Product over attributes of the largest entry in row b."""
+    return float(_reward_weights(single_matrices, np.array([b]))[0])
 
 
 def penalty_weights(multi: ApdfMatrix, d_r: DynamicRanking, b: int) -> dict[int, float]:
@@ -123,15 +168,8 @@ def penalty_weights(multi: ApdfMatrix, d_r: DynamicRanking, b: int) -> dict[int,
     dynamic ranking, so better-ranked negatives are penalized least.
     The positive's own (diagonal) entry is excluded from the sort.
     """
-    size = multi.size
-    if len(d_r) != size:
-        raise ValidationError("dynamic ranking does not match matrix size")
-    if not 0 <= b < size:
-        raise ValidationError(f"candidate index {b} out of range for pool of {size}")
-    row = multi.row(b)
-    values = np.sort(np.delete(row, b))
-    negatives = [i for i in d_r.order if i != b]
-    return {candidate: float(value) for candidate, value in zip(negatives, values)}
+    negatives, penalties = _penalty_weights(multi, d_r, np.array([b]))
+    return dict(zip(negatives[0].tolist(), penalties[0].tolist()))
 
 
 def round_weights(
@@ -175,33 +213,41 @@ def comparison_loss_and_score_grad(
 
     Each round's softmax runs over the positive, then every negative whose
     penalty weight is strictly positive; zero-weight negatives contribute
-    nothing to the denominator and are dropped.
+    nothing to the denominator and are dropped.  The first round whose
+    reward is zero raises ``DegenerateInputError`` naming it; a reward
+    that overflows to a non-finite value raises ``ValidationError``.
     """
     size = multi.size
     pi_s = validate_policy_scores(pi_s, size)
     if size < 2:
         raise ValidationError("comparison loss requires a pool of at least 2 candidates")
-    grad = np.zeros_like(pi_s)
-    loss = 0.0
-    for m, b in enumerate(comparison_round_positives(d_r, mode)):
-        weights = round_weights(single_matrices, multi, d_r, b)
-        if weights.reward == 0.0:
-            raise DegenerateInputError(
-                f"round {m}: reward weight for candidate {b} is zero (all-zero matrix row)"
-            )
-        included = [b]
-        log_scores = [pi_s[b] + math.log(weights.reward)]
-        for candidate, penalty in weights.penalties.items():
-            if penalty > 0.0:
-                included.append(candidate)
-                log_scores.append(pi_s[candidate] + math.log(penalty))
-        log_scores = np.array(log_scores)
-        lse = _logsumexp(log_scores)
-        loss += lse - float(log_scores[0])
-        probs = np.exp(log_scores - lse)
-        for candidate, p in zip(included, probs):
-            grad[candidate] += p
-        grad[b] -= 1.0
+    positives = np.array(comparison_round_positives(d_r, mode), dtype=np.intp)
+    rewards = _reward_weights(single_matrices, positives)
+    negatives, penalties = _penalty_weights(multi, d_r, positives)
+    unusable = ~np.isfinite(rewards) | (rewards == 0.0)
+    if unusable.any():
+        m = int(unusable.argmax())
+        if not math.isfinite(rewards[m]):
+            raise ValidationError(f"reward weight must be finite and >= 0, got {float(rewards[m])}")
+        raise DegenerateInputError(
+            f"round {m}: reward weight for candidate {positives[m]} is zero (all-zero matrix row)"
+        )
+    rounds = np.arange(positives.size)
+    weights = np.zeros((positives.size, size))
+    weights[rounds[:, None], negatives] = penalties
+    weights[rounds, positives] = rewards
+    # Scores overwrite the weights and the softmax is normalized in place,
+    # which keeps the loss's peak memory to a few (M-1) x M arrays.
+    with np.errstate(divide="ignore"):
+        log_scores = np.log(weights, out=weights)
+    log_scores += pi_s
+    peak = log_scores.max(axis=1, keepdims=True)
+    probs = log_scores - peak
+    np.exp(probs, out=probs)
+    totals = probs.sum(axis=1, keepdims=True)
+    loss = float(np.sum(peak[:, 0] + np.log(totals[:, 0]) - log_scores[rounds, positives]))
+    probs /= totals
+    grad = probs.sum(axis=0) - np.bincount(positives, minlength=size)
     return loss, grad
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import objective
 from .corpus import QARecord, iter_jsonl
-from .errors import DegenerateInputError, SchemaError, ValidationError
+from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
 
 VOCAB = 256
@@ -322,7 +322,8 @@ def train(
 
     Deterministic: records are visited sorted by question id, every
     epoch, with no shuffling, so a fixed seed reproduces bit-identical
-    weights.  A non-finite loss aborts with the failing step number.
+    weights.  A non-finite loss aborts with the failing step number; a
+    degenerate record aborts with an error naming its question id.
     """
     if not prepared:
         raise ValidationError("training requires at least one record")
@@ -333,9 +334,10 @@ def train(
     step = 0
     for _ in range(epochs):
         for item in ordered:
-            breakdown, grad = loss_gradient(policy, item.record, item.perception, alpha, mode)
-            if not np.isfinite(breakdown.total):
-                raise DegenerateInputError(f"non-finite loss at step {step}")
+            with naming_record(item.record.question_id):
+                breakdown, grad = loss_gradient(policy, item.record, item.perception, alpha, mode)
+                if not np.isfinite(breakdown.total):
+                    raise DegenerateInputError(f"non-finite loss at step {step}")
             result.trace.append(breakdown)
             policy.weights -= policy.learning_rate * grad
             step += 1

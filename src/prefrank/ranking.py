@@ -4,10 +4,12 @@ The ranking walks the fused distance matrix greedily: at each step the
 largest surviving pairwise distance is located and the endpoint that
 ranks higher semantically is placed next, then removed from play.  When
 no strictly positive distance survives, the remaining candidates are
-appended in semantic-rank order.  ``brute_force_rank`` implements the
-same contract by rescanning the full matrix against an exclusion set at
-every step and exists purely as an independent check on
-``dynamic_rank``.
+appended in semantic-rank order.  Only the upper triangle (row < col)
+is read.  ``dynamic_rank`` sorts the positive upper-triangle pairs once
+and walks them in that order, O(M^2 log M); ``brute_force_rank``
+implements the same contract by rescanning the full matrix against an
+exclusion set at every step, O(M^3), and exists as an independent
+check on ``dynamic_rank``.
 """
 
 from __future__ import annotations
@@ -81,27 +83,41 @@ def _check_inputs(multi: ApdfMatrix, arank: SemanticRank) -> None:
 def dynamic_rank(multi: ApdfMatrix, arank: SemanticRank) -> DynamicRanking:
     """Greedy placement by maximal surviving distance, semantic rank deciding.
 
-    Ties on the maximal entry go to the lexicographically smallest
-    (row, col) with row < col; symmetry makes the orientation irrelevant.
+    The positive entries (row, col) with row < col are sorted once by
+    (-value, row, col), so ties on the maximal entry go to the
+    lexicographically smallest pair.  Placing a candidate retires every
+    pair it belongs to, so the largest surviving distance is always the
+    first pair in that order with both endpoints unplaced: the walk
+    takes it, places its semantically better endpoint, retires that
+    endpoint's pairs and searches on from there.  Candidates the walk
+    does not reach follow in semantic-rank order.  O(M^2 log M), the sort.
     """
     _check_inputs(multi, arank)
     size = multi.size
-    work = multi.values.copy()
+    values = multi.values
+    index = np.arange(size)
+    rows, cols = np.nonzero((values > 0.0) & (index[:, None] < index))
+    walk = np.lexsort((cols, rows, -values[rows, cols]))
+    rows, cols = rows[walk], cols[walk]
+    pairs = rows.size
+    # slot[i, j] is the walk position of pair {i, j}; `pairs` marks no pair.
+    slot = np.full((size, size), pairs)
+    slot[rows, cols] = slot[cols, rows] = np.arange(pairs)
+    alive = np.ones(pairs + 1, dtype=bool)
     rank_of = arank.rank_of
-    order: list[int] = []
+    winners = np.where(rank_of[rows] < rank_of[cols], rows, cols)
     placed = np.zeros(size, dtype=bool)
-    while len(order) < size:
-        peak = work.max()
-        if peak <= 0.0:
+    order: list[int] = []
+    start = 0
+    while start < pairs:
+        pick = start + int(alive[start:pairs].argmax())
+        if not alive[pick]:
             break
-        rows, cols = np.nonzero(work == peak)
-        upper = [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < c]
-        row, col = min(upper)
-        winner = row if rank_of[row] < rank_of[col] else col
+        winner = int(winners[pick])
         order.append(winner)
         placed[winner] = True
-        work[winner, :] = 0.0
-        work[:, winner] = 0.0
+        alive[slot[winner]] = False
+        start = pick + 1
     for candidate in arank.by_rank():
         if not placed[candidate]:
             order.append(candidate)

@@ -50,6 +50,15 @@ def random_pool_matrices(rng, size, attributes=2):
     return gains, singles, multi_apdf(singles)
 
 
+def quantized_pool_matrices(rng, size):
+    """Singles and fusion from gains on three levels: ties put zeros off the diagonal."""
+    singles = [
+        single_apdf(GainVector(name, rng.choice([0.0, 0.5, 1.5], size=size)))
+        for name in ("a", "b")
+    ]
+    return singles, multi_apdf(singles)
+
+
 def random_semantic_rank(rng, size):
     return SemanticRank(rng.permutation(size))
 

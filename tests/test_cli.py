@@ -220,6 +220,36 @@ class TestLoss:
         code = run(["loss", "--records", records, "--logprobs", logprobs, "--out", out])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["loss", "train-toy"])
+    def test_degenerate_pool_error_names_the_record(self, tmp_path, capsys, command):
+        # 'dg' has equal votes, so with decay off its popularity matrix is all zero.
+        records = [
+            make_record(
+                qid,
+                question_text=f"question {qid}",
+                candidates=(
+                    make_candidate(0, content=f"first answer {qid}", votes=votes, accepted=True),
+                    make_candidate(1, content=f"second answer {qid} differs", votes=2),
+                ),
+            )
+            for qid, votes in (("a1", 9), ("dg", 2), ("z9", 7))
+        ]
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        if command == "loss":
+            logprobs = tmp_path / "logprobs.jsonl"
+            LogProbTable.from_policy(ToyPolicy.fresh(seed=0), records).write(logprobs)
+            argv = ["loss", "--records", path, "--logprobs", logprobs, "--out", tmp_path / "o"]
+        else:
+            argv = ["train-toy", "--records", path, "--out-policy", tmp_path / "p.bin"]
+        code = run(argv + ["--no-decay"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "degenerate_input"
+        assert payload["message"].startswith("record 'dg': round 0: reward weight")
+
 
 def assert_file_format_error(code, capsys, line):
     assert code == 3

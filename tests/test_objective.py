@@ -10,6 +10,8 @@ from prefrank.errors import DegenerateInputError, ValidationError
 from prefrank.objective import (
     MODE_LITERAL,
     MODE_TOP_ANCHORED,
+    _penalty_weights,
+    _reward_weights,
     comparison_loss_and_score_grad,
     comparison_round_positives,
     dpo_pair_loss,
@@ -23,12 +25,51 @@ from prefrank.objective import (
 )
 from prefrank.ranking import DynamicRanking, dynamic_rank
 
-from conftest import random_pool_matrices, random_semantic_rank
+from conftest import quantized_pool_matrices, random_pool_matrices, random_semantic_rank
 
 
 def uniform_matrix(size):
     """All off-diagonal entries 1: every reward and penalty weight is 1."""
     return ApdfMatrix("uniform", np.ones((size, size)) - np.eye(size))
+
+
+def reference_round_weights(singles, multi, d_r, b):
+    """Round b's reward and penalties, computed one round at a time."""
+    reward = 1.0
+    for matrix in singles:
+        reward *= float(matrix.row(b).max())
+    values = np.sort(np.delete(multi.row(b), b))
+    negatives = [i for i in d_r.order if i != b]
+    return reward, {candidate: float(value) for candidate, value in zip(negatives, values)}
+
+
+def reference_comparison(pi_s, d_r, singles, multi, mode=MODE_LITERAL):
+    """The round-by-round comparison loss and score gradient, kept as the
+    reference the all-rounds-at-once version is checked against."""
+    grad = np.zeros(multi.size)
+    loss = 0.0
+    for m, b in enumerate(comparison_round_positives(d_r, mode)):
+        reward, penalties = reference_round_weights(singles, multi, d_r, b)
+        if not math.isfinite(reward):
+            raise ValidationError(f"reward weight must be finite and >= 0, got {reward}")
+        if reward == 0.0:
+            raise DegenerateInputError(
+                f"round {m}: reward weight for candidate {b} is zero (all-zero matrix row)"
+            )
+        included = [b]
+        log_scores = [pi_s[b] + math.log(reward)]
+        for candidate, penalty in penalties.items():
+            if penalty > 0.0:
+                included.append(candidate)
+                log_scores.append(pi_s[candidate] + math.log(penalty))
+        log_scores = np.array(log_scores)
+        peak = float(np.max(log_scores))
+        lse = peak + math.log(float(np.sum(np.exp(log_scores - peak))))
+        loss += lse - float(log_scores[0])
+        for candidate, p in zip(included, np.exp(log_scores - lse)):
+            grad[candidate] += p
+        grad[b] -= 1.0
+    return loss, grad
 
 
 class TestPerceptualAlignmentLoss:
@@ -224,6 +265,99 @@ class TestPerceptualComparisonLoss:
                     - perceptual_comparison_loss(down, d_r, singles, multi)
                 ) / (2 * h)
                 assert grad[i] == pytest.approx(fd, abs=1e-6)
+
+
+class TestReferenceEquivalence:
+    """All rounds at once against the round-by-round reference loop."""
+
+    def matches_reference(self, pi, d_r, singles, multi, mode):
+        """Assert both paths agree; True if they computed, False if both raised."""
+        try:
+            expected_loss, expected_grad = reference_comparison(pi, d_r, singles, multi, mode)
+        except DegenerateInputError as exc:
+            with pytest.raises(DegenerateInputError) as raised:
+                comparison_loss_and_score_grad(pi, d_r, singles, multi, mode)
+            assert str(raised.value) == str(exc)
+            return False
+        loss, grad = comparison_loss_and_score_grad(pi, d_r, singles, multi, mode)
+        assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
+        np.testing.assert_allclose(
+            grad, expected_grad, rtol=1e-12, atol=1e-12 * np.abs(expected_grad).max()
+        )
+        return True
+
+    def test_random_pools(self):
+        rng = np.random.default_rng(41)
+        for size in list(range(2, 17)) + [24, 32, 48, 64]:
+            for _ in range(3):
+                _, singles, multi = random_pool_matrices(rng, size=size)
+                d_r = dynamic_rank(multi, random_semantic_rank(rng, size))
+                pi = rng.uniform(-6.0, 0.0, size=size)
+                for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                    assert self.matches_reference(pi, d_r, singles, multi, mode)
+
+    def test_tied_gains_and_zero_penalties(self):
+        rng = np.random.default_rng(42)
+        compared = zero_penalties = 0
+        for _ in range(120):
+            size = int(rng.integers(2, 65)) if rng.random() < 0.25 else int(rng.integers(2, 9))
+            singles, multi = quantized_pool_matrices(rng, size)
+            d_r = dynamic_rank(multi, random_semantic_rank(rng, size))
+            pi = rng.uniform(-6.0, 0.0, size=size)
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                if self.matches_reference(pi, d_r, singles, multi, mode):
+                    compared += 1
+                    zero_penalties += int(np.sum(multi.values == 0.0) > size)
+        assert compared > 50
+        assert zero_penalties > 25
+
+    def test_degenerate_round_matches_reference(self):
+        # A single matrix with one all-zero row: the round whose positive is
+        # that candidate is degenerate; in literal mode the top is never one.
+        rng = np.random.default_rng(43)
+        raised = 0
+        for _ in range(60):
+            size = int(rng.integers(2, 12))
+            _, singles, multi = random_pool_matrices(rng, size=size)
+            values = singles[1].values.copy()
+            k = int(rng.integers(size))
+            values[k, :] = values[:, k] = 0.0
+            singles = [singles[0], ApdfMatrix("zeroed", values)]
+            d_r = DynamicRanking(list(rng.permutation(size)))
+            pi = rng.uniform(-4.0, 0.0, size=size)
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                raised += not self.matches_reference(pi, d_r, singles, multi, mode)
+        assert raised > 60
+
+    def test_overflowing_reward_is_validation_error(self):
+        big = ApdfMatrix("big", 1e200 * (np.ones((3, 3)) - np.eye(3)))
+        d_r = DynamicRanking([0, 1, 2])
+        with pytest.raises(ValidationError, match="reward weight must be finite"):
+            comparison_loss_and_score_grad(np.zeros(3), d_r, [big, big], uniform_matrix(3))
+        with pytest.raises(ValidationError, match="reward weight must be finite"):
+            reference_comparison(np.zeros(3), d_r, [big, big], uniform_matrix(3))
+
+    def test_public_weights_are_the_rows_the_loss_uses(self):
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            size = int(rng.integers(2, 20))
+            if rng.random() < 0.5:
+                _, singles, multi = random_pool_matrices(rng, size=size)
+            else:
+                singles, multi = quantized_pool_matrices(rng, size)
+            d_r = DynamicRanking(list(rng.permutation(size)))
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                positives = np.array(comparison_round_positives(d_r, mode))
+                rewards = _reward_weights(singles, positives)
+                negatives, penalties = _penalty_weights(multi, d_r, positives)
+                for m, b in enumerate(positives.tolist()):
+                    expected_reward, expected_penalties = reference_round_weights(
+                        singles, multi, d_r, b
+                    )
+                    row = dict(zip(negatives[m].tolist(), penalties[m].tolist()))
+                    assert reward_weight(singles, b) == rewards[m] == expected_reward
+                    assert list(penalty_weights(multi, d_r, b).items()) == list(row.items())
+                    assert list(row.items()) == list(expected_penalties.items())
 
 
 class TestRoundWeights:

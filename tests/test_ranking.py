@@ -13,7 +13,7 @@ from prefrank.ranking import (
     semantic_rank,
 )
 
-from conftest import random_pool_matrices, random_semantic_rank
+from conftest import quantized_pool_matrices, random_pool_matrices, random_semantic_rank
 
 
 def embeddings_with_cosines(cosines):
@@ -130,6 +130,34 @@ class TestOracleEquivalence:
             _, _, multi = random_pool_matrices(rng, size=size)
             arank = random_semantic_rank(rng, size)
             assert dynamic_rank(multi, arank).order == brute_force_rank(multi, arank).order
+
+    def test_benchmark_pool_size(self):
+        # M = 64 as in the benchmark's large pools; half the instances take
+        # gains from three levels, so many entries tie and many are zero.
+        rng = np.random.default_rng(15)
+        size = 64
+        for quantized in (False, True) * 6:
+            if quantized:
+                _, multi = quantized_pool_matrices(rng, size)
+            else:
+                _, _, multi = random_pool_matrices(rng, size=size)
+            arank = random_semantic_rank(rng, size)
+            assert dynamic_rank(multi, arank).order == brute_force_rank(multi, arank).order
+
+    def test_reads_only_the_upper_triangle(self):
+        # ApdfMatrix accepts asymmetry up to 1e-12; a larger entry below the
+        # diagonal must not steer the walk away from the oracle.
+        matrix = ApdfMatrix("x", [[0, 1], [1 + 1e-13, 0]])
+        arank = SemanticRank(np.array([0, 1]))
+        assert dynamic_rank(matrix, arank).order == brute_force_rank(matrix, arank).order == [0, 1]
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            size = int(rng.integers(2, 12))
+            _, _, multi = random_pool_matrices(rng, size=size)
+            values = multi.values + np.tril(rng.uniform(0.0, 1e-13, size=(size, size)), -1)
+            perturbed = ApdfMatrix("x", values)
+            arank = random_semantic_rank(rng, size)
+            assert dynamic_rank(perturbed, arank).order == brute_force_rank(perturbed, arank).order
 
 
 class TestPermutationEquivariance:
