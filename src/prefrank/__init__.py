@@ -5,120 +5,88 @@ Pools of candidate answers are scored along perceivable attributes
 into pairwise distance-factor matrices, and ranked without labels; the
 resulting ranking drives alignment and list-wise comparison losses and
 a family of preference metrics.
+
+The public names below load their submodule on first access (PEP 562),
+so ``import prefrank`` by itself imports no numpy and leaves the
+environment alone.  Only the command-line entry point, ``prefrank.cli``,
+sets a BLAS thread default, and only when it is imported before numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .apdf import (
-    ApdfMatrix,
-    DecayConfig,
-    GainVector,
-    induced_ranks,
-    multi_apdf,
-    popularity_gain,
-    rank_discount,
-    semantic_gain,
-    single_apdf,
-)
-from .corpus import FilterConfig, QARecord, ResponseCandidate, read_records, write_records
-from .embed import HashedNgramEmbedder, cosine, hashed_ngram_embed, load_external_embeddings
-from .errors import (
-    DegenerateInputError,
-    DumpParseError,
-    PrefRankError,
-    SchemaError,
-    ValidationError,
-)
-from .evaluation import (
-    EvalReport,
-    best_match,
-    bleu,
-    evaluate_dataset,
-    pearson_r,
-    pref_hit,
-    pref_recall,
-    rouge_l,
-    safer_hit,
-    spearman_r,
-    top_k_matches,
-)
-from .objective import (
-    ComparisonWeights,
-    LossBreakdown,
-    dpo_pair_loss,
-    penalty_weights,
-    perceptual_alignment_loss,
-    perceptual_comparison_loss,
-    plackett_luce_loss,
-    reward_weight,
-    total_loss,
-)
-from .pipeline import PerceptionBundle, PreparedRecord, build_perception, prepare_records
-from .policy import LogProbTable, ToyPolicy, load_logprob_file, score, train
-from .ranking import (
-    DynamicRanking,
-    SemanticRank,
-    brute_force_rank,
-    dynamic_rank,
-    semantic_rank,
-)
+# Submodule -> the public names it provides.  Each submodule also
+# resolves as an attribute (``prefrank.embed``), as after an eager import.
+_EXPORTS = {
+    "apdf": (
+        "ApdfMatrix",
+        "DecayConfig",
+        "GainVector",
+        "induced_ranks",
+        "multi_apdf",
+        "popularity_gain",
+        "rank_discount",
+        "semantic_gain",
+        "single_apdf",
+    ),
+    "corpus": ("FilterConfig", "QARecord", "ResponseCandidate", "read_records", "write_records"),
+    "embed": ("HashedNgramEmbedder", "cosine", "hashed_ngram_embed", "load_external_embeddings"),
+    "errors": (
+        "DegenerateInputError",
+        "DumpParseError",
+        "PrefRankError",
+        "SchemaError",
+        "ValidationError",
+    ),
+    "evaluation": (
+        "EvalReport",
+        "best_match",
+        "bleu",
+        "evaluate_dataset",
+        "pearson_r",
+        "pref_hit",
+        "pref_recall",
+        "rouge_l",
+        "safer_hit",
+        "spearman_r",
+        "top_k_matches",
+    ),
+    "objective": (
+        "ComparisonWeights",
+        "LossBreakdown",
+        "dpo_pair_loss",
+        "penalty_weights",
+        "perceptual_alignment_loss",
+        "perceptual_comparison_loss",
+        "plackett_luce_loss",
+        "reward_weight",
+        "total_loss",
+    ),
+    "pipeline": ("PerceptionBundle", "PreparedRecord", "build_perception", "prepare_records"),
+    "policy": ("LogProbTable", "ToyPolicy", "load_logprob_file", "score", "train"),
+    "ranking": (
+        "DynamicRanking",
+        "SemanticRank",
+        "brute_force_rank",
+        "dynamic_rank",
+        "semantic_rank",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ApdfMatrix",
-    "ComparisonWeights",
-    "DecayConfig",
-    "DegenerateInputError",
-    "DumpParseError",
-    "DynamicRanking",
-    "EvalReport",
-    "FilterConfig",
-    "GainVector",
-    "HashedNgramEmbedder",
-    "LogProbTable",
-    "LossBreakdown",
-    "PerceptionBundle",
-    "PrefRankError",
-    "PreparedRecord",
-    "QARecord",
-    "ResponseCandidate",
-    "SchemaError",
-    "SemanticRank",
-    "ToyPolicy",
-    "ValidationError",
-    "best_match",
-    "bleu",
-    "brute_force_rank",
-    "build_perception",
-    "cosine",
-    "dpo_pair_loss",
-    "dynamic_rank",
-    "evaluate_dataset",
-    "hashed_ngram_embed",
-    "induced_ranks",
-    "load_external_embeddings",
-    "load_logprob_file",
-    "multi_apdf",
-    "pearson_r",
-    "penalty_weights",
-    "perceptual_alignment_loss",
-    "perceptual_comparison_loss",
-    "plackett_luce_loss",
-    "popularity_gain",
-    "pref_hit",
-    "pref_recall",
-    "prepare_records",
-    "rank_discount",
-    "read_records",
-    "reward_weight",
-    "rouge_l",
-    "safer_hit",
-    "score",
-    "semantic_gain",
-    "semantic_rank",
-    "single_apdf",
-    "spearman_r",
-    "top_k_matches",
-    "total_loss",
-    "train",
-    "write_records",
-]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -10,6 +10,14 @@ Every run writes a manifest next to its main artifact (config echo,
 input digests, package version) so outputs can be reproduced
 byte-for-byte.  Exit codes: 0 success, 2 validation, 3 I/O or file
 format, 4 numerically degenerate input.
+
+Imported before numpy (``prefrank`` on the command line, ``python -m
+prefrank.cli``), this module sets ``OPENBLAS_NUM_THREADS=1`` unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+already set.  prefrank's BLAS calls are vector products, nearly all of
+embedding length, which OpenBLAS does not split across threads, so its
+worker pool would only burn CPU spin-waiting in every run; with one
+thread, results also cannot depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -18,9 +26,16 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+
+# Must run before numpy loads OpenBLAS; a (non-empty) thread count the user set wins.
+if "numpy" not in sys.modules and not any(
+    os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

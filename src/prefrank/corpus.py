@@ -419,18 +419,30 @@ def write_records(path, records: Iterable[QARecord]) -> None:
             handle.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
 
 
+def iter_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) per ``\\n``-terminated line of a UTF-8
+    file, line ending kept.  Bytes that are not UTF-8 raise SchemaError
+    naming the line."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"invalid UTF-8: {exc}", line=lineno) from exc
+            yield lineno, line
+
+
 def iter_jsonl(path) -> Iterator[tuple[int, object]]:
     """Yield (line number, decoded JSON) per non-blank line; callers check
-    the fields.  Invalid JSON raises SchemaError naming the line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}", line=lineno) from exc
-            yield lineno, payload
+    the fields.  Invalid UTF-8 or JSON raises SchemaError naming the line."""
+    for lineno, line in iter_lines(path):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}", line=lineno) from exc
+        yield lineno, payload
 
 
 def read_records(path) -> list[QARecord]:

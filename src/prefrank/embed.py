@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from .corpus import iter_lines
 from .errors import SchemaError, ValidationError
 
 DEFAULT_DIM = 256
@@ -133,38 +134,40 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def load_external_embeddings(path) -> dict[str, np.ndarray]:
     """Read `id<TAB>floats` lines into a map of unit-norm vectors.
 
-    All rows must share one dimension.  Duplicate ids, malformed rows and
-    non-finite values are errors; vectors are L2-normalized on load (an
-    all-zero row stays zero).
+    All rows must share one dimension.  Duplicate ids, malformed rows,
+    bytes that are not UTF-8 and non-finite values are SchemaErrors naming
+    the line; vectors are L2-normalized on load (an all-zero row stays zero).
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            key, sep, rest = line.partition("\t")
-            if not sep or not key:
-                raise SchemaError("expected `id<TAB>floats`", line=lineno)
-            try:
-                values = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
-            except ValueError as exc:
-                raise SchemaError(f"bad float in embedding row: {exc}", line=lineno) from exc
-            if values.size == 0:
-                raise SchemaError("embedding row has no values", line=lineno)
-            if not np.all(np.isfinite(values)):
-                raise SchemaError("non-finite value in embedding row", line=lineno)
-            if dim is None:
-                dim = values.size
-            elif values.size != dim:
-                raise SchemaError(
-                    f"dimension mismatch: expected {dim}, got {values.size}", line=lineno
-                )
-            if key in table:
-                raise SchemaError(f"duplicate embedding id {key!r}", line=lineno)
-            norm = np.linalg.norm(values)
-            table[key] = values / norm if norm > 0 else values
+    for lineno, raw in iter_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        key, sep, rest = line.partition("\t")
+        if not sep or not key:
+            raise SchemaError("expected `id<TAB>floats`", line=lineno)
+        try:
+            # numpy converts each str token with float(); tests/test_embed.py
+            # checks this against a per-token float() reference.
+            values = np.array(rest.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise SchemaError(f"bad float in embedding row: {exc}", line=lineno) from exc
+        if values.size == 0:
+            raise SchemaError("embedding row has no values", line=lineno)
+        if not np.all(np.isfinite(values)):
+            raise SchemaError("non-finite value in embedding row", line=lineno)
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise SchemaError(
+                f"dimension mismatch: expected {dim}, got {values.size}", line=lineno
+            )
+        if key in table:
+            raise SchemaError(f"duplicate embedding id {key!r}", line=lineno)
+        # Per row, not norm(axis=1): the batched sum runs in another order.
+        norm = np.linalg.norm(values)
+        table[key] = values / norm if norm > 0 else values
     return table
 
 

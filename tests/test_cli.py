@@ -258,6 +258,7 @@ def assert_file_format_error(code, capsys, line):
     payload = json.loads(err)
     assert payload["error"] == "io"
     assert f"line {line}" in payload["message"]
+    return payload
 
 
 class TestNonStringText:
@@ -289,6 +290,24 @@ class TestNonStringText:
             capsys.readouterr()
             args += ["--embeddings", emb]
         assert_file_format_error(run(args), capsys, 1)
+
+
+class TestEncodingErrors:
+    def test_records_file(self, records_file, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(records_file.read_bytes() + b'{"question_id": "\xff"}\n')
+        code = run(["rank", "--records", path, "--out", tmp_path / "r.jsonl"])
+        assert "invalid UTF-8" in assert_file_format_error(code, capsys, 2)["message"]
+
+    def test_embeddings_table(self, records_file, tmp_path, capsys):
+        emb = tmp_path / "emb.tsv"
+        assert run(["embed", "--records", records_file, "--out", emb]) == 0
+        capsys.readouterr()
+        lines = emb.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"\t", b"\t\xff ", 1)
+        emb.write_bytes(b"".join(lines))
+        argv = ["rank", "--records", records_file, "--out", tmp_path / "r.jsonl", "--embeddings", emb]
+        assert "invalid UTF-8" in assert_file_format_error(run(argv), capsys, 2)["message"]
 
 
 class TestNumericFlags:

@@ -44,6 +44,23 @@ def reference_embed(text: str, dim: int, ngram: int) -> np.ndarray:
     return vec / norm
 
 
+def reference_table_row(rest: str) -> np.ndarray:
+    """The per-token parse the table reader must reproduce bit for bit."""
+    return np.array([float(tok) for tok in rest.split()], dtype=np.float64)
+
+
+# Token -> how float() reads it: a finite value, a non-finite one, or an error.
+TABLE_TOKENS = {
+    **dict.fromkeys(
+        ["1_0", "+.5", "-0", "1.", "1e-400", "4.9e-324", "0.30000000000000004", "\u0661\u0662",
+         "\uff11\uff12", "123456789012345678901234567890"],
+        "finite",
+    ),
+    **dict.fromkeys(["infinity", "-Infinity", "1e400", "nan", "-nan"], "non-finite"),
+    **dict.fromkeys(["0x1p3", "1,5", "0b1", "1__0", "_1", "inf_", ".e1", "1e"], "rejected"),
+}
+
+
 class TestHashedNgramEmbed:
     def test_empty_text_is_zero_vector(self):
         vec = hashed_ngram_embed("")
@@ -218,6 +235,57 @@ class TestExternalEmbeddings:
             path.write_text("b\t1 0\n" + bad_row, encoding="utf-8")
             with pytest.raises(SchemaError, match="line 2"):
                 load_external_embeddings(path)
+
+    @pytest.mark.parametrize("token, kind", TABLE_TOKENS.items())
+    def test_token_parse_matches_float(self, tmp_path, token, kind):
+        rest = f"{token} 2.5"
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"b\t1 0\na\t{rest}\n", encoding="utf-8")
+        try:
+            expected = reference_table_row(rest)
+        except ValueError:
+            assert kind == "rejected"
+            with pytest.raises(SchemaError, match="line 2: bad float"):
+                load_external_embeddings(path)
+            return
+        if not np.all(np.isfinite(expected)):
+            assert kind == "non-finite"
+            with pytest.raises(SchemaError, match="line 2: non-finite"):
+                load_external_embeddings(path)
+            return
+        assert kind == "finite"
+        got = load_external_embeddings(path)["a"]
+        assert got.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            # Bounded so that the squared norm stays finite.
+            st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+            min_size=1,
+            max_size=6,
+        ),
+        fmt=st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, "{:f}".format]),
+        sep=st.sampled_from([" ", "  ", "\t", "\u2003"]),
+    )
+    def test_rows_bit_identical_to_per_token_parse(self, tmp_path_factory, rows, fmt, sep):
+        lines = [f"r{i}\t" + sep.join(fmt(x) for x in row) for i, row in enumerate(rows)]
+        path = tmp_path_factory.mktemp("table") / "emb.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = load_external_embeddings(path)
+        for line in lines:
+            key, _, rest = line.partition("\t")
+            expected = reference_table_row(rest)
+            norm = np.linalg.norm(expected)
+            assert table[key].tobytes() == (expected / norm if norm > 0 else expected).tobytes()
+
+    def test_crlf_line_endings(self, tmp_path):
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(b"a\t1 2\n\nb\t3 4\n")
+        crlf.write_bytes(b"a\t1 2\r\n\r\nb\t3 4\r\n")
+        want, got = load_external_embeddings(lf), load_external_embeddings(crlf)
+        assert list(got) == ["a", "b"]
+        assert all(got[key].tobytes() == want[key].tobytes() for key in want)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1,0 +1,124 @@
+"""Start-up behaviour in fresh interpreters: what ``import prefrank`` loads,
+and the one-thread BLAS default that only the CLI module applies."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from prefrank.corpus import write_records
+from prefrank.policy import LogProbTable, ToyPolicy
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Prints the thread variables and this process's thread count as JSON.
+REPORT = f"""
+import json, os
+tasks = "/proc/self/task"
+print(json.dumps({{
+    "env": {{name: os.environ.get(name) for name in {THREAD_VARS!r}}},
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}}))
+"""
+
+
+def child_env(**preset):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(preset)
+    return env
+
+
+def run_python(code, env):
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_library_import_is_lazy_and_leaves_environment_alone():
+    code = """
+import json, os, sys
+import prefrank
+state = {
+    "numpy": "numpy" in sys.modules,
+    "env": {name: os.environ.get(name) for name in %r},
+}
+# The submodules the benchmark reads, before anything else imports them.
+state["submodules"] = [prefrank.embed.__name__, prefrank.pipeline.__name__,
+                       prefrank.objective.__name__, prefrank.policy.__name__]
+state["unresolved"] = [
+    name for name in prefrank.__all__
+    if getattr(sys.modules[getattr(prefrank, name).__module__], name) is not getattr(prefrank, name)
+]
+from prefrank import score, ToyPolicy
+try:
+    prefrank.no_such_name
+    state["unknown"] = "resolved"
+except AttributeError as exc:
+    state["unknown"] = str(exc)
+state["dir_has_all"] = set(prefrank.__all__) <= set(dir(prefrank))
+print(json.dumps(state))
+""" % (THREAD_VARS,)
+    state = run_python(code, child_env())
+    assert state["numpy"] is False
+    assert state["env"] == dict.fromkeys(THREAD_VARS)
+    assert state["submodules"] == [
+        "prefrank.embed",
+        "prefrank.pipeline",
+        "prefrank.objective",
+        "prefrank.policy",
+    ]
+    assert state["unresolved"] == []
+    assert state["unknown"] == "module 'prefrank' has no attribute 'no_such_name'"
+    assert state["dir_has_all"]
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+        ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+    ],
+)
+def test_cli_import_defaults_to_one_blas_thread(preset, expected):
+    report = run_python("import prefrank.cli\n" + REPORT, child_env(**preset))
+    assert report["env"] == {name: expected.get(name) for name in THREAD_VARS}
+    if not preset and report["threads"] is not None:
+        assert report["threads"] == 1
+
+
+def test_cli_import_after_numpy_changes_nothing():
+    # Too late to reach OpenBLAS; the variable would only leak to children.
+    report = run_python("import numpy, prefrank.cli\n" + REPORT, child_env())
+    assert report["env"] == dict.fromkeys(THREAD_VARS)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, synthetic_suite):
+    records = [item.record for item in synthetic_suite[:8]]
+    records_path = tmp_path / "records.jsonl"
+    write_records(records_path, records)
+    logprobs = tmp_path / "logprobs.jsonl"
+    LogProbTable.from_policy(ToyPolicy.fresh(seed=2), records).write(logprobs)
+    outputs = {}
+    for label, preset in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / label
+        out.mkdir()
+        loss = ["loss", "--records", records_path, "--logprobs", logprobs, "--out", out / "losses.jsonl"]
+        train = ["train-toy", "--records", records_path, "--out-policy", out / "policy.bin",
+                 "--epochs", "1", "--dim", "64"]
+        code = (
+            "from prefrank.cli import main\n"
+            f"assert main({[str(a) for a in loss]!r}) == 0\n"
+            f"assert main({[str(a) for a in train]!r}) == 0\n" + REPORT
+        )
+        report = run_python(code, child_env(**preset))
+        assert report["env"]["OPENBLAS_NUM_THREADS"] == ("1" if label == "default" else "2")
+        outputs[label] = [(out / name).read_bytes() for name in ("losses.jsonl", "policy.bin")]
+    assert outputs["default"] == outputs["two"]
