@@ -146,11 +146,9 @@ def popularity_gain(decayed_votes: float) -> float:
     return math.log10(decayed_votes + 1.0)
 
 
-def semantic_gains(question_emb: np.ndarray, candidate_embs: list[np.ndarray]) -> GainVector:
-    """Semantic gain vector for a pool from question/candidate embeddings."""
-    from .embed import cosine
-
-    gains = [semantic_gain(cosine(question_emb, emb)) for emb in candidate_embs]
+def semantic_gains(similarities: np.ndarray) -> GainVector:
+    """Semantic gain vector for a pool from its question/candidate cosines."""
+    gains = [semantic_gain(phi) for phi in np.asarray(similarities, dtype=np.float64).tolist()]
     return GainVector(SEMANTIC, np.array(gains))
 
 
@@ -168,10 +166,8 @@ def popularity_gains(
 
 def induced_ranks(gains: GainVector) -> np.ndarray:
     """1-indexed ranks by descending gain; ties go to the lower index."""
-    order = sorted(range(len(gains)), key=lambda i: (-gains.gains[i], i))
     ranks = np.empty(len(gains), dtype=np.int64)
-    for position, idx in enumerate(order):
-        ranks[idx] = position + 1
+    ranks[np.argsort(-gains.gains, kind="stable")] = np.arange(1, len(gains) + 1)
     return ranks
 
 

@@ -65,7 +65,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path, args: argparse.Namespace, inputs: list, extra: dict | None = None):
+# The flags that name an input file; a manifest digests each one that is set.
+_INPUT_FLAGS = ("dump", "records", "logprobs", "generations", "embeddings", "external_scores")
+
+
+def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = None):
     config = {}
     for key, value in sorted(vars(args).items()):
         if key == "func":
@@ -76,7 +80,7 @@ def _write_manifest(out_path, args: argparse.Namespace, inputs: list, extra: dic
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
+        "inputs": {str(p): _sha256(p) for p in map(vars(args).get, _INPUT_FLAGS) if p},
         "version": __version__,
     }
     if extra:
@@ -137,22 +141,38 @@ def _embedding_source(args):
     return embedder, None, f"hashed_ngram(dim={args.dim},ngram={args.ngram})"
 
 
-def _load_generations(path) -> dict[str, str]:
-    generations: dict[str, str] = {}
-    for lineno, payload in corpus.iter_jsonl(path):
+def _perception_args(args, records) -> dict:
+    """`build_perception`'s keywords from the embedding, decay and discount flags."""
+    embedder, table, _ = _embedding_source(args)
+    decay, base = _decay_config(args, records), _parse_base(args.discount_base)
+    return {"embedder": embedder, "table": table, "decay": decay, "discount_base": base}
+
+
+def _read_by_record(path, what: str, field: str, convert) -> dict:
+    """`{record_id: convert(row[field])}` from JSONL; a bad or repeated row is an error."""
+    values = {}
+    for lineno, row in corpus.iter_jsonl(path):
         try:
-            record_id = str(payload["record_id"])
-            text = payload["text"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad generation entry: {exc}", line=lineno) from exc
-        if not isinstance(text, str):
-            raise SchemaError(
-                f"generation 'text' must be a string, got {type(text).__name__}", line=lineno
-            )
-        if record_id in generations:
-            raise SchemaError(f"duplicate generation for record {record_id!r}", line=lineno)
-        generations[record_id] = text
-    return generations
+            record_id, value = str(row["record_id"]), convert(row[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad {what} entry: {exc}", line=lineno) from exc
+        if record_id in values:
+            raise SchemaError(f"duplicate {what} for record {record_id!r}", line=lineno)
+        values[record_id] = value
+    return values
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"'text' must be a string, got {type(value).__name__}")
+    return value
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"'score' must be finite, got {number}")
+    return number
 
 
 def cmd_ingest(args) -> int:
@@ -181,7 +201,7 @@ def cmd_ingest(args) -> int:
         decay = _decay_config(args, entries)
         entries = [corpus.assign_gold_ranking(r, decay) for r in entries]
     corpus.write_records(args.out, entries)
-    _write_manifest(args.out, args, [args.dump], extra={"counts": counts})
+    _write_manifest(args.out, args, extra={"counts": counts})
     for stage, count in counts.items():
         print(f"{stage}\t{count}")
     for reason, count in sorted(rejections.items()):
@@ -199,32 +219,24 @@ def cmd_embed(args) -> int:
         table[pipeline.question_key(record)] = embedder.embed(record.question_text)
         for candidate in record.candidates:
             table[pipeline.candidate_key(record, candidate.id)] = embedder.embed(candidate.content)
-    inputs = [args.records]
     if args.generations:
-        generations = _load_generations(args.generations)
+        generations = _read_by_record(args.generations, "generation", "text", _text)
         for record_id, text in generations.items():
-            table[evaluation.generation_key(record_id)] = embedder.embed(text)
-        inputs.append(args.generations)
+            table[pipeline.generation_key(record_id)] = embedder.embed(text)
     write_external_embeddings(args.out, table)
-    _write_manifest(args.out, args, inputs)
+    _write_manifest(args.out, args)
     print(f"embedded\t{len(table)}")
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
     records = corpus.read_records(args.records)
-    embedder, table, _ = _embedding_source(args)
-    decay = _decay_config(args, records)
-    base = _parse_base(args.discount_base)
-    prepared = pipeline.prepare_records(
-        records, embedder=embedder, table=table, decay=decay, discount_base=base
-    )
+    prepared = pipeline.prepare_records(records, **_perception_args(args, records))
     with open(args.out, "w", encoding="utf-8") as handle:
         for item in prepared:
             row = {"record_id": item.record.question_id, "order": item.perception.dynamic.order}
             handle.write(json.dumps(row) + "\n")
-    inputs = [args.records] + ([args.embeddings] if args.embeddings else [])
-    _write_manifest(args.out, args, inputs)
+    _write_manifest(args.out, args)
     print(f"ranked\t{len(prepared)}")
     return EXIT_OK
 
@@ -232,16 +244,9 @@ def cmd_rank(args) -> int:
 def cmd_loss(args) -> int:
     records = corpus.read_records(args.records)
     table_logprobs = policy.load_logprob_file(args.logprobs)
-    embedder, table, _ = _embedding_source(args)
-    decay = _decay_config(args, records)
-    base = _parse_base(args.discount_base)
-    if args.mode not in COMPARISON_MODES:
-        raise ValidationError(f"unknown mode {args.mode!r}")
     # Deterministic reduction order: records sorted by id.
     records = sorted(records, key=lambda r: r.question_id)
-    prepared = pipeline.prepare_records(
-        records, embedder=embedder, table=table, decay=decay, discount_base=base
-    )
+    prepared = pipeline.prepare_records(records, **_perception_args(args, records))
     rows = []
     for item in prepared:
         record, perception = item.record, item.perception
@@ -267,8 +272,7 @@ def cmd_loss(args) -> int:
         "alpha": args.alpha,
         "mode": args.mode,
     }
-    inputs = [args.records, args.logprobs] + ([args.embeddings] if args.embeddings else [])
-    _write_manifest(args.out, args, inputs, extra={"summary": summary})
+    _write_manifest(args.out, args, extra={"summary": summary})
     for key, value in summary.items():
         print(f"{key}\t{value}")
     return EXIT_OK
@@ -276,12 +280,7 @@ def cmd_loss(args) -> int:
 
 def cmd_train_toy(args) -> int:
     records = corpus.read_records(args.records)
-    embedder, table, _ = _embedding_source(args)
-    decay = _decay_config(args, records)
-    base = _parse_base(args.discount_base)
-    prepared = pipeline.prepare_records(
-        records, embedder=embedder, table=table, decay=decay, discount_base=base
-    )
+    prepared = pipeline.prepare_records(records, **_perception_args(args, records))
     toy = policy.ToyPolicy.fresh(
         seed=args.seed,
         init_scale=args.init_scale,
@@ -296,7 +295,6 @@ def cmd_train_toy(args) -> int:
                 row = {"step": step}
                 row.update(breakdown.to_dict())
                 handle.write(json.dumps(row) + "\n")
-    inputs = [args.records] + ([args.embeddings] if args.embeddings else [])
     totals = result.totals
     per_epoch = totals.reshape(args.epochs, -1).mean(axis=1) if totals.size else totals
     summary = {
@@ -304,7 +302,7 @@ def cmd_train_toy(args) -> int:
         "first_epoch_mean_loss": float(per_epoch[0]) if totals.size else None,
         "last_epoch_mean_loss": float(per_epoch[-1]) if totals.size else None,
     }
-    _write_manifest(args.out_policy, args, inputs, extra={"summary": summary})
+    _write_manifest(args.out_policy, args, extra={"summary": summary})
     for key, value in summary.items():
         print(f"{key}\t{value}")
     return EXIT_OK
@@ -312,7 +310,10 @@ def cmd_train_toy(args) -> int:
 
 def cmd_eval(args) -> int:
     records = corpus.read_records(args.records)
-    generations = _load_generations(args.generations)
+    generations = _read_by_record(args.generations, "generation", "text", _text)
+    scores = None
+    if args.external_scores:
+        scores = _read_by_record(args.external_scores, "external score", "score", _finite)
     embedder, table, embedder_name = _embedding_source(args)
     report = evaluation.evaluate_dataset(
         records,
@@ -322,41 +323,12 @@ def cmd_eval(args) -> int:
         embedder=embedder,
         table=table,
         embedder_name=embedder_name,
+        external_scores=scores,
     )
-    payload = report.to_dict()
-    if args.external_scores:
-        scores = {}
-        for lineno, row in corpus.iter_jsonl(args.external_scores):
-            try:
-                scores[str(row["record_id"])] = float(row["score"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad external score entry: {exc}", line=lineno) from exc
-        outcomes, _ = evaluation.build_outcomes(records, generations, embedder=embedder, table=table)
-        paired = [
-            (scores[o.record_id], float(o.similarities[o.gold_ranking[0]]))
-            for o in outcomes
-            if o.record_id in scores
-        ]
-        if len(paired) >= 2:
-            xs = [p[0] for p in paired]
-            ys = [p[1] for p in paired]
-            try:
-                payload["external_score_pearson"] = evaluation.pearson_r(xs, ys)
-                payload["external_score_spearman"] = evaluation.spearman_r(xs, ys)
-            except ValidationError:
-                # Constant samples leave the correlation undefined; the
-                # report is still useful without it.
-                payload["external_score_pearson"] = None
-                payload["external_score_spearman"] = None
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
-    inputs = [args.records, args.generations]
-    if args.embeddings:
-        inputs.append(args.embeddings)
-    if args.external_scores:
-        inputs.append(args.external_scores)
-    _write_manifest(args.out, args, inputs)
+    _write_manifest(args.out, args)
     for line in report.summary_lines():
         print(line)
     return EXIT_OK
@@ -367,13 +339,7 @@ def cmd_export_heatmap(args) -> int:
     matches = [r for r in records if r.question_id == args.record_id]
     if not matches:
         raise ValidationError(f"record {args.record_id!r} not found in {args.records}")
-    record = matches[0]
-    embedder, table, _ = _embedding_source(args)
-    decay = _decay_config(args, records)
-    base = _parse_base(args.discount_base)
-    perception = pipeline.build_perception(
-        record, embedder=embedder, table=table, decay=decay, discount_base=base
-    )
+    perception = pipeline.build_perception(matches[0], **_perception_args(args, records))
     by_name = {m.attribute_name: m for m in perception.singles}
     by_name["multi"] = perception.multi
     if args.attribute not in by_name:
@@ -381,8 +347,7 @@ def cmd_export_heatmap(args) -> int:
             f"unknown attribute {args.attribute!r}; expected one of {sorted(by_name)}"
         )
     np.savetxt(args.out, by_name[args.attribute].values, delimiter=",")
-    inputs = [args.records] + ([args.embeddings] if args.embeddings else [])
-    _write_manifest(args.out, args, inputs)
+    _write_manifest(args.out, args)
     print(f"exported\t{args.attribute}\t{perception.multi.size}x{perception.multi.size}")
     return EXIT_OK
 

@@ -1,11 +1,13 @@
 """Deterministic text embeddings and cosine similarity.
 
-Embeddings feed three consumers: the semantic gain (question/response
-cosine), the semantic rank that breaks ties in dynamic ranking, and the
-similarity used by the hit/recall metrics.  The default embedder hashes
-character n-grams into a fixed number of signed buckets; it is a
-test-grade stand-in for any real encoder.  Vectors precomputed by an
-external encoder can be loaded from a TSV file instead.
+Embeddings feed two cosine vectors: a record's question/candidate
+cosines, which give both the semantic gain and the semantic rank that
+breaks ties in dynamic ranking, and a generation's candidate cosines for
+the hit/recall metrics.  The default embedder hashes character n-grams
+into a fixed number of signed buckets; it is a test-grade stand-in for
+any real encoder.  Vectors precomputed by an external encoder can be
+loaded from a TSV file instead; `pipeline` owns its key format and
+chooses between a table and an embedder.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .errors import SchemaError, ValidationError
 
 DEFAULT_DIM = 256
 DEFAULT_NGRAM = 3
+
+# Below this norm a row's squared sum is subnormal or zero and has lost bits.
+_SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
 
 
 class Embedder(ABC):
@@ -136,7 +141,8 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
 
     All rows must share one dimension.  Duplicate ids, malformed rows,
     bytes that are not UTF-8 and non-finite values are SchemaErrors naming
-    the line; vectors are L2-normalized on load (an all-zero row stays zero).
+    the line; vectors are L2-normalized on load (an all-zero row stays zero;
+    a row whose squared sum leaves the float range is first scaled to max 1).
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -166,7 +172,11 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
         if key in table:
             raise SchemaError(f"duplicate embedding id {key!r}", line=lineno)
         # Per row, not norm(axis=1): the batched sum runs in another order.
-        norm = np.linalg.norm(values)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(values)
+        if not _SAFE_NORM <= norm < np.inf and values.any():
+            values = values / np.abs(values).max()  # ordinary rows skip this
+            norm = np.linalg.norm(values)
         table[key] = values / norm if norm > 0 else values
     return table
 

@@ -1,10 +1,12 @@
 """Assembly of per-record perception state.
 
-Bridges the corpus, embedding, distance-factor, and ranking layers:
-given a record plus an embedding source and decay settings, build the
-gain vectors, the single and fused distance matrices, the semantic
-rank, and the dynamic ranking.  Everything downstream (losses,
-training, evaluation, the CLI) consumes the resulting bundle.
+Bridges the corpus, embedding, distance-factor, and ranking layers.
+`resolve_vectors` is the one place vectors come from: an embedding table
+read by the keys defined here, or an embedder.  `build_perception` takes
+the question/candidate cosines once and derives the gain vectors, the
+single and fused distance matrices, the semantic rank, and the dynamic
+ranking.  Everything downstream (losses, training, evaluation, the CLI)
+consumes the resulting bundle.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ from .apdf import (
     single_apdf,
 )
 from .corpus import QARecord
-from .embed import Embedder
+from .embed import Embedder, cosine
 from .errors import ValidationError
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
+
+
+GENERATION_KEY_SUFFIX = "generation"
 
 
 def question_key(record: QARecord) -> str:
@@ -37,6 +42,10 @@ def candidate_key(record: QARecord, candidate_id: str) -> str:
     return f"{record.question_id}/{candidate_id}"
 
 
+def generation_key(record_id: str) -> str:
+    return f"{record_id}/{GENERATION_KEY_SUFFIX}"
+
+
 def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
     """The vector stored under `key`; a missing key is an error naming it."""
     try:
@@ -45,26 +54,25 @@ def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
         raise ValidationError(f"no embedding for key {key!r}") from None
 
 
-def embeddings_for(
+def resolve_vectors(
+    key: str,
+    text: str,
     record: QARecord,
     embedder: Embedder | None = None,
     table: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Question and candidate vectors, from a table if given, else an embedder.
+    """Vectors of an anchor (the question or a generation) and the candidates.
 
-    Table keys follow the convention `question_id` for the question and
-    `question_id/candidate_id` for candidates; a missing key is an error
-    rather than a silent fallback.
+    A table is read by `key` and the candidate keys, where a missing key is
+    an error rather than a silent fallback; an embedder embeds the texts.
     """
     if table is not None:
-        question = table_vector(table, question_key(record))
-        candidates = [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
-        return question, candidates
+        anchor = table_vector(table, key)
+        return anchor, [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
     if embedder is None:
         raise ValidationError("either an embedder or an embedding table is required")
-    question = embedder.embed(record.question_text)
-    candidates = [embedder.embed(c.content) for c in record.candidates]
-    return question, candidates
+    anchor = embedder.embed(text)
+    return anchor, [embedder.embed(c.content) for c in record.candidates]
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,12 @@ def build_perception(
     """Gains, matrices, and rankings for one record."""
     if decay is None:
         decay = DecayConfig(reference_time=record.question_created_at, enabled=False)
-    question_emb, candidate_embs = embeddings_for(record, embedder=embedder, table=table)
+    question, candidates = resolve_vectors(
+        question_key(record), record.question_text, record, embedder=embedder, table=table
+    )
+    similarities = np.array([cosine(question, c) for c in candidates])
     gains = [
-        semantic_gains(question_emb, candidate_embs),
+        semantic_gains(similarities),
         popularity_gains(
             [c.votes for c in record.candidates],
             [c.created_at for c in record.candidates],
@@ -107,7 +118,7 @@ def build_perception(
     ]
     singles = [single_apdf(g, discount_base) for g in gains]
     multi = multi_apdf(singles)
-    arank = semantic_rank(question_emb, candidate_embs)
+    arank = semantic_rank(similarities)
     dynamic = dynamic_rank(multi, arank)
     return PerceptionBundle(gains=gains, singles=singles, multi=multi, arank=arank, dynamic=dynamic)
 

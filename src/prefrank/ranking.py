@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apdf import ApdfMatrix
-from .embed import cosine
+from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches ranking.cosine by name
 from .errors import ValidationError
 
 
@@ -61,15 +61,13 @@ class DynamicRanking:
         return self.order[0]
 
 
-def semantic_rank(question_emb: np.ndarray, candidate_embs: list[np.ndarray]) -> SemanticRank:
-    """Rank candidates by descending cosine with the question; ties by index."""
-    if not candidate_embs:
+def semantic_rank(similarities: np.ndarray) -> SemanticRank:
+    """Rank candidates by descending question/candidate cosine; ties by index."""
+    similarities = np.asarray(similarities, dtype=np.float64)
+    if similarities.size == 0:
         raise ValidationError("candidate pool must be non-empty")
-    sims = [cosine(question_emb, emb) for emb in candidate_embs]
-    order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
-    rank_of = np.empty(len(sims), dtype=np.int64)
-    for position, idx in enumerate(order):
-        rank_of[idx] = position
+    rank_of = np.empty(similarities.size, dtype=np.int64)
+    rank_of[np.argsort(-similarities, kind="stable")] = np.arange(similarities.size)
     return SemanticRank(rank_of)
 
 

@@ -11,6 +11,7 @@ from prefrank.apdf import DecayConfig
 from prefrank.cli import main
 from prefrank.corpus import read_records, write_records
 from prefrank.embed import HashedNgramEmbedder
+from prefrank.evaluation import pearson_r, pool_similarities, spearman_r
 from prefrank.pipeline import build_perception, prepare_records
 from prefrank.policy import LogProbTable, ToyPolicy, load_logprob_file
 from prefrank.ranking import brute_force_rank
@@ -416,7 +417,12 @@ class TestEval:
         assert report["safer_hit"] == 1.0
         assert report["n_records"] == 4
 
-    def test_external_scores_correlations(self, tmp_path):
+    @staticmethod
+    def external_score_inputs(tmp_path, scores):
+        """Five two-candidate records, their generations and a scores file.
+
+        `scores` maps record ids to the JSON value of their `score`.
+        """
         records = []
         generations = []
         for i in range(5):
@@ -437,32 +443,72 @@ class TestEval:
         records_path = tmp_path / "records.jsonl"
         write_records(records_path, records)
         gens_path = tmp_path / "gens.jsonl"
-        gens_path.write_text("\n".join(json.dumps(g) for g in generations) + "\n")
+        gens_path.write_text(jsonl(generations))
         scores_path = tmp_path / "scores.jsonl"
-        scores_path.write_text(
-            "\n".join(
-                json.dumps({"record_id": f"e{i}", "score": float(i) + 0.5}) for i in range(5)
-            )
-            + "\n"
-        )
-        out = tmp_path / "report.json"
-        code = run(
-            [
-                "eval",
-                "--records",
-                records_path,
-                "--generations",
-                gens_path,
-                "--out",
-                out,
-                "--external-scores",
-                scores_path,
-            ]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert "external_score_pearson" in report
-        assert "external_score_spearman" in report
+        scores_path.write_text(jsonl({"record_id": k, "score": v} for k, v in scores.items()))
+        args = ["eval", "--records", records_path, "--generations", gens_path]
+        args += ["--out", tmp_path / "report.json", "--external-scores", scores_path]
+        return records, generations, args
+
+    def test_external_scores_correlations(self, tmp_path):
+        scores = {f"e{i}": float(i) + 0.5 for i in range(5)}
+        records, generations, args = self.external_score_inputs(tmp_path, scores)
+        assert run(args) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        embedder = HashedNgramEmbedder()
+        gold_best = [
+            float(pool_similarities(g["text"], r, embedder=embedder)[r.gold_ranking[0]])
+            for r, g in zip(records, generations)
+        ]
+        xs = list(scores.values())
+        assert report["external_score_pearson"] == pearson_r(xs, gold_best)
+        assert report["external_score_spearman"] == spearman_r(xs, gold_best)
+
+    def test_constant_external_scores_give_null(self, tmp_path):
+        _, _, args = self.external_score_inputs(tmp_path, {f"e{i}": 2.0 for i in range(5)})
+        assert run(args) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["external_score_pearson"] is None
+        assert report["external_score_spearman"] is None
+
+    def test_one_paired_record_leaves_the_keys_out(self, tmp_path):
+        _, _, args = self.external_score_inputs(tmp_path, {"e1": 1.0, "unknown": 3.0})
+        assert run(args) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "external_score_pearson" not in report
+        assert "external_score_spearman" not in report
+        assert report["n_records"] == 5
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ([("e0", 1.0), ("e1", float("nan"))], 2),
+            ([("e0", "inf")], 1),
+            ([("e0", 1.0), ("e1", 2.0), ("e0", 3.0)], 3),
+        ],
+        ids=["nan", "inf-string", "duplicate"],
+    )
+    def test_bad_external_score_rows_are_file_format_errors(self, tmp_path, capsys, rows, line):
+        _, _, args = self.external_score_inputs(tmp_path, {})
+        # json.dumps writes a float NaN as the bare token NaN, which json.loads reads back.
+        (tmp_path / "scores.jsonl").write_text(jsonl({"record_id": k, "score": v} for k, v in rows))
+        assert_file_format_error(run(args), capsys, line)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_embeddings_table_without_question_keys(self, tmp_path, capsys):
+        records, _, args = self.external_score_inputs(tmp_path, {})
+        emb = tmp_path / "emb.tsv"
+        embed_args = ["embed", "--records", tmp_path / "records.jsonl", "--out", emb]
+        assert run(embed_args + ["--generations", tmp_path / "gens.jsonl"]) == 0
+        question_ids = {r.question_id for r in records}
+        rows = emb.read_text().splitlines(keepends=True)
+        kept = [row for row in rows if row.split("\t", 1)[0] not in question_ids]
+        assert len(kept) == len(rows) - len(records)
+        emb.write_text("".join(kept))
+        assert args[-2] == "--external-scores"
+        assert run(args[:-2] + ["--embeddings", emb]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["n_records"] == 5
 
 
     def test_missing_candidate_vector_is_validation_error(self, tmp_path, capsys):

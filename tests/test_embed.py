@@ -1,8 +1,10 @@
 """Hashed n-gram embeddings, cosine, and the external vector format."""
 
 import hashlib
+import math
 import pickle
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,6 +44,10 @@ def reference_embed(text: str, dim: int, ngram: int) -> np.ndarray:
         vec[bucket] = 1.0
         return vec
     return vec / norm
+
+
+# Below this norm a row's squared sum is subnormal or zero.
+SUBNORMAL_SQUARES_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def reference_table_row(rest: str) -> np.ndarray:
@@ -277,7 +283,27 @@ class TestExternalEmbeddings:
             key, _, rest = line.partition("\t")
             expected = reference_table_row(rest)
             norm = np.linalg.norm(expected)
+            if expected.any() and norm < SUBNORMAL_SQUARES_NORM:
+                # The squared sum underflowed; the reader scales such rows first.
+                expected = expected / np.abs(expected).max()
+                norm = np.linalg.norm(expected)
             assert table[key].tobytes() == (expected / norm if norm > 0 else expected).tobytes()
+
+    def test_rows_whose_squared_sum_leaves_the_float_range(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text(
+            "big\t1e200 1\nhuge\t1e154 1e154\ntiny\t1e-200 1e-200\nsubnormal\t1e-160 1e-160\n"
+            "unit\t1 1\nzero\t0 0\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_external_embeddings(path)
+        assert table["big"].tolist() == [1.0, 1e-200]
+        for key in ("huge", "tiny", "subnormal"):
+            assert table[key].tobytes() == table["unit"].tobytes()
+        assert table["zero"].tolist() == [0.0, 0.0]
+        assert cosine(table["tiny"], table["big"]) == pytest.approx(2**-0.5)
 
     def test_crlf_line_endings(self, tmp_path):
         lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prefrank.apdf import ApdfMatrix, GainVector, multi_apdf, single_apdf
+from prefrank.apdf import ApdfMatrix, GainVector, induced_ranks, multi_apdf, single_apdf
 from prefrank.errors import ValidationError
+from prefrank.evaluation import top_k_matches
 from prefrank.ranking import (
     DynamicRanking,
     SemanticRank,
@@ -16,29 +19,47 @@ from prefrank.ranking import (
 from conftest import quantized_pool_matrices, random_pool_matrices, random_semantic_rank
 
 
-def embeddings_with_cosines(cosines):
-    """2-D unit vectors whose cosine against [1, 0] is as given."""
-    question = np.array([1.0, 0.0])
-    candidates = [np.array([c, np.sqrt(1.0 - c * c)]) for c in cosines]
-    return question, candidates
+def reference_descending_order(values: list[float]) -> list[int]:
+    """The Python sort the rankings used before one stable argsort."""
+    return sorted(range(len(values)), key=lambda i: (-values[i], i))
+
+
+# Small value sets, so draws tie often; 0.0 and -0.0 compare equal.
+GAIN_VALUES = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0])
+COSINE_VALUES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+class TestDescendingOrderReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gains=st.lists(GAIN_VALUES, min_size=1, max_size=10),
+        cosines=st.lists(COSINE_VALUES, min_size=1, max_size=10),
+    )
+    def test_rankings_match_the_sorted_reference(self, gains, cosines):
+        order = reference_descending_order(gains)
+        expected = [order.index(i) + 1 for i in range(len(gains))]
+        assert induced_ranks(GainVector("x", np.array(gains))).tolist() == expected
+
+        order = reference_descending_order(cosines)
+        expected = [order.index(i) for i in range(len(cosines))]
+        assert semantic_rank(np.array(cosines)).rank_of.tolist() == expected
+        for k in range(1, len(cosines) + 2):
+            assert top_k_matches(np.array(cosines), k) == order[:k]
 
 
 class TestSemanticRank:
     def test_example(self):
-        question, candidates = embeddings_with_cosines([0.2, 0.9, 0.5])
-        assert semantic_rank(question, candidates).rank_of.tolist() == [2, 0, 1]
+        assert semantic_rank(np.array([0.2, 0.9, 0.5])).rank_of.tolist() == [2, 0, 1]
 
     def test_all_equal_ties_by_index(self):
-        question, candidates = embeddings_with_cosines([0.4, 0.4, 0.4, 0.4])
-        assert semantic_rank(question, candidates).rank_of.tolist() == [0, 1, 2, 3]
+        assert semantic_rank(np.array([0.4, 0.4, 0.4, 0.4])).rank_of.tolist() == [0, 1, 2, 3]
 
     def test_single_candidate(self):
-        question, candidates = embeddings_with_cosines([0.3])
-        assert semantic_rank(question, candidates).rank_of.tolist() == [0]
+        assert semantic_rank(np.array([0.3])).rank_of.tolist() == [0]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):
-            semantic_rank(np.array([1.0, 0.0]), [])
+            semantic_rank(np.array([]))
 
     def test_by_rank_inverts_rank_of(self):
         rank = SemanticRank(np.array([1, 2, 0]))
