@@ -53,7 +53,6 @@ _EXPORTS = {
         "top_k_matches",
     ),
     "objective": (
-        "ComparisonWeights",
         "LossBreakdown",
         "dpo_pair_loss",
         "penalty_weights",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -36,21 +36,16 @@ _SYMMETRY_TOL = 1e-12
 class DecayConfig:
     """Exponential time decay applied to vote counts.
 
-    ``half_life`` is the age at which popularity halves.  When disabled,
-    votes pass through untouched.
+    ``half_life`` is the age at which popularity halves.  No decay is
+    spelled ``None`` wherever a config is taken.
     """
 
     reference_time: datetime
     half_life: timedelta = DEFAULT_HALF_LIFE
-    enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and self.half_life <= timedelta(0):
-            raise ValidationError("decay half_life must be positive when enabled")
-
-    @classmethod
-    def disabled(cls) -> "DecayConfig":
-        return cls(reference_time=datetime.now(timezone.utc), enabled=False)
+        if self.half_life <= timedelta(0):
+            raise ValidationError("decay half_life must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,17 +102,16 @@ class ApdfMatrix:
         return self.values[i]
 
 
-def rank_discount(rank: int, base: float = math.e) -> float:
-    """Positional discount 1 / log_base(rank + 1) for a 1-indexed rank.
+def rank_discount(rank: int) -> float:
+    """Positional discount 1 / ln(rank + 1) for a 1-indexed rank.
 
-    Strictly decreasing and positive for any base > 1; the base is
-    configurable because every downstream invariant holds regardless.
+    The base is fixed: another base c = ln(base) scales every single matrix
+    by c and the fused one by c**2, which changes neither the dynamic
+    ranking nor, since each round's weights all scale alike, any loss.
     """
     if rank < 1:
         raise ValidationError(f"rank must be a 1-indexed positive integer, got {rank}")
-    if base <= 1.0:
-        raise ValidationError(f"discount log base must be > 1, got {base}")
-    return math.log(base) / math.log(rank + 1)
+    return 1.0 / math.log(rank + 1)
 
 
 def semantic_gain(phi: float) -> float:
@@ -127,11 +121,11 @@ def semantic_gain(phi: float) -> float:
     return 2.0 ** (min(max(phi, -1.0), 1.0) - 1.0)
 
 
-def decayed_popularity(votes: float, created_at: datetime, cfg: DecayConfig) -> float:
-    """Votes discounted by age: votes * 2**(-age / half_life), clamped to [0, votes]."""
+def decayed_popularity(votes: float, created_at: datetime, cfg: DecayConfig | None) -> float:
+    """Votes * 2**(-age / half_life), clamped to [0, votes]; unchanged when cfg is None."""
     if votes < 0:
         raise ValidationError(f"votes must be nonnegative, got {votes}")
-    if not cfg.enabled:
+    if cfg is None:
         return float(votes)
     age = (cfg.reference_time - created_at).total_seconds()
     if age <= 0.0:
@@ -153,7 +147,7 @@ def semantic_gains(similarities: np.ndarray) -> GainVector:
 
 
 def popularity_gains(
-    votes: list[int], created_ats: list[datetime], cfg: DecayConfig
+    votes: list[int], created_ats: list[datetime], cfg: DecayConfig | None
 ) -> GainVector:
     """Popularity gain vector from raw votes and creation times."""
     if len(votes) != len(created_ats):
@@ -171,10 +165,10 @@ def induced_ranks(gains: GainVector) -> np.ndarray:
     return ranks
 
 
-def single_apdf(gains: GainVector, base: float = math.e) -> ApdfMatrix:
+def single_apdf(gains: GainVector) -> ApdfMatrix:
     """Distance-factor matrix for one attribute from its gain vector."""
     ranks = induced_ranks(gains)
-    discounts = np.array([rank_discount(int(r), base) for r in ranks])
+    discounts = np.array([rank_discount(int(r)) for r in ranks])
     gain_diff = np.subtract.outer(gains.gains, gains.gains)
     discount_diff = np.subtract.outer(discounts, discounts)
     # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.

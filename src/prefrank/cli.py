@@ -91,18 +91,6 @@ def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = Non
         handle.write("\n")
 
 
-def _parse_base(value: str) -> float:
-    if value == "e":
-        return math.e
-    try:
-        base = float(value)
-    except ValueError:
-        base = math.nan
-    if not 1.0 < base < math.inf:
-        raise ValidationError(f"--discount-base must be 'e' or a finite number > 1, got {value!r}")
-    return base
-
-
 def _parse_ks(value: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(tok) for tok in value.split(",") if tok.strip())
@@ -113,9 +101,16 @@ def _parse_ks(value: str) -> tuple[int, ...]:
     return ks
 
 
-def _decay_config(args, records) -> DecayConfig:
+def _timestamp_flag(flag: str, value: str) -> datetime:
+    try:
+        return corpus.parse_timestamp(value)
+    except ValueError:
+        raise ValidationError(f"{flag} must be an ISO-8601 timestamp, got {value!r}") from None
+
+
+def _decay_config(args, records) -> DecayConfig | None:
     if args.no_decay:
-        return DecayConfig.disabled()
+        return None
     days = args.half_life_days
     if not 0.0 < days <= timedelta.max.days or not timedelta(days=days):
         raise ValidationError(
@@ -123,7 +118,7 @@ def _decay_config(args, records) -> DecayConfig:
             f"{timedelta.max.days} days, got {days}"
         )
     if args.reference_time is not None:
-        reference = corpus.parse_timestamp(args.reference_time)
+        reference = _timestamp_flag("--reference-time", args.reference_time)
     else:
         # Default to the newest timestamp in the data so runs are
         # reproducible from their inputs alone.
@@ -142,10 +137,9 @@ def _embedding_source(args):
 
 
 def _perception_args(args, records) -> dict:
-    """`build_perception`'s keywords from the embedding, decay and discount flags."""
+    """`build_perception`'s keywords from the embedding and decay flags."""
     embedder, table, _ = _embedding_source(args)
-    decay, base = _decay_config(args, records), _parse_base(args.discount_base)
-    return {"embedder": embedder, "table": table, "decay": decay, "discount_base": base}
+    return {"embedder": embedder, "table": table, "decay": _decay_config(args, records)}
 
 
 def _read_by_record(path, what: str, field: str, convert) -> dict:
@@ -193,7 +187,7 @@ def cmd_ingest(args) -> int:
         min_votes_per_response=args.min_votes_per_response,
         max_question_tokens=args.max_question_tokens,
         max_response_tokens=args.max_response_tokens,
-        since=corpus.parse_timestamp(args.since) if args.since else None,
+        since=_timestamp_flag("--since", args.since) if args.since else None,
     )
     entries, rejections = corpus.apply_quality_filters(entries, cfg)
     counts["quality"] = len(entries)
@@ -251,9 +245,7 @@ def cmd_loss(args) -> int:
     for item in prepared:
         record, perception = item.record, item.perception
         pi_s = table_logprobs.scores_for(record)
-        top = perception.dynamic.top()
-        top_tokens = table_logprobs.tokens_for(record.question_id, record.candidates[top].id)
-        l_pa = objective.perceptual_alignment_loss(top_tokens)
+        l_pa = float(-pi_s[perception.dynamic.top()])
         with naming_record(record.question_id):
             l_pc = objective.perceptual_comparison_loss(
                 pi_s, perception.dynamic, perception.singles, perception.multi, args.mode
@@ -373,14 +365,6 @@ def _add_decay_flags(parser: argparse.ArgumentParser):
     )
 
 
-def _add_discount_flag(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--discount-base",
-        default="e",
-        help="log base of the rank discount ('e' or a number > 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefrank",
@@ -417,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSONL of {record_id, order}")
     _add_embedding_flags(p)
     _add_decay_flags(p)
-    _add_discount_flag(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("loss", help="per-record loss breakdowns from a logprob file")
@@ -428,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=MODE_LITERAL, choices=list(COMPARISON_MODES))
     _add_embedding_flags(p)
     _add_decay_flags(p)
-    _add_discount_flag(p)
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("train-toy", help="train the toy bigram policy")
@@ -444,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=MODE_LITERAL, choices=list(COMPARISON_MODES))
     _add_embedding_flags(p)
     _add_decay_flags(p)
-    _add_discount_flag(p)
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("eval", help="metric report for generations against records")
@@ -472,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (row-major, headerless)")
     _add_embedding_flags(p)
     _add_decay_flags(p)
-    _add_discount_flag(p)
     p.set_defaults(func=cmd_export_heatmap)
 
     return parser

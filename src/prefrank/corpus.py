@@ -8,8 +8,7 @@ quality thresholds, and optionally attach a gold ranking.  Records are
 persisted as JSON-Lines, one record per line, with a fixed key order.
 
 Every filter is a per-record predicate, so the surviving set is
-independent of filter order and records can be processed in parallel;
-only the final writer serializes output.
+independent of filter order.
 """
 
 from __future__ import annotations
@@ -136,11 +135,14 @@ class DumpParseResult:
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 timestamp; naive values are taken as UTC, out-of-range ones rejected."""
     parsed = datetime.fromisoformat(value)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
 
 
 def _parse_rows(path: Path) -> Iterator[dict]:
@@ -279,9 +281,9 @@ def clean_entries(entries: Iterable[QARecord]) -> list[QARecord]:
     cleaned: list[QARecord] = []
     for record in entries:
         candidates = tuple(
-            dataclasses.replace(c, content=clean_html(c.content))
+            dataclasses.replace(c, content=text)
             for c in record.candidates
-            if clean_html(c.content).strip()
+            if (text := clean_html(c.content)).strip()
         )
         if not candidates:
             continue
@@ -337,7 +339,7 @@ def apply_quality_filters(
     return kept, rejections
 
 
-def assign_gold_ranking(record: QARecord, decay: DecayConfig) -> QARecord:
+def assign_gold_ranking(record: QARecord, decay: DecayConfig | None) -> QARecord:
     """Attach the gold label: accepted answer first, then the rest by
     time-decayed votes descending, ties by earlier creation then index."""
     accepted = record.accepted_index()

@@ -13,7 +13,6 @@ chooses between a table and an embedder.
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -25,23 +24,6 @@ DEFAULT_NGRAM = 3
 
 # Below this norm a row's squared sum is subnormal or zero and has lost bits.
 _SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
-
-
-class Embedder(ABC):
-    """Maps text to a fixed-dimension vector, deterministically.
-
-    Implementations must be bit-stable: the same text yields the same
-    vector on every call.  Instances are immutable after construction,
-    so concurrent embed calls are safe; a cache an implementation keeps
-    must not change any output bit and must stay out of the pickled
-    instance.
-    """
-
-    dim: int
-
-    @abstractmethod
-    def embed(self, text: str) -> np.ndarray:
-        """Return a unit-norm float64 vector (all-zero only for empty text)."""
 
 
 # Per-process memo from n-gram bytes to its 64-bit digest, shared by every
@@ -96,7 +78,7 @@ def hashed_ngram_embed(text: str, dim: int = DEFAULT_DIM, ngram: int = DEFAULT_N
     return vec / norm
 
 
-class HashedNgramEmbedder(Embedder):
+class HashedNgramEmbedder:
     """Default embedder: character n-grams with signed feature hashing.
 
     Calls :func:`hashed_ngram_embed`, which hashes each distinct n-gram
@@ -116,6 +98,7 @@ class HashedNgramEmbedder(Embedder):
         self.ngram = ngram
 
     def embed(self, text: str) -> np.ndarray:
+        """A unit-norm float64 vector (all-zero only for empty text), bit-stable across calls."""
         return hashed_ngram_embed(text, self.dim, self.ngram)
 
 

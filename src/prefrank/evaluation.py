@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import QARecord
-from .embed import Embedder, cosine
+from .embed import _SAFE_NORM, HashedNgramEmbedder, cosine
 from .errors import ValidationError
 from .pipeline import generation_key, resolve_vectors
 
@@ -32,7 +32,7 @@ NORMALIZERS = (NORMALIZER_PAPER_HALF, NORMALIZER_BY_K)
 def pool_similarities(
     generated: str,
     record: QARecord,
-    embedder: Embedder | None = None,
+    embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Similarity of the generated text to each pool candidate.
@@ -184,16 +184,27 @@ def rouge_l(candidate: str, reference: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _deviations(sample: np.ndarray) -> tuple[np.ndarray, float]:
+    """A sample's deviations from its mean and their root sum of squares; a sample
+    whose sums leave the float range is first scaled to max |value| 1, as in the TSV reader."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = sample - sample.mean()
+        spread = math.sqrt(float(np.dot(dev, dev)))
+    if not _SAFE_NORM <= spread < math.inf and sample.any():
+        sample = sample / np.abs(sample).max()
+        dev = sample - sample.mean()
+        spread = math.sqrt(float(np.dot(dev, dev)))
+    return dev, spread
+
+
 def pearson_r(xs, ys) -> float:
     """Pearson correlation coefficient of two equal-length samples."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
         raise ValidationError("correlation requires two equal-length 1-D samples of size >= 2")
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    sx = math.sqrt(float(np.dot(dx, dx)))
-    sy = math.sqrt(float(np.dot(dy, dy)))
+    dx, sx = _deviations(xs)
+    dy, sy = _deviations(ys)
     if sx == 0.0 or sy == 0.0:
         raise ValidationError("correlation undefined for a constant sample")
     return float(np.dot(dx, dy) / (sx * sy))
@@ -273,7 +284,7 @@ class EvalReport:
 def build_outcomes(
     records: list[QARecord],
     generations: dict[str, str],
-    embedder: Embedder | None = None,
+    embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,
 ) -> tuple[list[RecordOutcome], Counter]:
     """Pair records with generations; count records skipped for missing
@@ -324,7 +335,7 @@ def evaluate_dataset(
     generations: dict[str, str],
     ks: tuple[int, ...] = (1, 3),
     normalizer: str = NORMALIZER_PAPER_HALF,
-    embedder: Embedder | None = None,
+    embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,
     embedder_name: str = "hashed_ngram",
     external_scores: dict[str, float] | None = None,

@@ -45,22 +45,6 @@ DEFAULT_DPO_BETA = 0.1
 
 
 @dataclass(frozen=True)
-class ComparisonWeights:
-    """Weights for one comparison round: a reward for the positive and a
-    penalty per negative candidate."""
-
-    reward: float
-    penalties: dict[int, float]
-
-    def __post_init__(self):
-        if not math.isfinite(self.reward) or self.reward < 0:
-            raise ValidationError(f"reward weight must be finite and >= 0, got {self.reward}")
-        for idx, value in self.penalties.items():
-            if not math.isfinite(value) or value < 0:
-                raise ValidationError(f"penalty weight for candidate {idx} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """Combined loss: total == l_pc + alpha * l_pa, exactly as computed."""
 
@@ -170,16 +154,6 @@ def penalty_weights(multi: ApdfMatrix, d_r: DynamicRanking, b: int) -> dict[int,
     """
     negatives, penalties = _penalty_weights(multi, d_r, np.array([b]))
     return dict(zip(negatives[0].tolist(), penalties[0].tolist()))
-
-
-def round_weights(
-    single_matrices: list[ApdfMatrix], multi: ApdfMatrix, d_r: DynamicRanking, b: int
-) -> ComparisonWeights:
-    """Reward and penalty weights for the round whose positive is b."""
-    return ComparisonWeights(
-        reward=reward_weight(single_matrices, b),
-        penalties=penalty_weights(multi, d_r, b),
-    )
 
 
 def comparison_round_positives(d_r: DynamicRanking, mode: str = MODE_LITERAL) -> list[int]:

@@ -11,7 +11,6 @@ consumes the resulting bundle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .apdf import (
     single_apdf,
 )
 from .corpus import QARecord
-from .embed import Embedder, cosine
+from .embed import HashedNgramEmbedder, cosine
 from .errors import ValidationError
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
 
@@ -58,7 +57,7 @@ def resolve_vectors(
     key: str,
     text: str,
     record: QARecord,
-    embedder: Embedder | None = None,
+    embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Vectors of an anchor (the question or a generation) and the candidates.
@@ -96,14 +95,11 @@ class PreparedRecord:
 
 def build_perception(
     record: QARecord,
-    embedder: Embedder | None = None,
+    embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,
     decay: DecayConfig | None = None,
-    discount_base: float = math.e,
 ) -> PerceptionBundle:
-    """Gains, matrices, and rankings for one record."""
-    if decay is None:
-        decay = DecayConfig(reference_time=record.question_created_at, enabled=False)
+    """Gains, matrices, and rankings for one record; `decay=None` leaves votes undecayed."""
     question, candidates = resolve_vectors(
         question_key(record), record.question_text, record, embedder=embedder, table=table
     )
@@ -116,7 +112,7 @@ def build_perception(
             decay,
         ),
     ]
-    singles = [single_apdf(g, discount_base) for g in gains]
+    singles = [single_apdf(g) for g in gains]
     multi = multi_apdf(singles)
     arank = semantic_rank(similarities)
     dynamic = dynamic_rank(multi, arank)
@@ -125,18 +121,15 @@ def build_perception(
 
 def prepare_records(
     records: list[QARecord],
-    embedder: Embedder | None = None,
+    embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,
     decay: DecayConfig | None = None,
-    discount_base: float = math.e,
 ) -> list[PreparedRecord]:
     """Build perception bundles for a batch, preserving record order."""
     return [
         PreparedRecord(
             record=r,
-            perception=build_perception(
-                r, embedder=embedder, table=table, decay=decay, discount_base=discount_base
-            ),
+            perception=build_perception(r, embedder=embedder, table=table, decay=decay),
         )
         for r in records
     ]

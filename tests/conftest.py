@@ -10,7 +10,7 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 import pytest
 
-from prefrank.apdf import DecayConfig, GainVector, multi_apdf, single_apdf
+from prefrank.apdf import GainVector, multi_apdf, single_apdf
 from prefrank.corpus import QARecord, ResponseCandidate
 from prefrank.embed import HashedNgramEmbedder
 from prefrank.pipeline import PreparedRecord, build_perception
@@ -200,7 +200,6 @@ def make_synthetic_records(n=200, seed=7, dim=64):
     """Records plus perception bundles; gold ranking = dynamic ranking."""
     rng = np.random.default_rng(seed)
     embedder = HashedNgramEmbedder(dim=dim)
-    decay = DecayConfig.disabled()
     prepared = []
     for i in range(n):
         perm = [int(x) for x in rng.permutation(len(SUITE_WORDS))]
@@ -223,7 +222,7 @@ def make_synthetic_records(n=200, seed=7, dim=64):
             question_created_at=T0,
             candidates=tuple(candidates),
         )
-        perception = build_perception(record, embedder=embedder, decay=decay)
+        perception = build_perception(record, embedder=embedder)
         record = dataclasses.replace(record, gold_ranking=tuple(perception.dynamic.order))
         prepared.append(PreparedRecord(record=record, perception=perception))
     return prepared

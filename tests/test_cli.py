@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from prefrank import objective
-from prefrank.apdf import DecayConfig
 from prefrank.cli import main
 from prefrank.corpus import read_records, write_records
 from prefrank.embed import HashedNgramEmbedder
@@ -123,9 +122,7 @@ class TestRank:
         argv = ["loss", "--records", path, "--logprobs", logprobs, "--out", losses, "--no-decay"]
         assert run(argv) == 0
 
-        prepared = prepare_records(
-            read_records(path), embedder=HashedNgramEmbedder(), decay=DecayConfig.disabled()
-        )
+        prepared = prepare_records(read_records(path), embedder=HashedNgramEmbedder(), decay=None)
         expected_ranks = [
             {"record_id": p.record.question_id, "order": p.perception.dynamic.order}
             for p in prepared
@@ -315,11 +312,19 @@ class TestNumericFlags:
     @pytest.mark.parametrize(
         "flag, value",
         [("--half-life-days", v) for v in ("nan", "inf", "1e300", "-1", "1e-12")]
-        + [("--discount-base", v) for v in ("nan", "inf", "-1", "two")],
+        # The second timestamp is valid ISO-8601 but falls before year 1 in UTC.
+        + [(f, v) for f in ("--reference-time", "--since")
+           for v in ("yesterday", "0001-01-01T00:00:00+01:00")],
     )
-    def test_bad_value_is_validation_error(self, records_file, tmp_path, capsys, flag, value):
+    def test_bad_value_is_validation_error(
+        self, records_file, dump_plan_file, tmp_path, capsys, flag, value
+    ):
         out = tmp_path / "r.jsonl"
-        assert run(["rank", "--records", records_file, "--out", out, f"{flag}={value}"]) == 2
+        if flag == "--since":  # an `ingest` flag; the others are read by `rank`
+            argv = ["ingest", dump_plan_file, "--out", out]
+        else:
+            argv = ["rank", "--records", records_file, "--out", out]
+        assert run(argv + [f"{flag}={value}"]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         payload = json.loads(err)

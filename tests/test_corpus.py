@@ -1,6 +1,7 @@
 """Dump parsing, filtering, HTML cleaning, gold labels, persistence."""
 
 import dataclasses
+import re
 from datetime import timedelta, timezone
 
 import pytest
@@ -75,6 +76,18 @@ class TestParseDump:
         assert len(result) == 1
         assert result.entries[0].pool_size == 1
         assert sum(result.warnings.values()) == 1
+
+    def test_creation_date_before_year_one_in_utc_skips_with_warning(self, tmp_path):
+        rows = [
+            question_row(1, PLAIN_BODY),
+            answer_row(11, 1, score=1),
+            answer_row(12, 1, created="0001-01-01T00:00:00+01:00"),
+        ]
+        path = tmp_path / "Posts.xml"
+        path.write_text(posts_xml(rows), encoding="utf-8")
+        result = parse_dump(path)
+        assert result.entries[0].pool_size == 1
+        assert result.warnings == {"bad_CreationDate": 1}
 
     def test_non_integer_score_skips_with_warning(self, tmp_path):
         rows = [
@@ -276,7 +289,7 @@ class TestQualityFilters:
 class TestAssignGoldRanking:
     def test_single_candidate(self):
         record = make_record(candidates=(make_candidate(0, accepted=True),))
-        assert assign_gold_ranking(record, DecayConfig.disabled()).gold_ranking == (0,)
+        assert assign_gold_ranking(record, None).gold_ranking == (0,)
 
     def test_accepted_first_then_votes(self):
         record = make_record(
@@ -286,7 +299,7 @@ class TestAssignGoldRanking:
                 make_candidate(2, content="c", votes=1, accepted=True),
             )
         )
-        ranked = assign_gold_ranking(record, DecayConfig.disabled())
+        ranked = assign_gold_ranking(record, None)
         assert ranked.gold_ranking == (2, 1, 0)
 
     def test_tie_broken_by_earlier_creation(self):
@@ -296,7 +309,7 @@ class TestAssignGoldRanking:
                 make_candidate(1, content="b", votes=4, days=2),
             )
         )
-        ranked = assign_gold_ranking(record, DecayConfig.disabled())
+        ranked = assign_gold_ranking(record, None)
         assert ranked.gold_ranking == (1, 0)
 
     def test_no_accepted_candidate(self):
@@ -306,7 +319,7 @@ class TestAssignGoldRanking:
                 make_candidate(1, content="b", votes=8),
             )
         )
-        ranked = assign_gold_ranking(record, DecayConfig.disabled())
+        ranked = assign_gold_ranking(record, None)
         assert ranked.gold_ranking == (1, 0)
 
     def test_decay_changes_order(self):
@@ -320,7 +333,7 @@ class TestAssignGoldRanking:
         decay = DecayConfig(reference_time=T0 + timedelta(days=730), half_life=timedelta(days=100))
         ranked = assign_gold_ranking(record, decay)
         assert ranked.gold_ranking == (1, 0)
-        no_decay = assign_gold_ranking(record, DecayConfig.disabled())
+        no_decay = assign_gold_ranking(record, None)
         assert no_decay.gold_ranking == (0, 1)
 
     def test_output_is_always_a_permutation(self):
@@ -341,7 +354,7 @@ class TestAssignGoldRanking:
                 for i in range(size)
             )
             record = make_record(candidates=candidates)
-            ranked = assign_gold_ranking(record, DecayConfig.disabled())
+            ranked = assign_gold_ranking(record, None)
             assert sorted(ranked.gold_ranking) == list(range(size))
             if accepted_at < size:
                 assert ranked.gold_ranking[0] == accepted_at
@@ -392,6 +405,17 @@ class TestPersistence:
         bad = '{"question_id": "q2", "question_text": "t"}'
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="line 2"):
+            read_records(path)
+
+    def test_timestamp_outside_the_utc_range_names_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [make_record()])
+        text = path.read_text(encoding="utf-8")
+        stamp = '"question_created_at": "0001-01-01T00:00:00+01:00"'
+        path.write_text(
+            text + re.sub(r'"question_created_at": "[^"]*"', stamp, text), encoding="utf-8"
+        )
+        with pytest.raises(SchemaError, match="line 2.*out of range"):
             read_records(path)
 
     def test_invalid_json_names_line(self, tmp_path):

@@ -242,6 +242,20 @@ class TestCorrelations:
         value = spearman_r([1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
         assert -1.0 <= value <= 1.0
 
+    @pytest.mark.parametrize(
+        "xs, scale, expected",
+        [
+            ([1e200, -1e200, 0.0], 1e200, -0.5),  # squares overflow
+            ([1.5e308, 1.5e308, -1e308], 1.5e308, -0.8660254037844386),  # the sum overflows
+            ([1e-200, -1e-200, 0.0], 1e-200, -0.5),  # squares underflow to zero
+        ],
+    )
+    def test_pearson_samples_whose_squares_leave_the_float_range(self, xs, scale, expected):
+        ys = [0.1, 0.2, 0.3]
+        scaled = pearson_r([x / scale for x in xs], ys)
+        assert scaled == pytest.approx(expected, abs=1e-15)
+        assert pearson_r(xs, ys) == pearson_r(ys, xs) == scaled
+
     def test_constant_sample_rejected(self):
         with pytest.raises(ValidationError):
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

@@ -20,7 +20,6 @@ from prefrank.objective import (
     perceptual_comparison_loss,
     plackett_luce_loss,
     reward_weight,
-    round_weights,
     total_loss,
 )
 from prefrank.ranking import DynamicRanking, dynamic_rank
@@ -360,14 +359,49 @@ class TestReferenceEquivalence:
                     assert list(row.items()) == list(expected_penalties.items())
 
 
-class TestRoundWeights:
-    def test_bundles_reward_and_penalties(self):
-        rng = np.random.default_rng(26)
-        _, singles, multi = random_pool_matrices(rng, size=4)
-        d_r = DynamicRanking([3, 1, 0, 2])
-        weights = round_weights(singles, multi, d_r, 1)
-        assert weights.reward == pytest.approx(reward_weight(singles, 1))
-        assert weights.penalties == penalty_weights(multi, d_r, 1)
+class TestDiscountScaleInvariance:
+    """A rank-discount base other than e scales every single matrix by
+    c = ln(base) and the fused matrix by c**2; neither the dynamic ranking
+    nor the comparison loss may see it.  That is why the base is fixed."""
+
+    @staticmethod
+    def loss_or_error(pi_s, d_r, singles, multi, mode):
+        try:
+            return comparison_loss_and_score_grad(pi_s, d_r, singles, multi, mode)
+        except DegenerateInputError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("c", [0.25, 2.0, 8.0, math.log(2), math.log(10)])
+    def test_ranking_and_loss_ignore_the_scale(self, c):
+        rng = np.random.default_rng(45)
+        for trial in range(60):
+            size = int(rng.integers(2, 40 if trial % 3 else 5))  # small pools can be degenerate
+            if trial % 2:
+                _, singles, multi = random_pool_matrices(rng, size=size)
+            else:
+                singles, multi = quantized_pool_matrices(rng, size)
+            arank = random_semantic_rank(rng, size)
+            pi_s = rng.normal(scale=0.5, size=size)
+            scaled = [ApdfMatrix(m.attribute_name, c * m.values) for m in singles]
+            scaled_multi = ApdfMatrix(multi.attribute_name, c * c * multi.values)
+            d_r = dynamic_rank(multi, arank)
+            assert dynamic_rank(scaled_multi, arank).order == d_r.order
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                positives = np.array(comparison_round_positives(d_r, mode))
+                if math.log2(c).is_integer():
+                    # Every weight of every round scales by c**2 exactly.
+                    rewards = _reward_weights(singles, positives)
+                    assert np.array_equal(_reward_weights(scaled, positives), c * c * rewards)
+                    penalties = _penalty_weights(multi, d_r, positives)[1]
+                    scaled_penalties = _penalty_weights(scaled_multi, d_r, positives)[1]
+                    assert np.array_equal(scaled_penalties, c * c * penalties)
+                got = self.loss_or_error(pi_s, d_r, scaled, scaled_multi, mode)
+                expected = self.loss_or_error(pi_s, d_r, singles, multi, mode)
+                if isinstance(expected, str):
+                    assert got == expected
+                    continue
+                assert got[0] == pytest.approx(expected[0], rel=1e-12)
+                assert np.abs(got[1] - expected[1]).max() <= 1e-12 * np.abs(expected[1]).max()
 
 
 class TestTotalLoss:
