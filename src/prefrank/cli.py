@@ -69,6 +69,12 @@ def _sha256(path) -> str:
 _INPUT_FLAGS = ("dump", "records", "logprobs", "generations", "embeddings", "external_scores")
 
 
+def _write_json(path, document) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = None):
     config = {}
     for key, value in sorted(vars(args).items()):
@@ -85,10 +91,7 @@ def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = Non
     }
     if extra:
         manifest.update(extra)
-    manifest_path = str(out_path) + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(str(out_path) + ".manifest.json", manifest)
 
 
 def _parse_ks(value: str) -> tuple[int, ...]:
@@ -142,31 +145,18 @@ def _perception_args(args, records) -> dict:
     return {"embedder": embedder, "table": table, "decay": _decay_config(args, records)}
 
 
-def _read_by_record(path, what: str, field: str, convert) -> dict:
-    """`{record_id: convert(row[field])}` from JSONL; a bad or repeated row is an error."""
-    values = {}
-    for lineno, row in corpus.iter_jsonl(path):
-        try:
-            record_id, value = str(row["record_id"]), convert(row[field])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad {what} entry: {exc}", line=lineno) from exc
-        if record_id in values:
-            raise SchemaError(f"duplicate {what} for record {record_id!r}", line=lineno)
-        values[record_id] = value
-    return values
+def _generation(row) -> tuple[str, str]:
+    text = row["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"'text' must be a string, got {type(text).__name__}")
+    return str(row["record_id"]), text
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"'text' must be a string, got {type(value).__name__}")
-    return value
-
-
-def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"'score' must be finite, got {number}")
-    return number
+def _external_score(row) -> tuple[str, float]:
+    score = float(row["score"])
+    if not math.isfinite(score):
+        raise ValueError(f"'score' must be finite, got {score}")
+    return str(row["record_id"]), score
 
 
 def cmd_ingest(args) -> int:
@@ -214,7 +204,7 @@ def cmd_embed(args) -> int:
         for candidate in record.candidates:
             table[pipeline.candidate_key(record, candidate.id)] = embedder.embed(candidate.content)
     if args.generations:
-        generations = _read_by_record(args.generations, "generation", "text", _text)
+        generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
         for record_id, text in generations.items():
             table[pipeline.generation_key(record_id)] = embedder.embed(text)
     write_external_embeddings(args.out, table)
@@ -226,16 +216,15 @@ def cmd_embed(args) -> int:
 def cmd_rank(args) -> int:
     records = corpus.read_records(args.records)
     prepared = pipeline.prepare_records(records, **_perception_args(args, records))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for item in prepared:
-            row = {"record_id": item.record.question_id, "order": item.perception.dynamic.order}
-            handle.write(json.dumps(row) + "\n")
+    rows = ({"record_id": p.record.question_id, "order": p.perception.dynamic.order} for p in prepared)
+    corpus.write_jsonl(args.out, rows)
     _write_manifest(args.out, args)
     print(f"ranked\t{len(prepared)}")
     return EXIT_OK
 
 
 def cmd_loss(args) -> int:
+    objective.check_alpha(args.alpha)
     records = corpus.read_records(args.records)
     table_logprobs = policy.load_logprob_file(args.logprobs)
     # Deterministic reduction order: records sorted by id.
@@ -253,9 +242,7 @@ def cmd_loss(args) -> int:
         row = {"record_id": record.question_id, "mode": args.mode}
         row.update(objective.total_loss(l_pc, l_pa, args.alpha).to_dict())
         rows.append(row)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
+    corpus.write_jsonl(args.out, rows)
     summary = {
         "n_records": len(rows),
         "mean_l_pa": float(np.mean([r["l_pa"] for r in rows])) if rows else 0.0,
@@ -282,11 +269,9 @@ def cmd_train_toy(args) -> int:
     result = policy.train(toy, prepared, epochs=args.epochs, alpha=args.alpha, mode=args.mode)
     toy.save(args.out_policy)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for step, breakdown in enumerate(result.trace):
-                row = {"step": step}
-                row.update(breakdown.to_dict())
-                handle.write(json.dumps(row) + "\n")
+        corpus.write_jsonl(
+            args.trace, ({"step": step, **b.to_dict()} for step, b in enumerate(result.trace))
+        )
     totals = result.totals
     per_epoch = totals.reshape(args.epochs, -1).mean(axis=1) if totals.size else totals
     summary = {
@@ -302,10 +287,10 @@ def cmd_train_toy(args) -> int:
 
 def cmd_eval(args) -> int:
     records = corpus.read_records(args.records)
-    generations = _read_by_record(args.generations, "generation", "text", _text)
+    generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
     scores = None
     if args.external_scores:
-        scores = _read_by_record(args.external_scores, "external score", "score", _finite)
+        scores = corpus.read_keyed_jsonl(args.external_scores, _external_score, "external score")
     embedder, table, embedder_name = _embedding_source(args)
     report = evaluation.evaluate_dataset(
         records,
@@ -317,9 +302,7 @@ def cmd_eval(args) -> int:
         embedder_name=embedder_name,
         external_scores=scores,
     )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(args.out, report.to_dict())
     _write_manifest(args.out, args)
     for line in report.summary_lines():
         print(line)

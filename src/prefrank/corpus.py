@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 from xml.etree import ElementTree
 
 from .apdf import DecayConfig, decayed_popularity
@@ -163,8 +163,10 @@ def parse_dump(path) -> DumpParseResult:
     (answers) with a non-integer Score are skipped and counted in the
     result's warnings as ``missing_<attribute>``, ``bad_CreationDate`` or
     ``bad_Score``; answers whose question is absent are counted as
-    orphans.  The `votes` attribute is the row Score clamped to zero,
-    since popularity is nonnegative.
+    orphans.  Questions and answers share one ``Id`` space: a row that
+    repeats the ``Id`` of an earlier kept row is skipped and counted as
+    ``duplicate_Id``, so the first row wins.  The `votes` attribute is
+    the row Score clamped to zero, since popularity is nonnegative.
     """
     path = Path(path)
     result = DumpParseResult()
@@ -174,8 +176,8 @@ def parse_dump(path) -> DumpParseResult:
         return result
 
     questions: dict[str, dict] = {}
-    question_order: list[str] = []
     answers: dict[str, list[dict]] = {}
+    seen_ids: set[str] = set()
 
     for row in _parse_rows(path):
         post_type = row.get("PostTypeId")
@@ -200,9 +202,12 @@ def parse_dump(path) -> DumpParseResult:
             except ValueError:
                 result.warnings["bad_Score"] += 1
                 continue
+        if row["Id"] in seen_ids:
+            result.warnings["duplicate_Id"] += 1
+            continue
+        seen_ids.add(row["Id"])
         if post_type == "1":
             questions[row["Id"]] = row
-            question_order.append(row["Id"])
         else:
             answers.setdefault(row["ParentId"], []).append(row)
 
@@ -210,8 +215,7 @@ def parse_dump(path) -> DumpParseResult:
         if parent_id not in questions:
             result.warnings["orphan_answer"] += len(answers[parent_id])
 
-    for question_id in question_order:
-        question = questions[question_id]
+    for question_id, question in questions.items():
         pool = answers.get(question_id, [])
         if not pool:
             result.warnings["question_without_answers"] += 1
@@ -380,37 +384,60 @@ def record_to_dict(record: QARecord) -> dict:
     }
 
 
-def _require_str(value, what: str):
-    if not isinstance(value, str):
-        raise ValidationError(f"{what} must be a string, got {type(value).__name__}")
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+
+
+def _require(value, kind: type, what: str):
+    """`value` if it is a JSON value of `kind`; a boolean is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValidationError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
     return value
 
 
+def _votes(value) -> int:
+    votes = _require(value, int, "candidate 'votes'")
+    try:
+        float(votes)
+    except OverflowError:
+        raise ValidationError("candidate 'votes' is too large for a float") from None
+    return votes
+
+
 def record_from_dict(payload: dict) -> QARecord:
+    """Inverse of `record_to_dict`; a field of the wrong JSON type is a ValidationError."""
+    _require(payload, dict, "a record")
     for key in _RECORD_KEYS:
         if key not in payload:
             raise ValidationError(f"missing key {key!r}")
     candidates = []
-    for entry in payload["candidates"]:
+    for entry in _require(payload["candidates"], list, "'candidates'"):
+        _require(entry, dict, "a candidate")
         for key in _CANDIDATE_KEYS:
             if key not in entry:
                 raise ValidationError(f"candidate missing key {key!r}")
         candidates.append(
             ResponseCandidate(
                 id=str(entry["id"]),
-                content=_require_str(entry["content"], "candidate 'content'"),
-                votes=int(entry["votes"]),
-                created_at=parse_timestamp(entry["created_at"]),
-                accepted=bool(entry["accepted"]),
+                content=_require(entry["content"], str, "candidate 'content'"),
+                votes=_votes(entry["votes"]),
+                created_at=parse_timestamp(
+                    _require(entry["created_at"], str, "candidate 'created_at'")
+                ),
+                accepted=_require(entry["accepted"], bool, "candidate 'accepted'"),
             )
         )
     gold = payload["gold_ranking"]
+    if gold is not None:
+        gold = _require(gold, list, "'gold_ranking'")
+        gold = tuple(_require(i, int, "'gold_ranking' entry") for i in gold)
     return QARecord(
         question_id=str(payload["question_id"]),
-        question_text=_require_str(payload["question_text"], "'question_text'"),
-        question_created_at=parse_timestamp(payload["question_created_at"]),
+        question_text=_require(payload["question_text"], str, "'question_text'"),
+        question_created_at=parse_timestamp(
+            _require(payload["question_created_at"], str, "'question_created_at'")
+        ),
         candidates=tuple(candidates),
-        gold_ranking=tuple(gold) if gold is not None else None,
+        gold_ranking=gold,
     )
 
 
@@ -419,6 +446,13 @@ def write_records(path, records: Iterable[QARecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
+
+
+def write_jsonl(path, rows: Iterable[dict]) -> None:
+    """Write one ``json.dumps`` line per row (ASCII, default separators)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row) + "\n")
 
 
 def iter_lines(path) -> Iterator[tuple[int, str]]:
@@ -436,23 +470,39 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
 
 def iter_jsonl(path) -> Iterator[tuple[int, object]]:
     """Yield (line number, decoded JSON) per non-blank line; callers check
-    the fields.  Invalid UTF-8 or JSON raises SchemaError naming the line."""
+    the fields.  Invalid UTF-8, or a line `json.loads` refuses (such as an
+    over-long integer), raises SchemaError naming the line."""
     for lineno, line in iter_lines(path):
         if not line.strip():
             continue
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}", line=lineno) from exc
         yield lineno, payload
 
 
-def read_records(path) -> list[QARecord]:
-    """Read JSON-Lines records; schema problems name the offending line."""
-    records: list[QARecord] = []
-    for lineno, payload in iter_jsonl(path):
+def read_keyed_jsonl(path, parse: Callable[[object], tuple[Hashable, object]], what: str) -> dict:
+    """``{key: value}`` in file order, from ``parse(row) -> (key, value)``
+    per JSON-Lines row.  A row that `parse` rejects and a row repeating an
+    earlier key each raise SchemaError naming the line."""
+    values = {}
+    for lineno, row in iter_jsonl(path):
         try:
-            records.append(record_from_dict(payload))
-        except (ValidationError, ValueError, TypeError, KeyError) as exc:
-            raise SchemaError(str(exc), line=lineno) from exc
-    return records
+            key, value = parse(row)
+        except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"bad {what}: {exc}", line=lineno) from exc
+        if key in values:
+            raise SchemaError(f"duplicate {what} {key!r}", line=lineno)
+        values[key] = value
+    return values
+
+
+def _keyed_record(row) -> tuple[str, QARecord]:
+    record = record_from_dict(row)
+    return record.question_id, record
+
+
+def read_records(path) -> list[QARecord]:
+    """Read JSON-Lines records; a bad row or a repeated question id names the line."""
+    return list(read_keyed_jsonl(path, _keyed_record, "record").values())

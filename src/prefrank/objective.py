@@ -225,10 +225,16 @@ def comparison_loss_and_score_grad(
     return loss, grad
 
 
+def check_alpha(alpha: float) -> float:
+    """The alignment-loss weight, if it is finite and nonnegative."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
+
+
 def total_loss(l_pc: float, l_pa: float, alpha: float = DEFAULT_ALPHA) -> LossBreakdown:
     """Combine the two objectives: total = l_pc + alpha * l_pa."""
-    if alpha < 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    check_alpha(alpha)
     return LossBreakdown(l_pa=l_pa, l_pc=l_pc, alpha=alpha, total=l_pc + alpha * l_pa)
 
 

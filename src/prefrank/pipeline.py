@@ -18,7 +18,6 @@ import numpy as np
 from .apdf import (
     ApdfMatrix,
     DecayConfig,
-    GainVector,
     multi_apdf,
     popularity_gains,
     semantic_gains,
@@ -78,7 +77,6 @@ def resolve_vectors(
 class PerceptionBundle:
     """Everything perception derives from one record's pool."""
 
-    gains: list[GainVector]
     singles: list[ApdfMatrix]
     multi: ApdfMatrix
     arank: SemanticRank
@@ -99,7 +97,7 @@ def build_perception(
     table: dict[str, np.ndarray] | None = None,
     decay: DecayConfig | None = None,
 ) -> PerceptionBundle:
-    """Gains, matrices, and rankings for one record; `decay=None` leaves votes undecayed."""
+    """Distance matrices and rankings for one record; `decay=None` leaves votes undecayed."""
     question, candidates = resolve_vectors(
         question_key(record), record.question_text, record, embedder=embedder, table=table
     )
@@ -116,7 +114,7 @@ def build_perception(
     multi = multi_apdf(singles)
     arank = semantic_rank(similarities)
     dynamic = dynamic_rank(multi, arank)
-    return PerceptionBundle(gains=gains, singles=singles, multi=multi, arank=arank, dynamic=dynamic)
+    return PerceptionBundle(singles=singles, multi=multi, arank=arank, dynamic=dynamic)
 
 
 def prepare_records(

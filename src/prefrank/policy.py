@@ -11,14 +11,14 @@ language model in any linguistic sense.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import objective
-from .corpus import QARecord, iter_jsonl
+from .corpus import QARecord, read_keyed_jsonl, write_jsonl
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
 
@@ -67,18 +67,11 @@ class LogProbTable:
         return cls(entries)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for (record_id, candidate_id), logprobs in self.entries.items():
-                handle.write(
-                    json.dumps(
-                        {
-                            "record_id": record_id,
-                            "candidate_id": candidate_id,
-                            "logprobs": [float(v) for v in logprobs],
-                        }
-                    )
-                    + "\n"
-                )
+        rows = (
+            {"record_id": record_id, "candidate_id": candidate_id, "logprobs": logprobs.tolist()}
+            for (record_id, candidate_id), logprobs in self.entries.items()
+        )
+        write_jsonl(path, rows)
 
 
 def _validate_logprobs(logprobs: np.ndarray, key) -> np.ndarray:
@@ -91,22 +84,14 @@ def _validate_logprobs(logprobs: np.ndarray, key) -> np.ndarray:
     return logprobs
 
 
+def _logprob_entry(row) -> tuple[tuple[str, str], np.ndarray]:
+    key = (str(row["record_id"]), str(row["candidate_id"]))
+    return key, _validate_logprobs(np.asarray(row["logprobs"], dtype=np.float64), key)
+
+
 def load_logprob_file(path) -> LogProbTable:
-    """Read the JSON-Lines logprob format; problems name the line."""
-    entries: dict[tuple[str, str], np.ndarray] = {}
-    for lineno, payload in iter_jsonl(path):
-        try:
-            key = (str(payload["record_id"]), str(payload["candidate_id"]))
-            logprobs = np.asarray(payload["logprobs"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad logprob entry: {exc}", line=lineno) from exc
-        if key in entries:
-            raise SchemaError(f"duplicate entry for {key}", line=lineno)
-        try:
-            entries[key] = _validate_logprobs(logprobs, key)
-        except ValidationError as exc:
-            raise SchemaError(str(exc), line=lineno) from exc
-    return LogProbTable(entries)
+    """Read the JSON-Lines logprob format; a bad or repeated row names the line."""
+    return LogProbTable(read_keyed_jsonl(path, _logprob_entry, "logprob entry"))
 
 
 def question_bias(question: str, scale: float) -> np.ndarray:
@@ -142,6 +127,9 @@ class ToyPolicy:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("weights must be finite")
+        for name in ("learning_rate", "question_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def fresh(
@@ -162,6 +150,9 @@ class ToyPolicy:
         )
 
     def save(self, path) -> None:
+        """Write the checkpoint; weights that training drove non-finite are refused."""
+        if not np.all(np.isfinite(self.weights)):
+            raise DegenerateInputError("weights are not finite; checkpoint not written")
         header = struct.pack(
             "<8sIIIqdd",
             _CHECKPOINT_MAGIC,
@@ -301,9 +292,8 @@ def loss_gradient(
 
 @dataclass
 class TrainResult:
-    """Final policy and the per-step loss trace (one entry per record update)."""
+    """The per-step loss trace, one entry per record update."""
 
-    policy: ToyPolicy
     trace: list[objective.LossBreakdown] = field(default_factory=list)
 
     @property
@@ -329,8 +319,9 @@ def train(
         raise ValidationError("training requires at least one record")
     if epochs < 0:
         raise ValidationError("epochs must be >= 0")
+    objective.check_alpha(alpha)
     ordered = sorted(prepared, key=lambda p: p.record.question_id)
-    result = TrainResult(policy=policy)
+    result = TrainResult()
     step = 0
     for _ in range(epochs):
         for item in ordered:

@@ -4,6 +4,7 @@ generators, and the synthetic training suite used end to end."""
 from __future__ import annotations
 
 import dataclasses
+import json
 from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import quoteattr
 
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from prefrank.apdf import GainVector, multi_apdf, single_apdf
-from prefrank.corpus import QARecord, ResponseCandidate
+from prefrank.corpus import QARecord, ResponseCandidate, write_records
 from prefrank.embed import HashedNgramEmbedder
 from prefrank.pipeline import PreparedRecord, build_perception
+from prefrank.policy import LogProbTable, ToyPolicy
 from prefrank.ranking import SemanticRank
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -231,3 +233,68 @@ def make_synthetic_records(n=200, seed=7, dim=64):
 @pytest.fixture(scope="session")
 def synthetic_suite():
     return make_synthetic_records()
+
+
+# ---------------------------------------------------------------------------
+# One valid set of the CLI's JSON-Lines inputs, and the argv of every
+# subcommand that reads them.
+
+
+def write_cli_inputs(directory) -> dict:
+    """Two records with their generations, external scores and logprobs."""
+    records = [
+        make_record(
+            "r1",
+            question_text="rotate a list in place",
+            candidates=(
+                make_candidate(0, content="slice and concatenate copies", votes=1),
+                make_candidate(1, content="use collections.deque rotate", votes=5, accepted=True),
+                make_candidate(2, content="rotate a list in place, déjà vu", votes=25, days=3),
+            ),
+            gold=(2, 1, 0),
+        ),
+        make_record(
+            "r2",
+            question_text="sort a dict by value",
+            candidates=(
+                make_candidate(0, content="sorted(d.items(), key=itemgetter(1))", accepted=True),
+                make_candidate(1, content="a heap keeps the smallest first", votes=9),
+            ),
+            gold=(0, 1),
+        ),
+    ]
+    paths = {name: directory / f"{name}.jsonl" for name in ("records", "generations", "scores", "logprobs")}
+    write_records(paths["records"], records)
+    rows = [("r1", "rotate the list in place", 0.5), ("r2", "sort the dict by its values", 1.5)]
+    with open(paths["generations"], "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps({"record_id": r, "text": t}) + "\n" for r, t, _ in rows)
+    with open(paths["scores"], "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps({"record_id": r, "score": s}) + "\n" for r, _, s in rows)
+    LogProbTable.from_policy(ToyPolicy.fresh(seed=0), records).write(paths["logprobs"])
+    return paths
+
+
+# Subcommand -> the input files it reads.
+CLI_READERS = {
+    "embed": ("records", "generations"),
+    "rank": ("records",),
+    "loss": ("records", "logprobs"),
+    "train-toy": ("records",),
+    "eval": ("records", "generations", "scores"),
+    "export-heatmap": ("records",),
+}
+
+
+def cli_argv(command: str, paths: dict, out_dir) -> list[str]:
+    """argv running `command` on `paths`, writing under `out_dir`."""
+    out = str(out_dir / f"{command}.out")
+    argv = {
+        "embed": ["--generations", paths["generations"], "--out", out],
+        "rank": ["--out", out],
+        "loss": ["--logprobs", paths["logprobs"], "--out", out],
+        "train-toy": ["--out-policy", out, "--epochs", "1"],
+        "eval": ["--generations", paths["generations"], "--external-scores", paths["scores"]]
+        + ["--out", out],
+        "export-heatmap": ["--record-id", "r1", "--out", out],
+    }[command]
+    return [command, "--records", *map(str, [paths["records"], *argv])]

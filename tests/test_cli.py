@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prefrank import objective
+from prefrank import objective, policy
 from prefrank.cli import main
 from prefrank.corpus import read_records, write_records
 from prefrank.embed import HashedNgramEmbedder
@@ -15,7 +15,17 @@ from prefrank.pipeline import build_perception, prepare_records
 from prefrank.policy import LogProbTable, ToyPolicy, load_logprob_file
 from prefrank.ranking import brute_force_rank
 
-from conftest import make_candidate, make_record
+from conftest import (
+    CLI_READERS,
+    PLAIN_BODY,
+    answer_row,
+    cli_argv,
+    make_candidate,
+    make_record,
+    posts_xml,
+    question_row,
+    write_cli_inputs,
+)
 
 
 def run(args):
@@ -83,6 +93,23 @@ class TestIngest:
 
     def test_missing_dump_is_io_error(self, tmp_path):
         assert run(["ingest", tmp_path / "nope.xml", "--out", tmp_path / "o.jsonl"]) == 3
+
+    def test_repeated_ids_are_skipped_and_counted(self, tmp_path, capsys):
+        rows = [
+            question_row(1, PLAIN_BODY, accepted_id=11),
+            answer_row(11, 1, score=2),
+            answer_row(12, 1, score=5),
+            question_row(1, "<p>a later copy</p>"),
+            answer_row(12, 1, score=7),
+        ]
+        dump, out = tmp_path / "Posts.xml", tmp_path / "records.jsonl"
+        dump.write_text(posts_xml(rows), encoding="utf-8")
+        assert run(["ingest", dump, "--out", out]) == 0
+        printed = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
+        assert printed["warning_duplicate_Id"] == "2"
+        [record] = read_records(out)
+        assert record.question_text == "Is there a canonical reference for this?"
+        assert [(c.id, c.votes) for c in record.candidates] == [("11", 2), ("12", 5)]
 
 
 class TestRank:
@@ -308,7 +335,81 @@ class TestEncodingErrors:
         assert "invalid UTF-8" in assert_file_format_error(run(argv), capsys, 2)["message"]
 
 
+class TestRepeatedIds:
+    @pytest.mark.parametrize("command", sorted(CLI_READERS))
+    def test_repeated_question_id_names_the_second_line(self, tmp_path, capsys, command):
+        paths = write_cli_inputs(tmp_path)
+        lines = paths["records"].read_text(encoding="utf-8").splitlines(keepends=True)
+        paths["records"].write_text(lines[0] + lines[0] + lines[1], encoding="utf-8")
+        payload = assert_file_format_error(run(cli_argv(command, paths, tmp_path)), capsys, 2)
+        assert payload["message"] == "line 2: duplicate record 'r1'"
+        assert not list(tmp_path.glob(f"{command}.out*"))
+
+    @pytest.mark.parametrize(
+        "name, command, expected",
+        [
+            ("generations", "embed", "duplicate generation 'r1'"),
+            ("generations", "eval", "duplicate generation 'r1'"),
+            ("scores", "eval", "duplicate external score 'r1'"),
+            ("logprobs", "loss", "duplicate logprob entry ('r1', 'a0')"),
+        ],
+    )
+    def test_repeated_row_key_names_the_line(self, tmp_path, capsys, name, command, expected):
+        paths = write_cli_inputs(tmp_path)
+        lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+        paths[name].write_text(lines[0] + lines[1] + lines[0], encoding="utf-8")
+        payload = assert_file_format_error(run(cli_argv(command, paths, tmp_path)), capsys, 3)
+        assert payload["message"] == f"line 3: {expected}"
+
+
+class TestHugeNumbers:
+    @pytest.mark.parametrize(
+        "name, command",
+        [("records", "rank"), ("generations", "embed"), ("scores", "eval"), ("logprobs", "loss")],
+    )
+    def test_integer_past_the_conversion_limit_names_its_line(self, tmp_path, capsys, name, command):
+        # json.loads refuses an integer literal of more than 4,300 digits.
+        paths = write_cli_inputs(tmp_path)
+        lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].rstrip()[:-1] + ', "pad": 1' + "0" * 4300 + "}\n"
+        paths[name].write_text("".join(lines), encoding="utf-8")
+        payload = assert_file_format_error(run(cli_argv(command, paths, tmp_path)), capsys, 2)
+        assert "invalid JSON" in payload["message"]
+
+    def test_votes_past_the_float_range_name_their_line(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        text = paths["records"].read_text(encoding="utf-8")
+        paths["records"].write_text(text.replace('"votes": 25', '"votes": 1e400'), encoding="utf-8")
+        payload = assert_file_format_error(run(cli_argv("rank", paths, tmp_path)), capsys, 1)
+        assert "'votes' must be a JSON integer, got float" in payload["message"]
+
+
 class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("loss", "--alpha", v) for v in ("inf", "nan", "-1")]
+        + [("train-toy", "--alpha", "inf")]
+        + [("train-toy", f, v) for f in ("--learning-rate", "--question-scale") for v in ("nan", "inf")],
+    )
+    def test_non_finite_value_writes_nothing(self, tmp_path, capsys, command, flag, value):
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv(command, paths, tmp_path) + [f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert flag[2:].replace("-", "_") in payload["message"]
+        assert not list(tmp_path.glob(f"{command}.out*"))
+
+    @pytest.mark.parametrize("command, extra", [("loss", []), ("train-toy", ["--epochs=0"])])
+    def test_alpha_is_checked_when_no_loss_is_combined(self, tmp_path, capsys, command, extra):
+        paths = write_cli_inputs(tmp_path)
+        if command == "loss":
+            paths["records"].write_text("")
+        assert run(cli_argv(command, paths, tmp_path) + extra + ["--alpha=inf"]) == 2
+        assert "alpha must be finite" in json.loads(capsys.readouterr().err)["message"]
+        assert not list(tmp_path.glob(f"{command}.out*"))
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--half-life-days", v) for v in ("nan", "inf", "1e300", "-1", "1e-12")]
@@ -333,6 +434,21 @@ class TestNumericFlags:
 
 
 class TestTrainToy:
+    def test_non_finite_weights_exit_4_without_a_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # Stands in for an update that overflows on the last step.
+        train = policy.train
+
+        def overflowing(toy, *args, **kwargs):
+            result = train(toy, *args, **kwargs)
+            toy.weights[0, 0] = np.inf
+            return result
+
+        monkeypatch.setattr(policy, "train", overflowing)
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv("train-toy", paths, tmp_path)) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "degenerate_input"
+        assert not list(tmp_path.glob("train-toy.out*"))
+
     def test_checkpoint_and_trace(self, tmp_path, synthetic_suite):
         records = [item.record for item in synthetic_suite[:12]]
         records_path = tmp_path / "records.jsonl"

@@ -126,6 +126,59 @@ class TestParseDump:
         result = parse_dump(path)
         assert result.entries[0].candidates[0].votes == 0
 
+    def test_repeated_question_id_keeps_the_first_row(self, tmp_path):
+        rows = [
+            question_row(1, PLAIN_BODY),
+            answer_row(11, 1, score=1),
+            question_row(1, CODE_BODY),
+            answer_row(12, 1, score=2),
+        ]
+        path = tmp_path / "Posts.xml"
+        path.write_text(posts_xml(rows), encoding="utf-8")
+        result = parse_dump(path)
+        assert [r.question_id for r in result] == ["1"]
+        assert result.entries[0].question_text == PLAIN_BODY
+        assert [c.id for c in result.entries[0].candidates] == ["11", "12"]
+        assert result.warnings == {"duplicate_Id": 1}
+
+    def test_repeated_answer_id_keeps_the_first_row(self, tmp_path):
+        rows = [
+            question_row(1, PLAIN_BODY, accepted_id=11),
+            answer_row(11, 1, body="<p>first</p>", score=1),
+            answer_row(12, 1, score=2),
+            answer_row(11, 1, body="<p>again</p>", score=9),
+        ]
+        path = tmp_path / "Posts.xml"
+        path.write_text(posts_xml(rows), encoding="utf-8")
+        result = parse_dump(path)
+        candidates = result.entries[0].candidates
+        assert [(c.id, c.content, c.votes) for c in candidates] == [
+            ("11", "<p>first</p>", 1),
+            ("12", "<p>an answer</p>", 2),
+        ]
+        assert result.warnings == {"duplicate_Id": 1}
+
+    def test_an_answer_cannot_reuse_a_question_id(self, tmp_path):
+        # A posts dump numbers questions and answers in one Id space.
+        rows = [question_row(1, PLAIN_BODY), answer_row(11, 1), answer_row(1, 1)]
+        path = tmp_path / "Posts.xml"
+        path.write_text(posts_xml(rows), encoding="utf-8")
+        result = parse_dump(path)
+        assert [c.id for c in result.entries[0].candidates] == ["11"]
+        assert result.warnings == {"duplicate_Id": 1}
+
+    def test_a_skipped_row_does_not_claim_its_id(self, tmp_path):
+        rows = [
+            question_row(1, PLAIN_BODY),
+            answer_row(11, 1, score="x"),
+            answer_row(11, 1, score=3),
+        ]
+        path = tmp_path / "Posts.xml"
+        path.write_text(posts_xml(rows), encoding="utf-8")
+        result = parse_dump(path)
+        assert [(c.id, c.votes) for c in result.entries[0].candidates] == [("11", 3)]
+        assert result.warnings == {"bad_Score": 1}
+
 
 class TestFilterAccepted:
     def test_kept_and_dropped(self):
@@ -422,6 +475,74 @@ class TestPersistence:
         path = tmp_path / "records.jsonl"
         path.write_text("{not json}\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="line 1"):
+            read_records(path)
+
+    def test_repeated_question_id_names_the_second_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [make_record("q1"), make_record("q2"), make_record("q1")])
+        with pytest.raises(SchemaError, match="line 3: duplicate record 'q1'"):
+            read_records(path)
+
+    def test_integer_past_the_conversion_limit_names_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [make_record("q1"), make_record("q2")])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace('"votes": 3', '"votes": 1' + "0" * 4300, 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 2: invalid JSON"):
+            read_records(path)
+
+    def test_nesting_past_the_recursion_limit_names_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 1: invalid JSON"):
+            read_records(path)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("votes", "1e400", "'votes' must be a JSON integer, got float"),
+            ("votes", "1" + "0" * 400, "'votes' is too large for a float"),
+            ("votes", "2.9", "'votes' must be a JSON integer, got float"),
+            ("votes", "true", "'votes' must be a JSON integer, got bool"),
+            ("votes", '"3"', "'votes' must be a JSON integer, got str"),
+            ("accepted", '"false"', "'accepted' must be a JSON boolean, got str"),
+            ("accepted", "0", "'accepted' must be a JSON boolean, got int"),
+            ("gold_ranking", "[0.5, 1]", "'gold_ranking' entry must be a JSON integer"),
+            ("gold_ranking", "[false, true]", "'gold_ranking' entry must be a JSON integer"),
+            ("gold_ranking", '"01"', "'gold_ranking' must be a JSON array"),
+            ("candidates", '{"id": "a"}', "'candidates' must be a JSON array"),
+            ("created_at", "0", "'created_at' must be a JSON string, got int"),
+        ],
+        ids=[
+            "votes-1e400",
+            "votes-10**400",
+            "votes-2.9",
+            "votes-true",
+            "votes-string",
+            "accepted-string",
+            "accepted-0",
+            "gold-float",
+            "gold-bools",
+            "gold-string",
+            "candidates-object",
+            "created_at-int",
+        ],
+    )
+    def test_wrong_json_type_names_line(self, tmp_path, field, value, expected):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [make_record("q1"), make_record("q2", gold=(1, 0))])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1], count = re.subn(rf'"{field}": (\[[^]]*\]|\w+|"[^"]*")', f'"{field}": {value}', lines[1], 1)
+        assert count == 1
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"line 2: bad record: .*{re.escape(expected)}"):
+            read_records(path)
+
+    def test_a_record_must_be_an_object(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 1: bad record: a record must be a JSON object"):
             read_records(path)
 
 

@@ -430,6 +430,11 @@ class TestTotalLoss:
         with pytest.raises(ValidationError):
             total_loss(1.0, 1.0, alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            total_loss(1.0, 1.0, alpha=alpha)
+
 
 class TestDpoPairLoss:
     def test_equal_ratios(self):

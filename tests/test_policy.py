@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prefrank.apdf import GainVector, multi_apdf, single_apdf
-from prefrank.errors import SchemaError, ValidationError
+from prefrank.errors import DegenerateInputError, SchemaError, ValidationError
 from prefrank.objective import MODE_LITERAL, MODE_TOP_ANCHORED, comparison_loss_and_score_grad
 from prefrank.pipeline import PerceptionBundle
 from prefrank.policy import (
@@ -120,6 +120,20 @@ class TestCheckpoint:
         with pytest.raises(SchemaError):
             ToyPolicy.load(path)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "question_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hyperparameter_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ToyPolicy.fresh(seed=0, **{field: value})
+
+    def test_non_finite_weights_are_not_saved(self, tmp_path):
+        policy = ToyPolicy.fresh(seed=0)
+        policy.weights[3, 4] = np.inf  # as an overflowing update would leave them
+        path = tmp_path / "policy.bin"
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            policy.save(path)
+        assert not path.exists()
+
     def test_softmax_rows_normalized(self):
         policy = ToyPolicy.fresh(seed=10, init_scale=0.4)
         logits = policy.weights
@@ -231,7 +245,6 @@ class TestLossGradient:
                  GainVector("popularity", np.array([2.0, 1.0]))]
         singles = [single_apdf(g) for g in gains]
         perception = PerceptionBundle(
-            gains=gains,
             singles=singles,
             multi=multi_apdf(singles),
             arank=SemanticRank(np.array([0, 1])),
