@@ -8,8 +8,9 @@ report, and ``export-heatmap`` dumps a distance matrix as CSV.
 
 Every run writes a manifest next to its main artifact (config echo,
 input digests, package version) so outputs can be reproduced
-byte-for-byte.  Exit codes: 0 success, 2 validation, 3 I/O or file
-format, 4 numerically degenerate input.
+byte-for-byte.  Exit codes: 0 success, 1 internal (an exception not
+mapped below, reported as its type and message), 2 validation, 3 I/O or
+file format, 4 numerically degenerate input.  No traceback is printed.
 
 Imported before numpy (``prefrank`` on the command line, ``python -m
 prefrank.cli``), this module sets ``OPENBLAS_NUM_THREADS=1`` unless
@@ -25,11 +26,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 # Must run before numpy loads OpenBLAS; a (non-empty) thread count the user set wins.
 if "numpy" not in sys.modules and not any(
@@ -52,6 +51,7 @@ from .errors import DegenerateInputError, SchemaError, ValidationError, naming_r
 from .objective import COMPARISON_MODES, DEFAULT_ALPHA, MODE_LITERAL
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
@@ -76,13 +76,7 @@ def _write_json(path, document) -> None:
 
 
 def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = None):
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "func":
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        config[key] = value
+    config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
     manifest = {
         "command": args.command,
         "config": config,
@@ -107,7 +101,7 @@ def _parse_ks(value: str) -> tuple[int, ...]:
 def _timestamp_flag(flag: str, value: str) -> datetime:
     try:
         return corpus.parse_timestamp(value)
-    except ValueError:
+    except ValidationError:
         raise ValidationError(f"{flag} must be an ISO-8601 timestamp, got {value!r}") from None
 
 
@@ -133,7 +127,7 @@ def _decay_config(args, records) -> DecayConfig | None:
 
 def _embedding_source(args):
     """Returns (embedder, table, name) from the common embedding flags."""
-    if getattr(args, "embeddings", None):
+    if args.embeddings:
         return None, load_external_embeddings(args.embeddings), f"external:{args.embeddings}"
     embedder = HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
     return embedder, None, f"hashed_ngram(dim={args.dim},ngram={args.ngram})"
@@ -146,17 +140,13 @@ def _perception_args(args, records) -> dict:
 
 
 def _generation(row) -> tuple[str, str]:
-    text = row["text"]
-    if not isinstance(text, str):
-        raise TypeError(f"'text' must be a string, got {type(text).__name__}")
-    return str(row["record_id"]), text
+    corpus.require(row, dict, "a generation")
+    return str(corpus.require_field(row, "record_id")), corpus.require_field(row, "text", str)
 
 
 def _external_score(row) -> tuple[str, float]:
-    score = float(row["score"])
-    if not math.isfinite(score):
-        raise ValueError(f"'score' must be finite, got {score}")
-    return str(row["record_id"]), score
+    corpus.require(row, dict, "an external score")
+    return str(corpus.require_field(row, "record_id")), corpus.require_field(row, "score", float)
 
 
 def cmd_ingest(args) -> int:
@@ -198,15 +188,18 @@ def cmd_ingest(args) -> int:
 def cmd_embed(args) -> int:
     records = corpus.read_records(args.records)
     embedder = HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
-    table: dict[str, np.ndarray] = {}
+    texts = []
     for record in records:
-        table[pipeline.question_key(record)] = embedder.embed(record.question_text)
-        for candidate in record.candidates:
-            table[pipeline.candidate_key(record, candidate.id)] = embedder.embed(candidate.content)
+        texts.append((pipeline.question_key(record), record.question_text))
+        texts += [(pipeline.candidate_key(record, c.id), c.content) for c in record.candidates]
     if args.generations:
         generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
-        for record_id, text in generations.items():
-            table[pipeline.generation_key(record_id)] = embedder.embed(text)
+        texts += [(pipeline.generation_key(record_id), text) for record_id, text in generations.items()]
+    table: dict[str, np.ndarray] = {}
+    for key, text in texts:
+        if key in table:
+            raise ValidationError(f"embedding key {key!r} is written twice")
+        table[key] = embedder.embed(text)
     write_external_embeddings(args.out, table)
     _write_manifest(args.out, args)
     print(f"embedded\t{len(table)}")
@@ -234,14 +227,9 @@ def cmd_loss(args) -> int:
     for item in prepared:
         record, perception = item.record, item.perception
         pi_s = table_logprobs.scores_for(record)
-        l_pa = float(-pi_s[perception.dynamic.top()])
         with naming_record(record.question_id):
-            l_pc = objective.perceptual_comparison_loss(
-                pi_s, perception.dynamic, perception.singles, perception.multi, args.mode
-            )
-        row = {"record_id": record.question_id, "mode": args.mode}
-        row.update(objective.total_loss(l_pc, l_pa, args.alpha).to_dict())
-        rows.append(row)
+            breakdown = objective.record_loss(pi_s, perception, args.alpha, args.mode)
+        rows.append({"record_id": record.question_id, "mode": args.mode, **breakdown.to_dict()})
     corpus.write_jsonl(args.out, rows)
     summary = {
         "n_records": len(rows),
@@ -451,9 +439,11 @@ def main(argv=None) -> int:
         return _fail("io", exc, EXIT_IO)
     except (ValidationError, ValueError) as exc:
         return _fail("validation", exc, EXIT_VALIDATION)
+    except Exception as exc:  # a bug, or a resource such as memory ran out
+        return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 
-def _fail(category: str, exc: Exception, code: int) -> int:
+def _fail(category: str, exc: Exception | str, code: int) -> int:
     print(json.dumps({"error": category, "message": str(exc)}), file=sys.stderr)
     return code
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -135,14 +136,14 @@ class DumpParseResult:
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC, out-of-range ones rejected."""
-    parsed = datetime.fromisoformat(value)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
+    """Parse an ISO-8601 timestamp (naive means UTC); a bad or out-of-range one is a ValidationError."""
     try:
+        parsed = datetime.fromisoformat(value)
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
         return parsed.astimezone(timezone.utc)
-    except OverflowError:
-        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
+    except (ValueError, OverflowError):
+        raise ValidationError(f"timestamp {value!r} is not ISO-8601 or is out of range in UTC") from None
 
 
 def _parse_rows(path: Path) -> Iterator[dict]:
@@ -193,7 +194,7 @@ def parse_dump(path) -> DumpParseResult:
             continue
         try:
             row["_created_at"] = parse_timestamp(row["CreationDate"])
-        except ValueError:
+        except ValidationError:
             result.warnings["bad_CreationDate"] += 1
             continue
         if post_type == "2":
@@ -358,11 +359,6 @@ def assign_gold_ranking(record: QARecord, decay: DecayConfig | None) -> QARecord
     return dataclasses.replace(record, gold_ranking=tuple(order))
 
 
-# JSON-Lines persistence.  Keys are written in this fixed order.
-_RECORD_KEYS = ("question_id", "question_text", "question_created_at", "candidates", "gold_ranking")
-_CANDIDATE_KEYS = ("id", "content", "votes", "created_at", "accepted")
-
-
 def record_to_dict(record: QARecord) -> dict:
     return {
         "question_id": record.question_id,
@@ -384,58 +380,58 @@ def record_to_dict(record: QARecord) -> dict:
     }
 
 
-_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "number", bool: "boolean"}
 
 
-def _require(value, kind: type, what: str):
-    """`value` if it is a JSON value of `kind`; a boolean is not an integer."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+def require(value, kind: type, what: str):
+    """`value` if it is a JSON value of `kind`, else a ValidationError naming `what`.  `float`
+    means a JSON number, returned as a float; an integer or a number is a finite float, not a bool."""
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
-    return value
-
-
-def _votes(value) -> int:
-    votes = _require(value, int, "candidate 'votes'")
+    if kind is not int and kind is not float:
+        return value
     try:
-        float(votes)
+        number = float(value)
     except OverflowError:
-        raise ValidationError("candidate 'votes' is too large for a float") from None
-    return votes
+        raise ValidationError(f"{what} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{what} must be finite, got {number}")
+    return value if kind is int else number
+
+
+def require_field(row: dict, key: str, kind: type | None = None, owner: str = ""):
+    """``row[key]`` through `require` (any JSON value when `kind` is None);
+    a missing key is a ValidationError naming it, after `owner` if given."""
+    try:
+        value = row[key]
+    except KeyError:
+        raise ValidationError(f"{owner}missing key {key!r}") from None
+    return value if kind is None else require(value, kind, f"{owner}{key!r}")
 
 
 def record_from_dict(payload: dict) -> QARecord:
-    """Inverse of `record_to_dict`; a field of the wrong JSON type is a ValidationError."""
-    _require(payload, dict, "a record")
-    for key in _RECORD_KEYS:
-        if key not in payload:
-            raise ValidationError(f"missing key {key!r}")
+    """Inverse of `record_to_dict`; a missing field or one of the wrong JSON type is a ValidationError."""
+    require(payload, dict, "a record")
     candidates = []
-    for entry in _require(payload["candidates"], list, "'candidates'"):
-        _require(entry, dict, "a candidate")
-        for key in _CANDIDATE_KEYS:
-            if key not in entry:
-                raise ValidationError(f"candidate missing key {key!r}")
+    for entry in require_field(payload, "candidates", list):
+        require(entry, dict, "a candidate")
         candidates.append(
             ResponseCandidate(
-                id=str(entry["id"]),
-                content=_require(entry["content"], str, "candidate 'content'"),
-                votes=_votes(entry["votes"]),
-                created_at=parse_timestamp(
-                    _require(entry["created_at"], str, "candidate 'created_at'")
-                ),
-                accepted=_require(entry["accepted"], bool, "candidate 'accepted'"),
+                id=str(require_field(entry, "id", owner="candidate ")),
+                content=require_field(entry, "content", str, "candidate "),
+                votes=require_field(entry, "votes", int, "candidate "),
+                created_at=parse_timestamp(require_field(entry, "created_at", str, "candidate ")),
+                accepted=require_field(entry, "accepted", bool, "candidate "),
             )
         )
-    gold = payload["gold_ranking"]
+    gold = require_field(payload, "gold_ranking")
     if gold is not None:
-        gold = _require(gold, list, "'gold_ranking'")
-        gold = tuple(_require(i, int, "'gold_ranking' entry") for i in gold)
+        gold = tuple(require(i, int, "'gold_ranking' entry") for i in require(gold, list, "'gold_ranking'"))
     return QARecord(
-        question_id=str(payload["question_id"]),
-        question_text=_require(payload["question_text"], str, "'question_text'"),
-        question_created_at=parse_timestamp(
-            _require(payload["question_created_at"], str, "'question_created_at'")
-        ),
+        question_id=str(require_field(payload, "question_id")),
+        question_text=require_field(payload, "question_text", str),
+        question_created_at=parse_timestamp(require_field(payload, "question_created_at", str)),
         candidates=tuple(candidates),
         gold_ranking=gold,
     )
@@ -484,13 +480,13 @@ def iter_jsonl(path) -> Iterator[tuple[int, object]]:
 
 def read_keyed_jsonl(path, parse: Callable[[object], tuple[Hashable, object]], what: str) -> dict:
     """``{key: value}`` in file order, from ``parse(row) -> (key, value)``
-    per JSON-Lines row.  A row that `parse` rejects and a row repeating an
-    earlier key each raise SchemaError naming the line."""
+    per JSON-Lines row.  A ValidationError from `parse` and a repeated key
+    each raise SchemaError naming the line; another exception is a bug."""
     values = {}
     for lineno, row in iter_jsonl(path):
         try:
             key, value = parse(row)
-        except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except ValidationError as exc:
             raise SchemaError(f"bad {what}: {exc}", line=lineno) from exc
         if key in values:
             raise SchemaError(f"duplicate {what} {key!r}", line=lineno)

@@ -165,7 +165,11 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
 
 
 def write_external_embeddings(path, table: dict[str, np.ndarray]) -> None:
-    """Write the TSV format read by :func:`load_external_embeddings`."""
+    """Write the TSV format read by :func:`load_external_embeddings`; a key
+    that is empty or holds a tab, CR or LF is refused before the file opens."""
+    for key in table:
+        if not key or "\t" in key or "\r" in key or "\n" in key:
+            raise ValidationError(f"embedding key {key!r} is empty or holds a tab, CR or LF")
     with open(path, "w", encoding="utf-8") as handle:
         for key, vec in table.items():
             floats = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))

@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: validation problems exit 2, I/O and
-file-format problems exit 3, numerically degenerate inputs exit 4.
+file-format problems exit 3, numerically degenerate inputs exit 4.  A
+parser reports a bad field with ValidationError (``corpus.require`` is the
+one JSON field gate); a file reader turns that into a SchemaError naming
+the line.  Any other exception is a bug or a resource running out, which
+the CLI reports as ``internal`` with exit 1.
 """
 
 from contextlib import contextmanager

@@ -29,12 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .apdf import ApdfMatrix
 from .errors import DegenerateInputError, ValidationError
 from .ranking import DynamicRanking
+
+if TYPE_CHECKING:
+    from .pipeline import PerceptionBundle
 
 MODE_LITERAL = "literal"
 MODE_TOP_ANCHORED = "top_anchored"
@@ -236,6 +240,15 @@ def total_loss(l_pc: float, l_pa: float, alpha: float = DEFAULT_ALPHA) -> LossBr
     """Combine the two objectives: total = l_pc + alpha * l_pa."""
     check_alpha(alpha)
     return LossBreakdown(l_pa=l_pa, l_pc=l_pc, alpha=alpha, total=l_pc + alpha * l_pa)
+
+
+def record_loss(
+    pi_s: np.ndarray, perception: PerceptionBundle, alpha: float = DEFAULT_ALPHA, mode: str = MODE_LITERAL
+) -> LossBreakdown:
+    """One record's combined loss from its candidates' policy scores and its perception."""
+    l_pa = float(-pi_s[perception.dynamic.top()])
+    l_pc = perceptual_comparison_loss(pi_s, perception.dynamic, perception.singles, perception.multi, mode)
+    return total_loss(l_pc, l_pa, alpha)
 
 
 def dpo_pair_loss(

@@ -37,6 +37,11 @@ def question_key(record: QARecord) -> str:
 
 
 def candidate_key(record: QARecord, candidate_id: str) -> str:
+    """A candidate's key; the id `generation` is refused, since its key would be the generation's."""
+    if candidate_id == GENERATION_KEY_SUFFIX:
+        raise ValidationError(
+            f"record {record.question_id!r}: candidate id {candidate_id!r} would share the generation's key"
+        )
     return f"{record.question_id}/{candidate_id}"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objective
-from .corpus import QARecord, read_keyed_jsonl, write_jsonl
+from .corpus import QARecord, read_keyed_jsonl, require, require_field, write_jsonl
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
 
@@ -85,8 +85,17 @@ def _validate_logprobs(logprobs: np.ndarray, key) -> np.ndarray:
 
 
 def _logprob_entry(row) -> tuple[tuple[str, str], np.ndarray]:
-    key = (str(row["record_id"]), str(row["candidate_id"]))
-    return key, _validate_logprobs(np.asarray(row["logprobs"], dtype=np.float64), key)
+    require(row, dict, "a logprob row")
+    key = (str(require_field(row, "record_id")), str(require_field(row, "candidate_id")))
+    values = require_field(row, "logprobs", list)
+    # One pass over the element types; a bool's type is bool, not int.
+    if not set(map(type, values)) <= {int, float}:
+        raise ValidationError(f"{key}: 'logprobs' must be an array of JSON numbers")
+    try:
+        logprobs = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{key}: a 'logprobs' entry is too large for a float") from None
+    return key, _validate_logprobs(logprobs, key)
 
 
 def load_logprob_file(path) -> LogProbTable:
@@ -139,7 +148,13 @@ class ToyPolicy:
         learning_rate: float = DEFAULT_LEARNING_RATE,
         question_scale: float = DEFAULT_QUESTION_SCALE,
     ) -> "ToyPolicy":
-        """New policy with small seeded-noise weights (uniform if init_scale=0)."""
+        """New policy with small seeded-noise weights (uniform if init_scale=0).
+
+        The seed must fit the checkpoint's signed 64-bit field."""
+        if not 0 <= seed < 2**63:
+            raise ValidationError(f"seed must be in [0, 2**63), got {seed}")
+        if not math.isfinite(init_scale):
+            raise ValidationError(f"init_scale must be finite, got {init_scale}")
         rng = np.random.default_rng(seed)
         weights = init_scale * rng.standard_normal((CONTEXTS, VOCAB))
         return cls(
@@ -244,13 +259,7 @@ def record_loss(
     mode: str = objective.MODE_LITERAL,
 ) -> objective.LossBreakdown:
     """Combined loss of one record under the policy."""
-    pi_s = record_scores(policy, record)
-    top = perception.dynamic.top()
-    l_pa = float(-pi_s[top])
-    l_pc = objective.perceptual_comparison_loss(
-        pi_s, perception.dynamic, perception.singles, perception.multi, mode
-    )
-    return objective.total_loss(l_pc, l_pa, alpha)
+    return objective.record_loss(record_scores(policy, record), perception, alpha, mode)
 
 
 def loss_gradient(

@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prefrank import objective, policy
+from prefrank import objective, pipeline, policy
 from prefrank.cli import main
 from prefrank.corpus import read_records, write_records
-from prefrank.embed import HashedNgramEmbedder
+from prefrank.embed import HashedNgramEmbedder, write_external_embeddings
 from prefrank.evaluation import pearson_r, pool_similarities, spearman_r
 from prefrank.pipeline import build_perception, prepare_records
 from prefrank.policy import LogProbTable, ToyPolicy, load_logprob_file
@@ -317,6 +317,102 @@ class TestNonStringText:
         assert_file_format_error(run(args), capsys, 1)
 
 
+class TestWrongRowTypes:
+    @pytest.mark.parametrize(
+        "name, command, row",
+        [
+            ("logprobs", "loss", '{"record_id": "r1", "candidate_id": "a1", "logprobs": ["-1.5"]}'),
+            ("logprobs", "loss", '{"record_id": "r1", "candidate_id": "a1", "logprobs": [false]}'),
+            ("logprobs", "loss", '{"record_id": "r1", "candidate_id": "a1", "logprobs": [-1%s]}'
+             % ("0" * 400)),
+            ("logprobs", "loss", '["r1", "a1", [-1.5]]'),
+            ("logprobs", "loss", '{"record_id": "r1", "logprobs": [-1.5]}'),
+            ("generations", "eval", '"rotate the list in place"'),
+            ("generations", "embed", '["r2", "sort the dict by its values"]'),
+        ],
+        ids=["logprob-string", "logprob-bool", "logprob-400-digits", "logprob-array-row",
+             "logprob-missing-key", "generation-string-row", "generation-array-row"],
+    )
+    def test_row_of_the_wrong_type_names_its_line(self, tmp_path, capsys, name, command, row):
+        paths = write_cli_inputs(tmp_path)
+        lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = row + "\n"
+        paths[name].write_text("".join(lines), encoding="utf-8")
+        assert_file_format_error(run(cli_argv(command, paths, tmp_path)), capsys, 2)
+        assert not list(tmp_path.glob(f"{command}.out*"))
+
+
+class TestEmbeddingKeys:
+    """Table keys are `<record_id>`, `<record_id>/<candidate_id>` and `<record_id>/generation`."""
+
+    @staticmethod
+    def write_records_file(tmp_path, *records):
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        return path
+
+    def test_embed_refuses_a_candidate_named_generation(self, tmp_path, capsys):
+        generation = make_candidate(0, cid="generation")
+        records = [three_candidate_record(), make_record("r4", candidates=(generation,))]
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(jsonl({"record_id": r.question_id, "text": "a generation"} for r in records))
+        argv = ["embed", "--records", self.write_records_file(tmp_path, *records), "--generations", gens]
+        assert run(argv + ["--out", tmp_path / "emb.tsv"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "validation"
+        assert payload["message"].startswith("record 'r4': candidate id 'generation'")
+        assert not (tmp_path / "emb.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "eval"])
+    def test_reading_a_table_refuses_a_candidate_named_generation(self, tmp_path, capsys, command):
+        record = make_record("r4", candidates=(make_candidate(0, cid="generation"), make_candidate(1)))
+        records = self.write_records_file(tmp_path, replace(record, gold_ranking=(0, 1)))
+        # Written through the library: `embed` itself refuses this record.
+        emb = tmp_path / "emb.tsv"
+        embedder = HashedNgramEmbedder()
+        keys = ("r4", "r4/generation", "r4/a1")
+        write_external_embeddings(emb, {key: embedder.embed(key) for key in keys})
+        argv = [command, "--records", records, "--embeddings", emb, "--out", tmp_path / "out"]
+        if command == "eval":
+            gens = tmp_path / "gens.jsonl"
+            gens.write_text(jsonl([{"record_id": "r4", "text": "a generation"}]))
+            argv += ["--generations", gens]
+        assert run(argv) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"].startswith("record 'r4': candidate id 'generation'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "record_ids, key, message",
+        [
+            (("r", "r/a0"), "r/a0", "is written twice"),
+            (("r\t1",), "r\t1", "is empty or holds a tab, CR or LF"),
+            (("r\r1",), "r\r1", "is empty or holds a tab, CR or LF"),
+            (("",), "", "is empty or holds a tab, CR or LF"),
+        ],
+        ids=["repeated", "tab", "carriage-return", "empty"],
+    )
+    def test_embed_refuses_a_key_it_cannot_write(self, tmp_path, capsys, record_ids, key, message):
+        records = self.write_records_file(tmp_path, *(make_record(rid) for rid in record_ids))
+        assert run(["embed", "--records", records, "--out", tmp_path / "emb.tsv"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "validation", "message": f"embedding key {key!r} {message}"}
+        assert not (tmp_path / "emb.tsv").exists()
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError()], ids=["runtime", "memory"])
+    def test_an_unmapped_exception_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pipeline, "prepare_records", failing)
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv("rank", paths, tmp_path)) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "internal", "message": f"{type(error).__name__}: {error}"}
+
+
 class TestEncodingErrors:
     def test_records_file(self, records_file, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -389,7 +485,8 @@ class TestNumericFlags:
         "command, flag, value",
         [("loss", "--alpha", v) for v in ("inf", "nan", "-1")]
         + [("train-toy", "--alpha", "inf")]
-        + [("train-toy", f, v) for f in ("--learning-rate", "--question-scale") for v in ("nan", "inf")],
+        + [("train-toy", f, v) for f in ("--learning-rate", "--question-scale", "--init-scale")
+           for v in ("nan", "inf")],
     )
     def test_non_finite_value_writes_nothing(self, tmp_path, capsys, command, flag, value):
         paths = write_cli_inputs(tmp_path)
@@ -434,6 +531,19 @@ class TestNumericFlags:
 
 
 class TestTrainToy:
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), "99999999999999999999"])
+    def test_seed_outside_the_checkpoint_field_exits_2(self, tmp_path, capsys, seed):
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv("train-toy", paths, tmp_path) + ["--seed", seed]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "validation", "message": f"seed must be in [0, 2**63), got {seed}"}
+        assert not list(tmp_path.glob("train-toy.out*"))
+
+    def test_largest_seed_is_saved(self, tmp_path):
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv("train-toy", paths, tmp_path) + ["--seed", str(2**63 - 1)]) == 0
+        assert ToyPolicy.load(tmp_path / "train-toy.out").seed == 2**63 - 1
+
     def test_non_finite_weights_exit_4_without_a_checkpoint(self, tmp_path, capsys, monkeypatch):
         # Stands in for an update that overflows on the last step.
         train = policy.train
@@ -606,8 +716,11 @@ class TestEval:
             ([("e0", 1.0), ("e1", float("nan"))], 2),
             ([("e0", "inf")], 1),
             ([("e0", 1.0), ("e1", 2.0), ("e0", 3.0)], 3),
+            ([("e0", True)], 1),
+            ([("e0", 1.0), ("e1", False)], 2),
+            ([("e0", "2.5")], 1),
         ],
-        ids=["nan", "inf-string", "duplicate"],
+        ids=["nan", "inf-string", "duplicate", "true", "false", "numeric-string"],
     )
     def test_bad_external_score_rows_are_file_format_errors(self, tmp_path, capsys, rows, line):
         _, _, args = self.external_score_inputs(tmp_path, {})

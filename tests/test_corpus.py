@@ -19,7 +19,9 @@ from prefrank.corpus import (
     has_code_block,
     parse_dump,
     parse_timestamp,
+    read_keyed_jsonl,
     read_records,
+    require,
     write_records,
 )
 from prefrank.errors import DumpParseError, SchemaError, ValidationError
@@ -577,8 +579,44 @@ class TestRecordValidation:
         assert parsed.tzinfo == timezone.utc
         assert parsed.hour == 12
 
+    @pytest.mark.parametrize("value", ["yesterday", "2024-13-01", "0001-01-01T00:00:00+01:00"])
+    def test_bad_timestamp_is_a_validation_error(self, value):
+        with pytest.raises(ValidationError, match=re.escape(repr(value))):
+            parse_timestamp(value)
+
     def test_immutable_records_support_replace(self):
         record = make_record()
         updated = dataclasses.replace(record, gold_ranking=(0, 1))
         assert updated.gold_ranking == (0, 1)
         assert record.gold_ranking is None
+
+
+class TestFieldGate:
+    @pytest.mark.parametrize("value, expected", [(2, 2.0), (-2.5, -2.5), (10**300, 1e300)])
+    def test_a_number_is_returned_as_a_float(self, value, expected):
+        number = require(value, float, "'score'")
+        assert type(number) is float and number == expected
+
+    @pytest.mark.parametrize(
+        "kind, value, expected",
+        [
+            (float, True, "'x' must be a JSON number, got bool"),
+            (float, "2.5", "'x' must be a JSON number, got str"),
+            (float, float("nan"), "'x' must be finite, got nan"),
+            (float, float("-inf"), "'x' must be finite, got -inf"),
+            (float, 10**400, "'x' is too large for a float"),
+            (int, 10**400, "'x' is too large for a float"),
+            (int, False, "'x' must be a JSON integer, got bool"),
+            (bool, 1, "'x' must be a JSON boolean, got int"),
+        ],
+    )
+    def test_refused_values_name_the_field(self, kind, value, expected):
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            require(value, kind, "'x'")
+
+    def test_an_exception_other_than_validation_error_propagates(self, tmp_path):
+        # A bug in a row parser must not pose as a bad line.
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"id": 1}\n', encoding="utf-8")
+        with pytest.raises(KeyError):
+            read_keyed_jsonl(path, lambda row: row["missing"], "row")
