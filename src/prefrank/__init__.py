@@ -31,7 +31,7 @@ _EXPORTS = {
         "single_apdf",
     ),
     "corpus": ("FilterConfig", "QARecord", "ResponseCandidate", "read_records", "write_records"),
-    "embed": ("HashedNgramEmbedder", "cosine", "hashed_ngram_embed", "load_external_embeddings"),
+    "embed": ("HashedNgramEmbedder", "cosine", "load_external_embeddings"),
     "errors": (
         "DegenerateInputError",
         "DumpParseError",

@@ -98,9 +98,6 @@ class ApdfMatrix:
     def size(self) -> int:
         return self.values.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 def rank_discount(rank: int) -> float:
     """Positional discount 1 / ln(rank + 1) for a 1-indexed rank.

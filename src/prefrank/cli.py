@@ -437,7 +437,7 @@ def main(argv=None) -> int:
         return _fail("degenerate_input", exc, EXIT_DEGENERATE)
     except (SchemaError, OSError) as exc:
         return _fail("io", exc, EXIT_IO)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         return _fail("validation", exc, EXIT_VALIDATION)
     except Exception as exc:  # a bug, or a resource such as memory ran out
         return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)

@@ -128,12 +128,6 @@ class DumpParseResult:
     entries: list[QARecord] = field(default_factory=list)
     warnings: Counter = field(default_factory=Counter)
 
-    def __iter__(self) -> Iterator[QARecord]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp (naive means UTC); a bad or out-of-range one is a ValidationError."""
@@ -464,15 +458,22 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def iter_jsonl(path) -> Iterator[tuple[int, object]]:
     """Yield (line number, decoded JSON) per non-blank line; callers check
-    the fields.  Invalid UTF-8, or a line `json.loads` refuses (such as an
-    over-long integer), raises SchemaError naming the line."""
+    the fields.  Invalid UTF-8, a line `json.loads` refuses (such as an
+    over-long integer), or a string holding a lone surrogate (an unpaired
+    ``\\ud800``-``\\udfff`` escape, which no UTF-8 writer accepts) raises
+    SchemaError naming the line."""
     for lineno, line in iter_lines(path):
         if not line.strip():
             continue
         try:
             payload = json.loads(line)
+            if _SURROGATE_ESCAPE.search(line):
+                json.dumps(payload, ensure_ascii=False).encode("utf-8")
         except (ValueError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}", line=lineno) from exc
         yield lineno, payload

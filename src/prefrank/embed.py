@@ -21,6 +21,8 @@ from .errors import SchemaError, ValidationError
 
 DEFAULT_DIM = 256
 DEFAULT_NGRAM = 3
+# A hashed vector is dense in memory, so its width is capped far above any useful size.
+MIN_DIM, MAX_DIM = 8, 1 << 16
 
 # Below this norm a row's squared sum is subnormal or zero and has lost bits.
 _SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
@@ -48,40 +50,11 @@ def _gram_digests(grams: list[bytes]) -> np.ndarray:
     return np.fromiter(map(memo.__getitem__, grams), dtype=np.uint64, count=len(grams))
 
 
-def hashed_ngram_embed(text: str, dim: int = DEFAULT_DIM, ngram: int = DEFAULT_NGRAM) -> np.ndarray:
-    """Embed text via signed hashing of character n-grams, then L2-normalize.
-
-    Each n-gram's digest picks a bucket (``(digest >> 1) % dim``) and a
-    sign (low bit set: +1, clear: -1).  Empty text maps to the all-zero
-    vector; any other text maps to a unit-norm vector.  Digests are
-    memoized per process (see :class:`HashedNgramEmbedder`).
-    """
-    if dim < 8:
-        raise ValidationError(f"embedding dimension must be >= 8, got {dim}")
-    if ngram < 1:
-        raise ValidationError(f"ngram size must be >= 1, got {ngram}")
-    if not text:
-        return np.zeros(dim, dtype=np.float64)
-    encoded = text.encode("utf-8")
-    grams = [encoded[i : i + ngram] for i in range(len(encoded) - ngram + 1)] or [encoded]
-    digests = _gram_digests(grams)
-    # Slot 2*bucket + sign bit, so one bincount gives both signs' counts.
-    slots = (((digests >> 1) % dim) * 2 + (digests & 1)).astype(np.intp)
-    counts = np.bincount(slots, minlength=2 * dim)
-    vec = (counts[1::2] - counts[0::2]).astype(np.float64)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        # Signed collisions cancelled everything out; fall back to a
-        # single bucket so non-empty text always has unit norm.
-        vec[(_digest(encoded) >> 1) % dim] = 1.0
-        return vec
-    return vec / norm
-
-
 class HashedNgramEmbedder:
     """Default embedder: character n-grams with signed feature hashing.
 
-    Calls :func:`hashed_ngram_embed`, which hashes each distinct n-gram
+    Each n-gram's digest picks a bucket (``(digest >> 1) % dim``) and a
+    sign (low bit set: +1, clear: -1).  Each distinct n-gram is hashed
     once per process: a module-level memo (emptied past 2**18 entries)
     maps n-gram bytes to their digest for every ``dim``.  Vectors are
     bit-identical to hashing every n-gram on every call.  The memo is
@@ -90,16 +63,32 @@ class HashedNgramEmbedder:
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, ngram: int = DEFAULT_NGRAM):
-        if dim < 8:
-            raise ValidationError(f"embedding dimension must be >= 8, got {dim}")
+        if not MIN_DIM <= dim <= MAX_DIM:
+            raise ValidationError(f"dim must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
         if ngram < 1:
-            raise ValidationError(f"ngram size must be >= 1, got {ngram}")
+            raise ValidationError(f"ngram must be >= 1, got {ngram}")
         self.dim = dim
         self.ngram = ngram
 
     def embed(self, text: str) -> np.ndarray:
         """A unit-norm float64 vector (all-zero only for empty text), bit-stable across calls."""
-        return hashed_ngram_embed(text, self.dim, self.ngram)
+        dim, ngram = self.dim, self.ngram
+        if not text:
+            return np.zeros(dim, dtype=np.float64)
+        encoded = text.encode("utf-8")
+        grams = [encoded[i : i + ngram] for i in range(len(encoded) - ngram + 1)] or [encoded]
+        digests = _gram_digests(grams)
+        # Slot 2*bucket + sign bit, so one bincount gives both signs' counts.
+        slots = (((digests >> 1) % dim) * 2 + (digests & 1)).astype(np.intp)
+        counts = np.bincount(slots, minlength=2 * dim)
+        vec = (counts[1::2] - counts[0::2]).astype(np.float64)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            # Signed collisions cancelled everything out; fall back to a
+            # single bucket so non-empty text always has unit norm.
+            vec[(_digest(encoded) >> 1) % dim] = 1.0
+            return vec
+        return vec / norm
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

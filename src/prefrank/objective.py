@@ -46,6 +46,10 @@ COMPARISON_MODES = (MODE_LITERAL, MODE_TOP_ANCHORED)
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_DPO_BETA = 0.1
+# Largest alpha, and in `policy` the largest |learning rate| or weight
+# scale: far past any useful value and far inside the float range, so that
+# training with all of them at the limit still cannot overflow a step.
+MAX_SCALE = 1e100
 
 
 @dataclass(frozen=True)
@@ -87,14 +91,10 @@ def policy_scores_from_logprobs(token_logprobs: list[np.ndarray]) -> np.ndarray:
     return np.array([float(np.mean(np.asarray(lp, dtype=np.float64))) for lp in token_logprobs])
 
 
-def perceptual_alignment_loss(token_logprobs: np.ndarray) -> float:
-    """Mean negative log-likelihood of the top dynamically-ranked response."""
-    token_logprobs = np.asarray(token_logprobs, dtype=np.float64)
-    if token_logprobs.size == 0:
-        raise ValidationError("alignment loss requires at least one token")
-    if not np.all(np.isfinite(token_logprobs)):
-        raise ValidationError("token log-probabilities contain non-finite entries")
-    return float(-np.mean(token_logprobs))
+def perceptual_alignment_loss(pi_s: np.ndarray, d_r: DynamicRanking) -> float:
+    """Mean negative log-likelihood of the top dynamically-ranked response: its negated policy score."""
+    pi_s = validate_policy_scores(pi_s, len(d_r))
+    return float(-pi_s[d_r.top()])
 
 
 def _reward_weights(single_matrices: list[ApdfMatrix], positives: np.ndarray) -> np.ndarray:
@@ -230,9 +230,9 @@ def comparison_loss_and_score_grad(
 
 
 def check_alpha(alpha: float) -> float:
-    """The alignment-loss weight, if it is finite and nonnegative."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+    """The alignment-loss weight, if it is finite and in [0, MAX_SCALE]."""
+    if not (math.isfinite(alpha) and 0 <= alpha <= MAX_SCALE):
+        raise ValidationError(f"alpha must be finite and in [0, {MAX_SCALE:g}], got {alpha}")
     return alpha
 
 
@@ -246,7 +246,7 @@ def record_loss(
     pi_s: np.ndarray, perception: PerceptionBundle, alpha: float = DEFAULT_ALPHA, mode: str = MODE_LITERAL
 ) -> LossBreakdown:
     """One record's combined loss from its candidates' policy scores and its perception."""
-    l_pa = float(-pi_s[perception.dynamic.top()])
+    l_pa = perceptual_alignment_loss(pi_s, perception.dynamic)
     l_pc = perceptual_comparison_loss(pi_s, perception.dynamic, perception.singles, perception.multi, mode)
     return total_loss(l_pc, l_pa, alpha)
 

@@ -100,7 +100,10 @@ def _logprob_entry(row) -> tuple[tuple[str, str], np.ndarray]:
 
 def load_logprob_file(path) -> LogProbTable:
     """Read the JSON-Lines logprob format; a bad or repeated row names the line."""
-    return LogProbTable(read_keyed_jsonl(path, _logprob_entry, "logprob entry"))
+    table = LogProbTable({})
+    # Each row was validated as it was read.
+    table.entries = read_keyed_jsonl(path, _logprob_entry, "logprob entry")
+    return table
 
 
 def question_bias(question: str, scale: float) -> np.ndarray:
@@ -137,8 +140,7 @@ class ToyPolicy:
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("weights must be finite")
         for name in ("learning_rate", "question_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            _check_scale(name, getattr(self, name))
 
     @classmethod
     def fresh(
@@ -153,8 +155,7 @@ class ToyPolicy:
         The seed must fit the checkpoint's signed 64-bit field."""
         if not 0 <= seed < 2**63:
             raise ValidationError(f"seed must be in [0, 2**63), got {seed}")
-        if not math.isfinite(init_scale):
-            raise ValidationError(f"init_scale must be finite, got {init_scale}")
+        _check_scale("init_scale", init_scale)
         rng = np.random.default_rng(seed)
         weights = init_scale * rng.standard_normal((CONTEXTS, VOCAB))
         return cls(
@@ -208,6 +209,12 @@ class ToyPolicy:
             seed=seed,
             question_scale=question_scale,
         )
+
+
+def _check_scale(name: str, value: float) -> None:
+    limit = objective.MAX_SCALE
+    if not (math.isfinite(value) and abs(value) <= limit):
+        raise ValidationError(f"{name} must be finite and at most {limit:g} in size, got {value}")
 
 
 def _response_arrays(response: str) -> tuple[np.ndarray, np.ndarray]:
@@ -279,12 +286,11 @@ def loss_gradient(
     pool = [_response_arrays(c.content) for c in record.candidates]
     pi_s = _pool_scores(table, pool)
 
-    top = perception.dynamic.top()
-    l_pa = float(-pi_s[top])
+    l_pa = objective.perceptual_alignment_loss(pi_s, perception.dynamic)
     l_pc, d_pi = objective.comparison_loss_and_score_grad(
         pi_s, perception.dynamic, perception.singles, perception.multi, mode
     )
-    d_pi[top] -= alpha
+    d_pi[perception.dynamic.top()] -= alpha
     breakdown = objective.total_loss(l_pc, l_pa, alpha)
 
     lengths = np.array([tok.size for _, tok in pool])

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior, exit codes, and manifests."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestRank:
         for p in sorted(prepared, key=lambda p: p.record.question_id):
             record, perception = p.record, p.perception
             top = record.candidates[perception.dynamic.top()].id
-            l_pa = objective.perceptual_alignment_loss(table.tokens_for(record.question_id, top))
+            l_pa = -float(np.mean(table.tokens_for(record.question_id, top)))
             l_pc = objective.perceptual_comparison_loss(
                 table.scores_for(record),
                 perception.dynamic,
@@ -401,7 +402,9 @@ class TestEmbeddingKeys:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError()], ids=["runtime", "memory"])
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("boom"), MemoryError(), ValueError("boom")], ids=["runtime", "memory", "value"]
+    )
     def test_an_unmapped_exception_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch, error):
         def failing(*args, **kwargs):
             raise error
@@ -429,6 +432,20 @@ class TestEncodingErrors:
         emb.write_bytes(b"".join(lines))
         argv = ["rank", "--records", records_file, "--out", tmp_path / "r.jsonl", "--embeddings", emb]
         assert "invalid UTF-8" in assert_file_format_error(run(argv), capsys, 2)["message"]
+
+    @pytest.mark.parametrize("file, field", [("records", "question_id"), ("records", "content"),
+                                             ("generations", "text")])
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path, capsys, file, field):
+        # json.loads reads "\\ud800" as a str that no UTF-8 writer or encoder accepts.
+        paths = write_cli_inputs(tmp_path)
+        lines = paths[file].read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        (row["candidates"][0] if field == "content" else row)[field] = "a\ud800b"
+        lines[1] = json.dumps(row) + "\n"
+        paths[file].write_text("".join(lines), encoding="utf-8")
+        code = run(cli_argv("embed", paths, tmp_path))
+        assert "surrogates not allowed" in assert_file_format_error(code, capsys, 2)["message"]
+        assert not list(tmp_path.glob("embed.out*"))
 
 
 class TestRepeatedIds:
@@ -528,6 +545,31 @@ class TestNumericFlags:
         payload = json.loads(err)
         assert payload["error"] == "validation"
         assert flag in payload["message"]
+
+    @pytest.mark.parametrize("command", sorted(CLI_READERS))
+    def test_dim_past_its_bound_is_refused_before_allocation(self, tmp_path, capsys, command):
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv(command, paths, tmp_path) + ["--dim", "1000000000000"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "validation", "message": "dim must be in [8, 65536], got 1000000000000"}
+        assert not list(tmp_path.glob(f"{command}.out*"))
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("train-toy", f) for f in ("--init-scale", "--question-scale", "--learning-rate", "--alpha")]
+        + [("loss", "--alpha")],
+    )
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "1.1e100"])
+    def test_value_that_would_overflow_is_refused_by_name(self, tmp_path, capsys, command, flag, value):
+        paths = write_cli_inputs(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(cli_argv(command, paths, tmp_path) + [f"{flag}={value}"]) == 2
+        assert [str(w.message) for w in caught] == []
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "validation"
+        assert payload["message"].startswith(flag[2:].replace("-", "_") + " must be finite and")
+        assert not list(tmp_path.glob(f"{command}.out*"))
 
 
 class TestTrainToy:

@@ -2,24 +2,29 @@
 
 Valid records, generations, external-scores and logprobs files are
 mutated by byte flips, truncation, repeated lines, fields of the wrong
-JSON type (or missing) and huge or non-finite numbers, then read by a
-subcommand.  So are an embedding table (read by `rank` and `eval`) and a
-posts dump (read by `ingest`), with the same byte-level mutations plus
-bad values, keys, widths and attributes.  Whatever the mutation, the run
+JSON type (or missing, or a string with a lone surrogate) and huge or
+non-finite numbers, then read by a subcommand.  So are an embedding
+table (read by `rank` and `eval`) and a posts dump (read by `ingest`),
+with the same byte-level mutations plus bad values, keys, widths and
+attributes.  Every numeric flag of every subcommand is given huge,
+tiny, negative and non-finite values.  Whatever the mutation, the run
 exits 0, 2, 3 or 4, prints exactly one JSON error object on failure, and
-raises nothing.
+raises nothing; a bad flag value also raises no warning, which a CLI
+process would print to stderr.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import re
+import warnings
 from dataclasses import dataclass
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from prefrank.cli import main
+from prefrank.cli import build_parser, main
 
 from conftest import CODE_BODY, CLI_READERS, answer_row, cli_argv, posts_xml, question_row, write_cli_inputs
 
@@ -48,7 +53,7 @@ BYTE_MUTATIONS = {
     "repeat": st.none(),
 }
 MISSING = object()  # a `retype` value that deletes the field
-WRONG_TYPES = (MISSING, None, True, False, 0, -1, 2.5, "", "x", [], [1], {}, {"a": 1})
+WRONG_TYPES = (MISSING, None, True, False, 0, -1, 2.5, "", "x", "\ud800", [], [1], {}, {"a": 1})
 # Literal JSON number tokens: out of float range, non-finite, or past the
 # 4,300-digit integer limit of json.loads.
 NUMBERS = ("1e400", "-1e400", "NaN", "Infinity", "-Infinity", "1" + "0" * 400, "-" + "9" * 320,
@@ -270,3 +275,62 @@ def test_mutated_dump_exits_cleanly(tmp_path, case):
     write_dump(dump)
     dump.write_bytes(mutate_dump(dump.read_bytes(), case))
     run_main(["ingest", dump, "--out", tmp_path / "records.jsonl", "--min-pool-size", "2"])
+
+
+# Values for a numeric flag: huge, tiny, negative, zero and (floats only)
+# non-finite or past the float range.  The huge integers are past the C
+# integer range, so an unchecked `--dim` fails at once instead of
+# allocating.  `--epochs` costs time in proportion to its value, so it
+# draws only small or refused ones.
+INT_VALUES = ("0", "1", "-1", "3", str(2**63), "9" * 30, "-" + "9" * 30)
+FLOAT_VALUES = ("0", "-0.0", "1", "-1", "5e-324", "-5e-324", "1e-300", "1e100", "1.1e100", "-1e101",
+                "1e308", "-1e308", "1e400", "nan", "inf", "-inf")
+EPOCH_VALUES = ("0", "1", "-1", "-" + "9" * 30)
+
+
+def numeric_flags() -> dict[str, dict[str, tuple[str, ...]]]:
+    """Each subcommand's int and float flags, read from the parser, with their values."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    values = {int: INT_VALUES, float: FLOAT_VALUES}
+    return {
+        command: {
+            action.option_strings[0]: EPOCH_VALUES if action.dest == "epochs" else values[action.type]
+            for action in parser._actions
+            if action.type in values
+        }
+        for command, parser in subparsers.choices.items()
+    }
+
+
+NUMERIC_FLAGS = numeric_flags()
+
+
+@st.composite
+def flag_cases(draw):
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flag = draw(st.sampled_from(sorted(NUMERIC_FLAGS[command])))
+    return Case("argv", command, "flag", field=flag, value=draw(st.sampled_from(NUMERIC_FLAGS[command][flag])))
+
+
+def test_every_subcommand_has_a_numeric_flag():
+    assert sorted(NUMERIC_FLAGS) == sorted([*CLI_READERS, "ingest"])
+    assert all(NUMERIC_FLAGS.values())
+
+
+@SETTINGS
+@given(case=flag_cases())
+@example(case=Case("argv", "train-toy", "flag", field="--init-scale", value="1e308"))
+@example(case=Case("argv", "train-toy", "flag", field="--question-scale", value="1e308"))
+@example(case=Case("argv", "train-toy", "flag", field="--learning-rate", value="1e308"))
+@example(case=Case("argv", "rank", "flag", field="--dim", value="9" * 30))
+def test_numeric_flag_value_exits_cleanly(tmp_path, case):
+    if case.command == "ingest":
+        dump = tmp_path / "Posts.xml"
+        write_dump(dump)
+        argv = ["ingest", dump, "--out", tmp_path / "records.jsonl"]
+    else:
+        argv = cli_argv(case.command, write_cli_inputs(tmp_path), tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_main(argv + [f"{case.field}={case.value}"])
+    assert [str(w.message) for w in caught] == []

@@ -52,8 +52,8 @@ class TestParseDump:
         path = tmp_path / "Posts.xml"
         path.write_text(posts_xml(rows), encoding="utf-8")
         result = parse_dump(path)
-        assert len(result) == 2
-        assert [r.pool_size for r in result] == [3, 2]
+        assert len(result.entries) == 2
+        assert [r.pool_size for r in result.entries] == [3, 2]
         assert result.warnings == {}
         first = result.entries[0]
         assert first.accepted_index() == 0
@@ -63,7 +63,7 @@ class TestParseDump:
         path = tmp_path / "Posts.xml"
         path.write_text("", encoding="utf-8")
         result = parse_dump(path)
-        assert len(result) == 0
+        assert len(result.entries) == 0
         assert sum(result.warnings.values()) == 0
 
     def test_missing_creation_date_skips_with_warning(self, tmp_path):
@@ -75,7 +75,7 @@ class TestParseDump:
         path = tmp_path / "Posts.xml"
         path.write_text(posts_xml(rows), encoding="utf-8")
         result = parse_dump(path)
-        assert len(result) == 1
+        assert len(result.entries) == 1
         assert result.entries[0].pool_size == 1
         assert sum(result.warnings.values()) == 1
 
@@ -138,7 +138,7 @@ class TestParseDump:
         path = tmp_path / "Posts.xml"
         path.write_text(posts_xml(rows), encoding="utf-8")
         result = parse_dump(path)
-        assert [r.question_id for r in result] == ["1"]
+        assert [r.question_id for r in result.entries] == ["1"]
         assert result.entries[0].question_text == PLAIN_BODY
         assert [c.id for c in result.entries[0].candidates] == ["11", "12"]
         assert result.warnings == {"duplicate_Id": 1}

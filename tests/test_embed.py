@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from prefrank import embed
 from prefrank.embed import (
+    MAX_DIM,
     HashedNgramEmbedder,
     cosine,
-    hashed_ngram_embed,
     load_external_embeddings,
     write_external_embeddings,
 )
@@ -69,36 +69,33 @@ TABLE_TOKENS = {
 
 class TestHashedNgramEmbed:
     def test_empty_text_is_zero_vector(self):
-        vec = hashed_ngram_embed("")
+        vec = HashedNgramEmbedder().embed("")
         assert not vec.any()
 
     def test_nonempty_text_is_unit_norm(self):
         for text in ("a", "fn main()", "x" * 500, "日本語のテキスト"):
-            assert np.linalg.norm(hashed_ngram_embed(text)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(HashedNgramEmbedder().embed(text)) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
-        a = hashed_ngram_embed("def f(x): return x + 1")
-        b = hashed_ngram_embed("def f(x): return x + 1")
+        a = HashedNgramEmbedder().embed("def f(x): return x + 1")
+        b = HashedNgramEmbedder().embed("def f(x): return x + 1")
         assert a.tobytes() == b.tobytes()
 
     def test_self_similarity(self):
-        vec = hashed_ngram_embed("fn main()")
+        vec = HashedNgramEmbedder().embed("fn main()")
         assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_short_text_below_ngram_size(self):
-        vec = hashed_ngram_embed("ab", ngram=5)
+        vec = HashedNgramEmbedder(ngram=5).embed("ab")
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValidationError):
-            hashed_ngram_embed("x", dim=4)
-        with pytest.raises(ValidationError):
-            hashed_ngram_embed("x", ngram=0)
-
-    def test_embedder_object_matches_function(self):
-        embedder = HashedNgramEmbedder(dim=64, ngram=2)
-        text = "import numpy as np"
-        assert np.array_equal(embedder.embed(text), hashed_ngram_embed(text, 64, 2))
+        for dim in (4, 7, MAX_DIM + 1, 10**12):
+            with pytest.raises(ValidationError, match=rf"dim must be in \[8, {MAX_DIM}\], got {dim}"):
+                HashedNgramEmbedder(dim=dim)
+        with pytest.raises(ValidationError, match="ngram must be >= 1, got 0"):
+            HashedNgramEmbedder(ngram=0)
+        assert HashedNgramEmbedder(dim=MAX_DIM).embed("x").shape == (MAX_DIM,)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -113,7 +110,7 @@ class TestHashedNgramEmbed:
         # Both dims in one call: the memo holds one digest per gram for
         # every dim, so the second embedding reads what the first stored.
         for dim in dims:
-            got = hashed_ngram_embed(text, dim, ngram)
+            got = HashedNgramEmbedder(dim, ngram).embed(text)
             assert got.dtype == np.float64
             assert got.tobytes() == reference_embed(text, dim, ngram).tobytes()
 
@@ -127,7 +124,7 @@ class TestHashedNgramEmbed:
             value = int.from_bytes(hashlib.blake2b(gram, digest_size=8).digest(), "big")
             raw[(value >> 1) % 8] += 1.0 if value & 1 else -1.0
         assert not raw.any()
-        vec = hashed_ngram_embed(text, 8, 3)
+        vec = HashedNgramEmbedder(8, 3).embed(text)
         assert vec.tobytes() == reference_embed(text, 8, 3).tobytes()
         assert np.count_nonzero(vec) == 1 and vec.max() == 1.0
 
@@ -136,7 +133,7 @@ class TestHashedNgramEmbed:
         monkeypatch.setattr(embed, "_digest_memo", {})
         for i in range(40):
             text = f"row {i} of the table"
-            assert hashed_ngram_embed(text).tobytes() == reference_embed(text, 256, 3).tobytes()
+            assert HashedNgramEmbedder().embed(text).tobytes() == reference_embed(text, 256, 3).tobytes()
             # Replaced before a call once past the limit, so at most one
             # text's grams beyond it.
             assert len(embed._digest_memo) <= 16 + len(text)
@@ -145,12 +142,13 @@ class TestHashedNgramEmbed:
         monkeypatch.setattr(embed, "_DIGEST_MEMO_LIMIT", 8)
         texts = [f"thread-safe text {i} " * (1 + i % 3) for i in range(200)]
         expected = [reference_embed(text, 64, 3).tobytes() for text in texts]
+        embedder = HashedNgramEmbedder(64, 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [
-                    pool.submit(lambda: [hashed_ngram_embed(t, 64, 3).tobytes() for t in texts])
+                    pool.submit(lambda: [embedder.embed(t).tobytes() for t in texts])
                     for _ in range(4)
                 ]
                 results = [future.result(timeout=60) for future in futures]

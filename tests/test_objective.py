@@ -19,6 +19,7 @@ from prefrank.objective import (
     perceptual_alignment_loss,
     perceptual_comparison_loss,
     plackett_luce_loss,
+    policy_scores_from_logprobs,
     reward_weight,
     total_loss,
 )
@@ -36,8 +37,8 @@ def reference_round_weights(singles, multi, d_r, b):
     """Round b's reward and penalties, computed one round at a time."""
     reward = 1.0
     for matrix in singles:
-        reward *= float(matrix.row(b).max())
-    values = np.sort(np.delete(multi.row(b), b))
+        reward *= float(matrix.values[b].max())
+    values = np.sort(np.delete(multi.values[b], b))
     negatives = [i for i in d_r.order if i != b]
     return reward, {candidate: float(value) for candidate, value in zip(negatives, values)}
 
@@ -72,20 +73,29 @@ def reference_comparison(pi_s, d_r, singles, multi, mode=MODE_LITERAL):
 
 
 class TestPerceptualAlignmentLoss:
+    """l_pa is the mean NLL of the top dynamically-ranked response's tokens."""
+
     def test_certain_tokens_give_zero(self):
-        assert perceptual_alignment_loss(np.zeros(5)) == 0.0
+        pi_s = policy_scores_from_logprobs([np.full(3, -2.0), np.zeros(5)])
+        assert perceptual_alignment_loss(pi_s, DynamicRanking([1, 0])) == 0.0
 
     def test_uniform_vocab(self):
         vocab = 50
-        logprobs = np.full(8, math.log(1.0 / vocab))
-        assert perceptual_alignment_loss(logprobs) == pytest.approx(math.log(vocab), abs=1e-12)
+        pi_s = policy_scores_from_logprobs([np.full(8, math.log(1.0 / vocab)), np.zeros(2)])
+        loss = perceptual_alignment_loss(pi_s, DynamicRanking([0, 1]))
+        assert loss == pytest.approx(math.log(vocab), abs=1e-12)
 
     def test_mean(self):
-        assert perceptual_alignment_loss(np.array([-1.0, -3.0])) == 2.0
+        pi_s = policy_scores_from_logprobs([np.array([-0.5]), np.array([-1.0, -3.0]), np.array([-9.0])])
+        assert perceptual_alignment_loss(pi_s, DynamicRanking([1, 2, 0])) == 2.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            perceptual_alignment_loss(np.array([]))
+        with pytest.raises(ValidationError, match="expected 1 policy scores, got 0"):
+            perceptual_alignment_loss(np.array([]), DynamicRanking([0]))
+
+    def test_non_finite_score_rejected(self):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            perceptual_alignment_loss(np.array([-1.0, np.nan]), DynamicRanking([0, 1]))
 
 
 class TestRewardWeight:
@@ -357,6 +367,51 @@ class TestReferenceEquivalence:
                     assert reward_weight(singles, b) == rewards[m] == expected_reward
                     assert list(penalty_weights(multi, d_r, b).items()) == list(row.items())
                     assert list(row.items()) == list(expected_penalties.items())
+
+
+class TestLambdaWeights:
+    """The comparison loss's score gradient in LambdaRank's pairwise form.
+
+    With p_rj the round-r softmax probability of candidate j,
+    grad = sum_r sum_{j != b_r} p_rj (e_j - e_{b_r}), so the pair (b, j)
+    carries lambda_bj = sum over rounds with positive b of p_rj.
+    """
+
+    @staticmethod
+    def lambdas(pi, d_r, singles, multi, mode):
+        """lambda[b, j] from a round-by-round softmax over the public weights;
+        a negative with a zero penalty is left out of its round, so its lambda is 0."""
+        lam = np.zeros((multi.size, multi.size))
+        for b in comparison_round_positives(d_r, mode):
+            weights = {b: reward_weight(singles, b), **penalty_weights(multi, d_r, b)}
+            included = [j for j, w in weights.items() if w > 0.0]
+            logits = np.array([pi[j] + math.log(weights[j]) for j in included])
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            for j, p in zip(included, probs):
+                if j != b:
+                    lam[b, j] += p
+        return lam
+
+    def test_gradient_is_the_lambda_weighted_pair_sum(self, synthetic_suite):
+        rng = np.random.default_rng(45)
+        zero_penalties = 0
+        for item in synthetic_suite:
+            perception = item.perception
+            d_r, singles, multi = perception.dynamic, perception.singles, perception.multi
+            pi = rng.uniform(-6.0, 0.0, size=multi.size)
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                lam = self.lambdas(pi, d_r, singles, multi, mode)
+                # Pair (b, j) adds lambda_bj to j's entry and subtracts it from b's.
+                pair_sum = lam.sum(axis=0) - lam.sum(axis=1)
+                _, grad = comparison_loss_and_score_grad(pi, d_r, singles, multi, mode)
+                np.testing.assert_allclose(grad, pair_sum, rtol=0, atol=1e-12)
+                zero_penalties += sum(
+                    penalty == 0.0
+                    for b in comparison_round_positives(d_r, mode)
+                    for penalty in penalty_weights(multi, d_r, b).values()
+                )
+        assert zero_penalties > 0  # the suite has tied gains, so some lambdas are 0
 
 
 class TestDiscountScaleInvariance:

@@ -1,6 +1,7 @@
 """Toy policy scoring, analytic gradients, training, logprob files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,11 @@ class TestLogProbTable:
         )
         with pytest.raises(SchemaError, match="line 1"):
             load_logprob_file(path)
+
+    @pytest.mark.parametrize("bad", [[0.5], [], [-1.0, math.nan], [-math.inf], [[-1.0]]])
+    def test_bad_vector_from_a_caller_names_its_key(self, bad):
+        with pytest.raises(ValidationError, match=re.escape("('q1', 'b'): logprob")):
+            LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): bad})
 
     def test_fixture_size(self, tmp_path):
         entries = {}
