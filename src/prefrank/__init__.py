@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "apdf": (
         "ApdfMatrix",
-        "DecayConfig",
         "GainVector",
         "induced_ranks",
         "multi_apdf",
@@ -30,7 +29,7 @@ _EXPORTS = {
         "semantic_gain",
         "single_apdf",
     ),
-    "corpus": ("FilterConfig", "QARecord", "ResponseCandidate", "read_records", "write_records"),
+    "corpus": ("DecayConfig", "FilterConfig", "QARecord", "ResponseCandidate", "read_records", "write_records"),
     "embed": ("HashedNgramEmbedder", "cosine", "load_external_embeddings"),
     "errors": (
         "DegenerateInputError",

@@ -18,34 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
+from .corpus import DecayConfig, decayed_popularity
 from .errors import ValidationError
 
 SEMANTIC = "semantic"
 POPULARITY = "popularity"
 
-DEFAULT_HALF_LIFE = timedelta(days=365)
-
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DecayConfig:
-    """Exponential time decay applied to vote counts.
-
-    ``half_life`` is the age at which popularity halves.  No decay is
-    spelled ``None`` wherever a config is taken.
-    """
-
-    reference_time: datetime
-    half_life: timedelta = DEFAULT_HALF_LIFE
-
-    def __post_init__(self):
-        if self.half_life <= timedelta(0):
-            raise ValidationError("decay half_life must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,18 +99,6 @@ def semantic_gain(phi: float) -> float:
     if not math.isfinite(phi) or abs(phi) > 1.0 + 1e-12:
         raise ValidationError(f"cosine similarity out of range [-1, 1]: {phi}")
     return 2.0 ** (min(max(phi, -1.0), 1.0) - 1.0)
-
-
-def decayed_popularity(votes: float, created_at: datetime, cfg: DecayConfig | None) -> float:
-    """Votes * 2**(-age / half_life), clamped to [0, votes]; unchanged when cfg is None."""
-    if votes < 0:
-        raise ValidationError(f"votes must be nonnegative, got {votes}")
-    if cfg is None:
-        return float(votes)
-    age = (cfg.reference_time - created_at).total_seconds()
-    if age <= 0.0:
-        return float(votes)
-    return float(votes) * 2.0 ** (-age / cfg.half_life.total_seconds())
 
 
 def popularity_gain(decayed_votes: float) -> float:

@@ -12,8 +12,11 @@ byte-for-byte.  Exit codes: 0 success, 1 internal (an exception not
 mapped below, reported as its type and message), 2 validation, 3 I/O or
 file format, 4 numerically degenerate input.  No traceback is printed.
 
-Imported before numpy (``prefrank`` on the command line, ``python -m
-prefrank.cli``), this module sets ``OPENBLAS_NUM_THREADS=1`` unless
+This module imports only the standard library, `corpus`, `errors` and
+`constants`; each subcommand imports the numpy-backed modules it runs
+when it starts, so ``ingest`` never loads numpy.  At import (``prefrank``
+on the command line, ``python -m prefrank.cli``), before any subcommand
+loads numpy, this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
 already set.  prefrank's BLAS calls are vector products, nearly all of
 embedding length, which OpenBLAS does not split across threads, so its
@@ -36,19 +39,10 @@ if "numpy" not in sys.modules and not any(
 ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
-from . import __version__, corpus, evaluation, objective, pipeline, policy
-from .apdf import DecayConfig
-from .embed import (
-    DEFAULT_DIM,
-    DEFAULT_NGRAM,
-    HashedNgramEmbedder,
-    load_external_embeddings,
-    write_external_embeddings,
-)
+from . import __version__, constants, corpus
+# Module globals: bench/tracing.py patches both table functions by name here and on `embed`.
+from .corpus import DecayConfig, load_external_embeddings, write_external_embeddings
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
-from .objective import COMPARISON_MODES, DEFAULT_ALPHA, MODE_LITERAL
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -129,6 +123,8 @@ def _embedding_source(args):
     """Returns (embedder, table, name) from the common embedding flags."""
     if args.embeddings:
         return None, load_external_embeddings(args.embeddings), f"external:{args.embeddings}"
+    from .embed import HashedNgramEmbedder
+
     embedder = HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
     return embedder, None, f"hashed_ngram(dim={args.dim},ngram={args.ngram})"
 
@@ -186,8 +182,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import embed, pipeline
+
     records = corpus.read_records(args.records)
-    embedder = HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
+    embedder = embed.HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
     texts = []
     for record in records:
         texts.append((pipeline.question_key(record), record.question_text))
@@ -195,7 +193,7 @@ def cmd_embed(args) -> int:
     if args.generations:
         generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
         texts += [(pipeline.generation_key(record_id), text) for record_id, text in generations.items()]
-    table: dict[str, np.ndarray] = {}
+    table = {}
     for key, text in texts:
         if key in table:
             raise ValidationError(f"embedding key {key!r} is written twice")
@@ -207,6 +205,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import pipeline
+
     records = corpus.read_records(args.records)
     prepared = pipeline.prepare_records(records, **_perception_args(args, records))
     rows = ({"record_id": p.record.question_id, "order": p.perception.dynamic.order} for p in prepared)
@@ -217,6 +217,10 @@ def cmd_rank(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    import numpy as np
+
+    from . import objective, pipeline, policy
+
     objective.check_alpha(args.alpha)
     records = corpus.read_records(args.records)
     table_logprobs = policy.load_logprob_file(args.logprobs)
@@ -246,6 +250,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    from . import pipeline, policy
+
     records = corpus.read_records(args.records)
     prepared = pipeline.prepare_records(records, **_perception_args(args, records))
     toy = policy.ToyPolicy.fresh(
@@ -274,6 +280,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     records = corpus.read_records(args.records)
     generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
     scores = None
@@ -298,6 +306,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_heatmap(args) -> int:
+    import numpy as np
+
+    from . import pipeline
+
     records = corpus.read_records(args.records)
     matches = [r for r in records if r.question_id == args.record_id]
     if not matches:
@@ -316,8 +328,8 @@ def cmd_export_heatmap(args) -> int:
 
 
 def _add_embedding_flags(parser: argparse.ArgumentParser, with_external: bool = True):
-    parser.add_argument("--dim", type=int, default=DEFAULT_DIM, help="hashed embedder dimension")
-    parser.add_argument("--ngram", type=int, default=DEFAULT_NGRAM, help="hashed embedder n-gram size")
+    parser.add_argument("--dim", type=int, default=constants.DEFAULT_DIM, help="hashed embedder dimension")
+    parser.add_argument("--ngram", type=int, default=constants.DEFAULT_NGRAM, help="hashed embedder n-gram size")
     if with_external:
         parser.add_argument(
             "--embeddings",
@@ -378,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--logprobs", required=True, help="JSON-Lines token logprob file")
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--mode", default=MODE_LITERAL, choices=list(COMPARISON_MODES))
+    p.add_argument("--alpha", type=float, default=constants.DEFAULT_ALPHA)
+    p.add_argument("--mode", default=constants.MODE_LITERAL, choices=list(constants.COMPARISON_MODES))
     _add_embedding_flags(p)
     _add_decay_flags(p)
     p.set_defaults(func=cmd_loss)
@@ -390,11 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="optional per-step loss trace JSONL")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--learning-rate", type=float, default=policy.DEFAULT_LEARNING_RATE)
+    p.add_argument("--learning-rate", type=float, default=constants.DEFAULT_LEARNING_RATE)
     p.add_argument("--init-scale", type=float, default=1e-3)
-    p.add_argument("--question-scale", type=float, default=policy.DEFAULT_QUESTION_SCALE)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--mode", default=MODE_LITERAL, choices=list(COMPARISON_MODES))
+    p.add_argument("--question-scale", type=float, default=constants.DEFAULT_QUESTION_SCALE)
+    p.add_argument("--alpha", type=float, default=constants.DEFAULT_ALPHA)
+    p.add_argument("--mode", default=constants.MODE_LITERAL, choices=list(constants.COMPARISON_MODES))
     _add_embedding_flags(p)
     _add_decay_flags(p)
     p.set_defaults(func=cmd_train_toy)
@@ -404,11 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", required=True, help="JSONL of {record_id, text}")
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--k", default="1,3", help="comma-separated k values")
-    p.add_argument(
-        "--normalizer",
-        default=evaluation.NORMALIZER_PAPER_HALF,
-        choices=list(evaluation.NORMALIZERS),
-    )
+    p.add_argument("--normalizer", default=constants.NORMALIZER_PAPER_HALF, choices=list(constants.NORMALIZERS))
     p.add_argument("--external-scores", default=None, help="optional JSONL of {record_id, score}")
     _add_embedding_flags(p)
     p.set_defaults(func=cmd_eval)

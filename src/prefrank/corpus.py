@@ -1,5 +1,9 @@
 """StackExchange-style corpus ingestion and persistence.
 
+The stdlib-only I/O layer: posts dumps, records, JSON-Lines rows, the
+embedding-table TSV (numpy is imported only to read or write a table)
+and the popularity decay config, so `ingest` runs without numpy.
+
 The pipeline mirrors how the training corpus is built: parse a Posts
 XML dump into question/answer pools, keep questions with a
 questioner-picked answer, keep questions whose body contains a code
@@ -17,16 +21,19 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 from xml.etree import ElementTree
 
-from .apdf import DecayConfig, decayed_popularity
 from .errors import DumpParseError, SchemaError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CODE_BLOCK_RE = re.compile(r"<code[\s>]|```", re.IGNORECASE)
 
@@ -338,6 +345,37 @@ def apply_quality_filters(
     return kept, rejections
 
 
+DEFAULT_HALF_LIFE = timedelta(days=365)
+
+
+@dataclass(frozen=True)
+class DecayConfig:
+    """Exponential time decay applied to vote counts.
+
+    ``half_life`` is the age at which popularity halves.  No decay is
+    spelled ``None`` wherever a config is taken.
+    """
+
+    reference_time: datetime
+    half_life: timedelta = DEFAULT_HALF_LIFE
+
+    def __post_init__(self):
+        if self.half_life <= timedelta(0):
+            raise ValidationError("decay half_life must be positive")
+
+
+def decayed_popularity(votes: float, created_at: datetime, cfg: DecayConfig | None) -> float:
+    """Votes * 2**(-age / half_life), clamped to [0, votes]; unchanged when cfg is None."""
+    if votes < 0:
+        raise ValidationError(f"votes must be nonnegative, got {votes}")
+    if cfg is None:
+        return float(votes)
+    age = (cfg.reference_time - created_at).total_seconds()
+    if age <= 0.0:
+        return float(votes)
+    return float(votes) * 2.0 ** (-age / cfg.half_life.total_seconds())
+
+
 def assign_gold_ranking(record: QARecord, decay: DecayConfig | None) -> QARecord:
     """Attach the gold label: accepted answer first, then the rest by
     time-decayed votes descending, ties by earlier creation then index."""
@@ -456,6 +494,71 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"invalid UTF-8: {exc}", line=lineno) from exc
             yield lineno, line
+
+
+# Below this norm a row's squared sum is subnormal or zero and has lost bits.
+_SAFE_NORM = math.sqrt(sys.float_info.min)
+
+
+def load_external_embeddings(path) -> dict[str, np.ndarray]:
+    """Read `id<TAB>floats` lines into a map of unit-norm vectors.
+
+    All rows must share one dimension.  Duplicate ids, malformed rows,
+    bytes that are not UTF-8 and non-finite values are SchemaErrors naming
+    the line; vectors are L2-normalized on load (an all-zero row stays zero;
+    a row whose squared sum leaves the float range is first scaled to max 1).
+    """
+    import numpy as np
+
+    table: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    for lineno, raw in iter_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        key, sep, rest = line.partition("\t")
+        if not sep or not key:
+            raise SchemaError("expected `id<TAB>floats`", line=lineno)
+        try:
+            # numpy converts each str token with float(); tests/test_embed.py
+            # checks this against a per-token float() reference.
+            values = np.array(rest.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise SchemaError(f"bad float in embedding row: {exc}", line=lineno) from exc
+        if values.size == 0:
+            raise SchemaError("embedding row has no values", line=lineno)
+        if not np.all(np.isfinite(values)):
+            raise SchemaError("non-finite value in embedding row", line=lineno)
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise SchemaError(
+                f"dimension mismatch: expected {dim}, got {values.size}", line=lineno
+            )
+        if key in table:
+            raise SchemaError(f"duplicate embedding id {key!r}", line=lineno)
+        # Per row, not norm(axis=1): the batched sum runs in another order.
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(values)
+        if not _SAFE_NORM <= norm < math.inf and values.any():
+            values = values / np.abs(values).max()  # ordinary rows skip this
+            norm = np.linalg.norm(values)
+        table[key] = values / norm if norm > 0 else values
+    return table
+
+
+def write_external_embeddings(path, table: dict[str, np.ndarray]) -> None:
+    """Write the TSV format read by :func:`load_external_embeddings`; a key
+    that is empty or holds a tab, CR or LF is refused before the file opens."""
+    import numpy as np
+
+    for key in table:
+        if not key or "\t" in key or "\r" in key or "\n" in key:
+            raise ValidationError(f"embedding key {key!r} is empty or holds a tab, CR or LF")
+    with open(path, "w", encoding="utf-8") as handle:
+        for key, vec in table.items():
+            floats = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
+            handle.write(f"{key}\t{floats}\n")
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")

@@ -6,8 +6,9 @@ breaks ties in dynamic ranking, and a generation's candidate cosines for
 the hit/recall metrics.  The default embedder hashes character n-grams
 into a fixed number of signed buckets; it is a test-grade stand-in for
 any real encoder.  Vectors precomputed by an external encoder can be
-loaded from a TSV file instead; `pipeline` owns its key format and
-chooses between a table and an embedder.
+loaded from a TSV file instead (`corpus` reads and writes that format);
+`pipeline` owns its key format and chooses between a table and an
+embedder.
 """
 
 from __future__ import annotations
@@ -16,17 +17,12 @@ import hashlib
 
 import numpy as np
 
-from .corpus import iter_lines
-from .errors import SchemaError, ValidationError
+from .constants import DEFAULT_DIM, DEFAULT_NGRAM
+from .corpus import load_external_embeddings, write_external_embeddings  # noqa: F401  bench/ reads them here
+from .errors import ValidationError
 
-DEFAULT_DIM = 256
-DEFAULT_NGRAM = 3
 # A hashed vector is dense in memory, so its width is capped far above any useful size.
 MIN_DIM, MAX_DIM = 8, 1 << 16
-
-# Below this norm a row's squared sum is subnormal or zero and has lost bits.
-_SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
-
 
 # Per-process memo from n-gram bytes to its 64-bit digest, shared by every
 # dim.  Full, it is replaced by an empty dict rather than cleared, so a call
@@ -106,60 +102,3 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return float(np.dot(a, b) / (norm_a * norm_b))
-
-
-def load_external_embeddings(path) -> dict[str, np.ndarray]:
-    """Read `id<TAB>floats` lines into a map of unit-norm vectors.
-
-    All rows must share one dimension.  Duplicate ids, malformed rows,
-    bytes that are not UTF-8 and non-finite values are SchemaErrors naming
-    the line; vectors are L2-normalized on load (an all-zero row stays zero;
-    a row whose squared sum leaves the float range is first scaled to max 1).
-    """
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, raw in iter_lines(path):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        key, sep, rest = line.partition("\t")
-        if not sep or not key:
-            raise SchemaError("expected `id<TAB>floats`", line=lineno)
-        try:
-            # numpy converts each str token with float(); tests/test_embed.py
-            # checks this against a per-token float() reference.
-            values = np.array(rest.split(), dtype=np.float64)
-        except ValueError as exc:
-            raise SchemaError(f"bad float in embedding row: {exc}", line=lineno) from exc
-        if values.size == 0:
-            raise SchemaError("embedding row has no values", line=lineno)
-        if not np.all(np.isfinite(values)):
-            raise SchemaError("non-finite value in embedding row", line=lineno)
-        if dim is None:
-            dim = values.size
-        elif values.size != dim:
-            raise SchemaError(
-                f"dimension mismatch: expected {dim}, got {values.size}", line=lineno
-            )
-        if key in table:
-            raise SchemaError(f"duplicate embedding id {key!r}", line=lineno)
-        # Per row, not norm(axis=1): the batched sum runs in another order.
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(values)
-        if not _SAFE_NORM <= norm < np.inf and values.any():
-            values = values / np.abs(values).max()  # ordinary rows skip this
-            norm = np.linalg.norm(values)
-        table[key] = values / norm if norm > 0 else values
-    return table
-
-
-def write_external_embeddings(path, table: dict[str, np.ndarray]) -> None:
-    """Write the TSV format read by :func:`load_external_embeddings`; a key
-    that is empty or holds a tab, CR or LF is refused before the file opens."""
-    for key in table:
-        if not key or "\t" in key or "\r" in key or "\n" in key:
-            raise ValidationError(f"embedding key {key!r} is empty or holds a tab, CR or LF")
-    with open(path, "w", encoding="utf-8") as handle:
-        for key, vec in table.items():
-            floats = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
-            handle.write(f"{key}\t{floats}\n")

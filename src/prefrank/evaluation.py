@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import QARecord
-from .embed import _SAFE_NORM, HashedNgramEmbedder, cosine
+from .constants import NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
+from .corpus import _SAFE_NORM, QARecord
+from .embed import HashedNgramEmbedder, cosine
 from .errors import ValidationError
 from .pipeline import generation_key, resolve_vectors
 
-NORMALIZER_PAPER_HALF = "paper_half"
-NORMALIZER_BY_K = "by_k"
-NORMALIZERS = (NORMALIZER_PAPER_HALF, NORMALIZER_BY_K)
 
 def pool_similarities(
     generated: str,

@@ -34,21 +34,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .apdf import ApdfMatrix
+from .constants import COMPARISON_MODES, DEFAULT_ALPHA, MODE_LITERAL, MODE_TOP_ANCHORED
 from .errors import DegenerateInputError, ValidationError
 from .ranking import DynamicRanking
 
 if TYPE_CHECKING:
     from .pipeline import PerceptionBundle
 
-MODE_LITERAL = "literal"
-MODE_TOP_ANCHORED = "top_anchored"
-COMPARISON_MODES = (MODE_LITERAL, MODE_TOP_ANCHORED)
-
-DEFAULT_ALPHA = 0.05
 DEFAULT_DPO_BETA = 0.1
-# Largest alpha, and in `policy` the largest |learning rate| or weight
-# scale: far past any useful value and far inside the float range, so that
-# training with all of them at the limit still cannot overflow a step.
+# Largest alpha, and in `policy` the largest |learning rate|, weight scale
+# or |token logprob|: far past any useful value and far inside the float
+# range, so that no step or loss overflows with all of them at the limit.
 MAX_SCALE = 1e100
 
 

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apdf import (
-    ApdfMatrix,
-    DecayConfig,
-    multi_apdf,
-    popularity_gains,
-    semantic_gains,
-    single_apdf,
-)
-from .corpus import QARecord
+from .apdf import ApdfMatrix, multi_apdf, popularity_gains, semantic_gains, single_apdf
+from .corpus import DecayConfig, QARecord
 from .embed import HashedNgramEmbedder, cosine
 from .errors import ValidationError
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank

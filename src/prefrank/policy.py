@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objective
+from .constants import DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE
 from .corpus import QARecord, read_keyed_jsonl, require, require_field, write_jsonl
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
@@ -28,9 +29,6 @@ CONTEXTS = VOCAB + 1
 
 _CHECKPOINT_MAGIC = b"PRNKPOL1"
 _CHECKPOINT_VERSION = 1
-
-DEFAULT_LEARNING_RATE = 0.5
-DEFAULT_QUESTION_SCALE = 0.1
 
 
 class LogProbTable:
@@ -77,10 +75,9 @@ class LogProbTable:
 def _validate_logprobs(logprobs: np.ndarray, key) -> np.ndarray:
     if logprobs.ndim != 1 or logprobs.size == 0:
         raise ValidationError(f"{key}: logprob vector must be non-empty and 1-D")
-    if not np.all(np.isfinite(logprobs)):
-        raise ValidationError(f"{key}: logprobs must be finite")
-    if np.any(logprobs > 0):
-        raise ValidationError(f"{key}: logprobs must be <= 0")
+    # Bounded so that no score mean, loss or summary mean of a logprob file overflows.
+    if not np.all((logprobs <= 0) & (logprobs >= -objective.MAX_SCALE)):
+        raise ValidationError(f"{key}: logprobs must be in [-{objective.MAX_SCALE:g}, 0]")
     return logprobs
 
 

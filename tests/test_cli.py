@@ -276,6 +276,48 @@ class TestLoss:
         assert payload["error"] == "degenerate_input"
         assert payload["message"].startswith("record 'dg': round 0: reward weight")
 
+    @staticmethod
+    def set_logprobs(paths, record_id, values, count):
+        """Give the first `count` candidates of `record_id` the token logprobs `values`."""
+        rows = [json.loads(line) for line in paths["logprobs"].read_text().splitlines()]
+        for row in [row for row in rows if row["record_id"] == record_id][:count]:
+            row["logprobs"] = values
+        paths["logprobs"].write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+    @pytest.mark.parametrize("tokens", [1, 2])
+    def test_logprobs_near_the_float_limit_are_refused_naming_the_record(self, tmp_path, capsys, tokens):
+        # One such token per row overflowed the comparison loss to Infinity (exit 0);
+        # two overflowed each score's mean (exit 2, naming no record).
+        paths = write_cli_inputs(tmp_path)
+        self.set_logprobs(paths, "r1", [-1.7e308] * tokens, count=2)
+        argv = cli_argv("loss", paths, tmp_path)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "io"
+        assert "'r1'" in payload["message"] and "logprobs must be in [-1e+100, 0]" in payload["message"]
+        assert not (tmp_path / "loss.out").exists()
+
+    def test_logprobs_at_the_bound_give_finite_losses(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        # r1's comparison rounds score candidates at the bound; all of r2's are at it,
+        # so its l_pa is 1e100 and, with the largest alpha, its total is 1e200.
+        self.set_logprobs(paths, "r1", [-1e100, -1e100], count=2)
+        self.set_logprobs(paths, "r2", [-1e100], count=2)
+        assert run(cli_argv("loss", paths, tmp_path) + ["--alpha", "1e100"]) == 0
+        assert capsys.readouterr().err == ""
+
+        def refuse(token):
+            raise AssertionError(f"{token} in the output")
+
+        out = tmp_path / "loss.out"
+        rows = [json.loads(line, parse_constant=refuse) for line in out.read_text().splitlines()]
+        assert [row["record_id"] for row in rows] == ["r1", "r2"]
+        manifest = (tmp_path / "loss.out.manifest.json").read_text()
+        summary = json.loads(manifest, parse_constant=refuse)["summary"]
+        assert summary["mean_total"] > 1e199
+
 
 def assert_file_format_error(code, capsys, line):
     assert code == 3

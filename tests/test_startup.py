@@ -1,5 +1,6 @@
-"""Start-up behaviour in fresh interpreters: what ``import prefrank`` loads,
-and the one-thread BLAS default that only the CLI module applies."""
+"""Start-up behaviour in fresh interpreters: what ``import prefrank`` and
+each subcommand load, and the one-thread BLAS default that only the CLI
+module applies."""
 
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 
 from prefrank.corpus import write_records
 from prefrank.policy import LogProbTable, ToyPolicy
+
+from conftest import build_dump_plan_xml, cli_argv, write_cli_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -88,7 +91,8 @@ print(json.dumps(state))
     ],
 )
 def test_cli_import_defaults_to_one_blas_thread(preset, expected):
-    report = run_python("import prefrank.cli\n" + REPORT, child_env(**preset))
+    # The CLI module itself loads no numpy; importing it next starts OpenBLAS under the default.
+    report = run_python("import prefrank.cli\nimport numpy\n" + REPORT, child_env(**preset))
     assert report["env"] == {name: expected.get(name) for name in THREAD_VARS}
     if not preset and report["threads"] is not None:
         assert report["threads"] == 1
@@ -122,3 +126,39 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, synthetic_suite):
         assert report["env"]["OPENBLAS_NUM_THREADS"] == ("1" if label == "default" else "2")
         outputs[label] = [(out / name).read_bytes() for name in ("losses.jsonl", "policy.bin")]
     assert outputs["default"] == outputs["two"]
+
+
+# numpy and the prefrank modules loaded, printed as a sorted JSON list.
+LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("prefrank"))))
+"""
+CLI_MODULES = {"prefrank", "prefrank.cli", "prefrank.constants", "prefrank.corpus", "prefrank.errors"}
+PERCEPTION_MODULES = CLI_MODULES | {"numpy", *(f"prefrank.{m}" for m in ("apdf", "embed", "pipeline", "ranking"))}
+
+
+def test_cli_import_and_decay_config_load_no_numpy():
+    code = "import json, sys\nimport prefrank, prefrank.cli\nprefrank.DecayConfig\n" + LOADED
+    assert run_python(code, child_env()) == sorted(CLI_MODULES)
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("ingest", CLI_MODULES),
+        ("embed", PERCEPTION_MODULES),
+        ("rank", PERCEPTION_MODULES),
+        ("export-heatmap", PERCEPTION_MODULES),
+        ("loss", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
+        ("train-toy", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
+        ("eval", PERCEPTION_MODULES | {"prefrank.evaluation"}),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command, loaded):
+    if command == "ingest":
+        dump = tmp_path / "Posts.xml"
+        dump.write_text(build_dump_plan_xml(), encoding="utf-8")
+        argv = ["ingest", str(dump), "--out", str(tmp_path / "records.jsonl")]
+    else:
+        argv = cli_argv(command, write_cli_inputs(tmp_path), tmp_path)
+    code = f"import json, sys\nfrom prefrank.cli import main\nassert main({argv!r}) == 0\n" + LOADED
+    assert run_python(code, child_env()) == sorted(loaded)
