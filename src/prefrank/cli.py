@@ -31,7 +31,7 @@ import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 # Must run before numpy loads OpenBLAS; a (non-empty) thread count the user set wins.
 if "numpy" not in sys.modules and not any(
@@ -61,6 +61,22 @@ def _sha256(path) -> str:
 
 # The flags that name an input file; a manifest digests each one that is set.
 _INPUT_FLAGS = ("dump", "records", "logprobs", "generations", "embeddings", "external_scores")
+# The flags that name an output file; a manifest is written beside --out and --out-policy.
+_OUTPUT_FLAGS = ("out", "out_policy", "trace")
+
+
+def _refuse_overwrites(args) -> None:
+    """Refuses an output path that resolves to an input file or to another output."""
+    values = vars(args)
+    flag = {name: "--" + name.replace("_", "-") for name in _INPUT_FLAGS + _OUTPUT_FLAGS}
+    flag["dump"] = "the dump"
+    owner = {os.path.realpath(values[name]): flag[name] for name in _INPUT_FLAGS if values.get(name)}
+    outputs = [(flag[name], values[name]) for name in _OUTPUT_FLAGS if values.get(name)]
+    outputs += [(f"the {f} manifest", f"{path}.manifest.json") for f, path in outputs if f != "--trace"]
+    for output, path in outputs:
+        other = owner.setdefault(os.path.realpath(path), output)
+        if other != output:
+            raise ValidationError(f"{output} and {other} name the same file {path!r}")
 
 
 def _write_json(path, document) -> None:
@@ -112,27 +128,22 @@ def _decay_config(args, records) -> DecayConfig | None:
         reference = _timestamp_flag("--reference-time", args.reference_time)
     else:
         # Default to the newest timestamp in the data so runs are
-        # reproducible from their inputs alone.
+        # reproducible from their inputs alone; with no records nothing decays.
         stamps = [r.question_created_at for r in records]
         stamps += [c.created_at for r in records for c in r.candidates]
-        reference = max(stamps) if stamps else datetime.now(timezone.utc)
+        if not stamps:
+            return None
+        reference = max(stamps)
     return DecayConfig(reference_time=reference, half_life=timedelta(days=days))
 
 
-def _embedding_source(args):
-    """Returns (embedder, table, name) from the common embedding flags."""
+def _vectors(args) -> dict:
+    """The `embedder` and `table` keywords from the embedding flags."""
     if args.embeddings:
-        return None, load_external_embeddings(args.embeddings), f"external:{args.embeddings}"
+        return {"embedder": None, "table": load_external_embeddings(args.embeddings)}
     from .embed import HashedNgramEmbedder
 
-    embedder = HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
-    return embedder, None, f"hashed_ngram(dim={args.dim},ngram={args.ngram})"
-
-
-def _perception_args(args, records) -> dict:
-    """`build_perception`'s keywords from the embedding and decay flags."""
-    embedder, table, _ = _embedding_source(args)
-    return {"embedder": embedder, "table": table, "decay": _decay_config(args, records)}
+    return {"embedder": HashedNgramEmbedder(dim=args.dim, ngram=args.ngram), "table": None}
 
 
 def _generation(row) -> tuple[str, str]:
@@ -167,9 +178,8 @@ def cmd_ingest(args) -> int:
     )
     entries, rejections = corpus.apply_quality_filters(entries, cfg)
     counts["quality"] = len(entries)
-    if args.gold:
-        decay = _decay_config(args, entries)
-        entries = [corpus.assign_gold_ranking(r, decay) for r in entries]
+    decay = _decay_config(args, entries)
+    entries = [corpus.assign_gold_ranking(r, decay) for r in entries]
     corpus.write_records(args.out, entries)
     _write_manifest(args.out, args, extra={"counts": counts})
     for stage, count in counts.items():
@@ -208,7 +218,7 @@ def cmd_rank(args) -> int:
     from . import pipeline
 
     records = corpus.read_records(args.records)
-    prepared = pipeline.prepare_records(records, **_perception_args(args, records))
+    prepared = pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
     rows = ({"record_id": p.record.question_id, "order": p.perception.dynamic.order} for p in prepared)
     corpus.write_jsonl(args.out, rows)
     _write_manifest(args.out, args)
@@ -226,7 +236,7 @@ def cmd_loss(args) -> int:
     table_logprobs = policy.load_logprob_file(args.logprobs)
     # Deterministic reduction order: records sorted by id.
     records = sorted(records, key=lambda r: r.question_id)
-    prepared = pipeline.prepare_records(records, **_perception_args(args, records))
+    prepared = pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
     rows = []
     for item in prepared:
         record, perception = item.record, item.perception
@@ -235,14 +245,10 @@ def cmd_loss(args) -> int:
             breakdown = objective.record_loss(pi_s, perception, args.alpha, args.mode)
         rows.append({"record_id": record.question_id, "mode": args.mode, **breakdown.to_dict()})
     corpus.write_jsonl(args.out, rows)
-    summary = {
-        "n_records": len(rows),
-        "mean_l_pa": float(np.mean([r["l_pa"] for r in rows])) if rows else 0.0,
-        "mean_l_pc": float(np.mean([r["l_pc"] for r in rows])) if rows else 0.0,
-        "mean_total": float(np.mean([r["total"] for r in rows])) if rows else 0.0,
-        "alpha": args.alpha,
-        "mode": args.mode,
-    }
+    summary = {"n_records": len(rows)}
+    for key in ("l_pa", "l_pc", "total"):
+        summary[f"mean_{key}"] = float(np.mean([r[key] for r in rows])) if rows else 0.0
+    summary.update(alpha=args.alpha, mode=args.mode)
     _write_manifest(args.out, args, extra={"summary": summary})
     for key, value in summary.items():
         print(f"{key}\t{value}")
@@ -253,7 +259,7 @@ def cmd_train_toy(args) -> int:
     from . import pipeline, policy
 
     records = corpus.read_records(args.records)
-    prepared = pipeline.prepare_records(records, **_perception_args(args, records))
+    prepared = pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
     toy = policy.ToyPolicy.fresh(
         seed=args.seed,
         init_scale=args.init_scale,
@@ -287,15 +293,14 @@ def cmd_eval(args) -> int:
     scores = None
     if args.external_scores:
         scores = corpus.read_keyed_jsonl(args.external_scores, _external_score, "external score")
-    embedder, table, embedder_name = _embedding_source(args)
+    hashed = f"hashed_ngram(dim={args.dim},ngram={args.ngram})"
     report = evaluation.evaluate_dataset(
         records,
         generations,
+        **_vectors(args),
         ks=_parse_ks(args.k),
         normalizer=args.normalizer,
-        embedder=embedder,
-        table=table,
-        embedder_name=embedder_name,
+        embedder_name=f"external:{args.embeddings}" if args.embeddings else hashed,
         external_scores=scores,
     )
     _write_json(args.out, report.to_dict())
@@ -314,7 +319,7 @@ def cmd_export_heatmap(args) -> int:
     matches = [r for r in records if r.question_id == args.record_id]
     if not matches:
         raise ValidationError(f"record {args.record_id!r} not found in {args.records}")
-    perception = pipeline.build_perception(matches[0], **_perception_args(args, records))
+    perception = pipeline.build_perception(matches[0], **_vectors(args), decay=_decay_config(args, records))
     by_name = {m.attribute_name: m for m in perception.singles}
     by_name["multi"] = perception.multi
     if args.attribute not in by_name:
@@ -339,7 +344,8 @@ def _add_embedding_flags(parser: argparse.ArgumentParser, with_external: bool = 
 
 
 def _add_decay_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--half-life-days", type=float, default=365.0, help="popularity decay half-life")
+    days = corpus.DEFAULT_HALF_LIFE / timedelta(days=1)
+    parser.add_argument("--half-life-days", type=float, default=days, help="popularity decay half-life")
     parser.add_argument("--no-decay", action="store_true", help="disable popularity time decay")
     parser.add_argument(
         "--reference-time",
@@ -367,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-response-tokens", type=int, default=0)
     p.add_argument("--since", default=None, help="drop questions posted before this ISO timestamp")
     p.add_argument("--require-code-block", action="store_true")
-    p.add_argument("--gold", action=argparse.BooleanOptionalAction, default=True,
-                   help="attach gold rankings (accepted first, then decayed votes)")
     _add_decay_flags(p)
     p.set_defaults(func=cmd_ingest)
 
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learning-rate", type=float, default=constants.DEFAULT_LEARNING_RATE)
-    p.add_argument("--init-scale", type=float, default=1e-3)
+    p.add_argument("--init-scale", type=float, default=constants.DEFAULT_INIT_SCALE)
     p.add_argument("--question-scale", type=float, default=constants.DEFAULT_QUESTION_SCALE)
     p.add_argument("--alpha", type=float, default=constants.DEFAULT_ALPHA)
     p.add_argument("--mode", default=constants.MODE_LITERAL, choices=list(constants.COMPARISON_MODES))
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--generations", required=True, help="JSONL of {record_id, text}")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--k", default="1,3", help="comma-separated k values")
+    p.add_argument("--k", default=",".join(map(str, constants.DEFAULT_KS)), help="comma-separated k values")
     p.add_argument("--normalizer", default=constants.NORMALIZER_PAPER_HALF, choices=list(constants.NORMALIZERS))
     p.add_argument("--external-scores", default=None, help="optional JSONL of {record_id, score}")
     _add_embedding_flags(p)
@@ -440,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_overwrites(args)
         return args.func(args)
     except DegenerateInputError as exc:
         return _fail("degenerate_input", exc, EXIT_DEGENERATE)

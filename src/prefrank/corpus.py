@@ -8,7 +8,7 @@ The pipeline mirrors how the training corpus is built: parse a Posts
 XML dump into question/answer pools, keep questions with a
 questioner-picked answer, keep questions whose body contains a code
 block, strip HTML (preserving code text verbatim), apply configurable
-quality thresholds, and optionally attach a gold ranking.  Records are
+quality thresholds, and attach a gold ranking.  Records are
 persisted as JSON-Lines, one record per line, with a fixed key order.
 
 Every filter is a per-record predicate, so the surviving set is

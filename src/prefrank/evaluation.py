@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
+from .constants import DEFAULT_KS, NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
 from .corpus import _SAFE_NORM, QARecord
 from .embed import HashedNgramEmbedder, cosine
 from .errors import ValidationError
@@ -209,16 +209,8 @@ def pearson_r(xs, ys) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman_r(xs, ys) -> float:
@@ -331,7 +323,7 @@ def _external_correlations(outcomes: list[RecordOutcome], scores: dict[str, floa
 def evaluate_dataset(
     records: list[QARecord],
     generations: dict[str, str],
-    ks: tuple[int, ...] = (1, 3),
+    ks: tuple[int, ...] = DEFAULT_KS,
     normalizer: str = NORMALIZER_PAPER_HALF,
     embedder: HashedNgramEmbedder | None = None,
     table: dict[str, np.ndarray] | None = None,

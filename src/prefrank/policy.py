@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objective
-from .constants import DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE
+from .constants import DEFAULT_INIT_SCALE, DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE
 from .corpus import QARecord, read_keyed_jsonl, require, require_field, write_jsonl
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
@@ -143,7 +143,7 @@ class ToyPolicy:
     def fresh(
         cls,
         seed: int = 0,
-        init_scale: float = 1e-3,
+        init_scale: float = DEFAULT_INIT_SCALE,
         learning_rate: float = DEFAULT_LEARNING_RATE,
         question_scale: float = DEFAULT_QUESTION_SCALE,
     ) -> "ToyPolicy":

@@ -898,3 +898,76 @@ class TestManifests:
         digest = manifest["inputs"][str(records_file)]
         assert len(digest) == 64
         assert "workers" not in manifest["config"]
+
+    def test_defaults_echo_their_library_values(self, tmp_path):
+        paths = write_cli_inputs(tmp_path)
+        for command in ("train-toy", "eval"):
+            assert run(cli_argv(command, paths, tmp_path)) == 0
+        config = json.loads((tmp_path / "train-toy.out.manifest.json").read_text())["config"]
+        assert (config["half_life_days"], config["init_scale"]) == (365.0, 0.001)
+        assert json.loads((tmp_path / "eval.out.manifest.json").read_text())["config"]["k"] == "1,3"
+
+
+class TestOverwrites:
+    def test_rank_out_on_its_records_exits_2_and_keeps_them(self, records_file, capsys):
+        before = records_file.read_bytes()
+        assert run(["rank", "--records", records_file, "--out", records_file]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "validation"
+        assert "--out and --records" in payload["message"]
+        assert records_file.read_bytes() == before
+        assert not records_file.with_name("records.jsonl.manifest.json").exists()
+
+    def test_train_toy_trace_on_its_checkpoint_exits_2(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        checkpoint = tmp_path / "policy.bin"
+        argv = ["train-toy", "--records", paths["records"], "--out-policy", checkpoint, "--trace", checkpoint]
+        assert run(argv) == 2
+        assert "--trace and --out-policy" in json.loads(capsys.readouterr().err)["message"]
+        assert not list(tmp_path.glob("policy.bin*"))
+
+    def test_output_on_an_input_manifest_path_exits_2(self, records_file, tmp_path, capsys):
+        ranks = tmp_path / "ranks.jsonl"
+        records = tmp_path / "ranks.jsonl.manifest.json"
+        records.write_bytes(records_file.read_bytes())
+        assert run(["rank", "--records", records, "--out", ranks]) == 2
+        assert "the --out manifest and --records" in json.loads(capsys.readouterr().err)["message"]
+        assert not ranks.exists()
+
+
+def printed(argv, capsys) -> list[str]:
+    """stdout lines of a run that exits 0, through `main` or argparse's own exit."""
+    try:
+        code = run(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == 0
+    return capsys.readouterr().out.splitlines()
+
+
+class TestFlagEffects:
+    """Each flag changes what its subcommand prints; its default does not print that line."""
+
+    @pytest.mark.parametrize(
+        "command, flag, line",
+        [
+            # On the dump plan, without --require-code-block, 18 questions reach the quality stage.
+            ("ingest", ["--max-pool-size", "3"], "rejected_pool_too_large\t2"),
+            ("ingest", ["--max-question-tokens", "8"], "rejected_question_too_long\t12"),
+            ("ingest", ["--max-response-tokens", "4"], "rejected_response_too_long\t18"),
+            ("ingest", ["--min-votes-per-response", "1"], "rejected_votes_below_minimum\t6"),
+            ("eval", ["--ngram", "4"], "embedder\thashed_ngram(dim=256,ngram=4)"),
+            ("eval", ["--normalizer", "by_k"], "normalizer\tby_k"),
+            (None, ["--version"], "prefrank 0.1.0"),
+        ],
+    )
+    def test_flag_changes_the_output(self, dump_plan_file, tmp_path, capsys, command, flag, line):
+        if command == "ingest":
+            argv = ["ingest", dump_plan_file, "--out", tmp_path / "records.jsonl"]
+        elif command == "eval":
+            argv = cli_argv("eval", write_cli_inputs(tmp_path), tmp_path)
+        else:
+            argv = []
+        assert line in printed(argv + flag, capsys)
+        if argv:
+            assert line not in printed(argv, capsys)
