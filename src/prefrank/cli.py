@@ -13,8 +13,8 @@ mapped below, reported as its type and message), 2 validation, 3 I/O or
 file format, 4 numerically degenerate input.  No traceback is printed.
 
 This module imports only the standard library, `corpus`, `errors` and
-`constants`; each subcommand imports the numpy-backed modules it runs
-when it starts, so ``ingest`` never loads numpy.  At import (``prefrank``
+`constants`; each subcommand imports the modules it runs when it
+starts, so ``ingest`` and ``embed`` never load numpy.  At import (``prefrank``
 on the command line, ``python -m prefrank.cli``), before any subcommand
 loads numpy, this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
@@ -59,7 +59,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# The flags that name an input file; a manifest digests each one that is set.
+# The flags that name an input file; a manifest digests each one that is set and is a regular file.
 _INPUT_FLAGS = ("dump", "records", "logprobs", "generations", "embeddings", "external_scores")
 # The flags that name an output file; a manifest is written beside --out and --out-policy.
 _OUTPUT_FLAGS = ("out", "out_policy", "trace")
@@ -87,10 +87,12 @@ def _write_json(path, document) -> None:
 
 def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = None):
     config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
+    inputs = [path for path in map(vars(args).get, _INPUT_FLAGS) if path]
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in map(vars(args).get, _INPUT_FLAGS) if p},
+        # The run consumed an input that is not a regular file (a pipe, `<(...)`): null.
+        "inputs": {str(p): _sha256(p) if os.path.isfile(p) else None for p in inputs},
         "version": __version__,
     }
     if extra:
@@ -192,17 +194,17 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from . import embed, pipeline
+    from . import embed
 
     records = corpus.read_records(args.records)
     embedder = embed.HashedNgramEmbedder(dim=args.dim, ngram=args.ngram)
     texts = []
     for record in records:
-        texts.append((pipeline.question_key(record), record.question_text))
-        texts += [(pipeline.candidate_key(record, c.id), c.content) for c in record.candidates]
+        texts.append((corpus.question_key(record), record.question_text))
+        texts += [(corpus.candidate_key(record, c.id), c.content) for c in record.candidates]
     if args.generations:
         generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
-        texts += [(pipeline.generation_key(record_id), text) for record_id, text in generations.items()]
+        texts += [(corpus.generation_key(record_id), text) for record_id, text in generations.items()]
     table = {}
     for key, text in texts:
         if key in table:

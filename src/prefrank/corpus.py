@@ -1,8 +1,9 @@
 """StackExchange-style corpus ingestion and persistence.
 
 The stdlib-only I/O layer: posts dumps, records, JSON-Lines rows, the
-embedding-table TSV (numpy is imported only to read or write a table)
-and the popularity decay config, so `ingest` runs without numpy.
+embedding-table TSV and its keys (numpy is imported only to read a
+table) and the popularity decay config, so `ingest` and `embed` run
+without numpy.
 
 The pipeline mirrors how the training corpus is built: parse a Posts
 XML dump into question/answer pools, keep questions with a
@@ -22,12 +23,13 @@ import json
 import math
 import re
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 from xml.etree import ElementTree
 
 from .errors import DumpParseError, SchemaError, ValidationError
@@ -496,6 +498,26 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+GENERATION_KEY_SUFFIX = "generation"
+
+
+def question_key(record: QARecord) -> str:
+    return record.question_id
+
+
+def candidate_key(record: QARecord, candidate_id: str) -> str:
+    """A candidate's key; the id `generation` is refused, since its key would be the generation's."""
+    if candidate_id == GENERATION_KEY_SUFFIX:
+        raise ValidationError(
+            f"record {record.question_id!r}: candidate id {candidate_id!r} would share the generation's key"
+        )
+    return f"{record.question_id}/{candidate_id}"
+
+
+def generation_key(record_id: str) -> str:
+    return f"{record_id}/{GENERATION_KEY_SUFFIX}"
+
+
 # Below this norm a row's squared sum is subnormal or zero and has lost bits.
 _SAFE_NORM = math.sqrt(sys.float_info.min)
 
@@ -547,18 +569,25 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
     return table
 
 
-def write_external_embeddings(path, table: dict[str, np.ndarray]) -> None:
-    """Write the TSV format read by :func:`load_external_embeddings`; a key
-    that is empty or holds a tab, CR or LF is refused before the file opens."""
-    import numpy as np
-
+def write_external_embeddings(path, table: dict[str, Sequence[float]]) -> None:
+    """Write the TSV format read by :func:`load_external_embeddings`, each
+    value as the ``repr`` of its float64; a row may be a list or an array.
+    A key that is empty or holds a tab, CR or LF is refused before the file opens."""
     for key in table:
         if not key or "\t" in key or "\r" in key or "\n" in key:
             raise ValidationError(f"embedding key {key!r} is empty or holds a tab, CR or LF")
     with open(path, "w", encoding="utf-8") as handle:
         for key, vec in table.items():
-            floats = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
-            handle.write(f"{key}\t{floats}\n")
+            handle.write(f"{key}\t{_row_text(vec)}\n")
+
+
+def _row_text(vec: Sequence[float]) -> str:
+    # One repr per distinct float64 bit pattern: a hashed row holds a few
+    # distinct values, and bits (unlike ==) tell 0.0 from -0.0.
+    values = array("d", vec)
+    bits = array("Q", values.tobytes())
+    words = {b: repr(v) for b, v in dict(zip(bits, values)).items()}
+    return " ".join(map(words.__getitem__, bits))
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")

@@ -6,29 +6,37 @@ breaks ties in dynamic ranking, and a generation's candidate cosines for
 the hit/recall metrics.  The default embedder hashes character n-grams
 into a fixed number of signed buckets; it is a test-grade stand-in for
 any real encoder.  Vectors precomputed by an external encoder can be
-loaded from a TSV file instead (`corpus` reads and writes that format);
-`pipeline` owns its key format and chooses between a table and an
-embedder.
+loaded from a TSV file instead (`corpus` reads and writes that format
+and owns its keys); `pipeline` chooses between a table and an embedder.
+
+The embedder needs only the standard library, so ``prefrank embed``
+runs without numpy; `cosine` imports numpy when it is called.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
+import math
+from operator import mul, sub
+from typing import TYPE_CHECKING
 
 from .constants import DEFAULT_DIM, DEFAULT_NGRAM
 from .corpus import load_external_embeddings, write_external_embeddings  # noqa: F401  bench/ reads them here
 from .errors import ValidationError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # A hashed vector is dense in memory, so its width is capped far above any useful size.
 MIN_DIM, MAX_DIM = 8, 1 << 16
 
-# Per-process memo from n-gram bytes to its 64-bit digest, shared by every
-# dim.  Full, it is replaced by an empty dict rather than cleared, so a call
-# holding the old dict (another thread's) never loses a key it just added.
-_DIGEST_MEMO_LIMIT = 1 << 18
-_digest_memo: dict[bytes, int] = {}
+# Per-process memos from an n-gram to its count slot, one per dim, for at
+# most _MEMO_DIMS dims.  A full memo (or a memo for one dim too many) is
+# replaced by an empty one rather than cleared, so a call holding the old
+# memo (another thread's) never loses a key it just added.
+_SLOT_MEMO_LIMIT = 1 << 18
+_MEMO_DIMS = 4
+_slot_memos: dict[int, _SlotMemo] = {}
 
 
 def _digest(data: bytes) -> int:
@@ -36,14 +44,28 @@ def _digest(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
-def _gram_digests(grams: list[bytes]) -> np.ndarray:
-    global _digest_memo
-    memo = _digest_memo
-    if len(memo) > _DIGEST_MEMO_LIMIT:
-        memo = _digest_memo = {}
-    for gram in set(grams).difference(memo):
-        memo[gram] = _digest(gram)
-    return np.fromiter(map(memo.__getitem__, grams), dtype=np.uint64, count=len(grams))
+class _SlotMemo(dict):
+    """N-gram (a tuple of byte values) -> slot ``2 * bucket + sign bit``, filled on first lookup."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, gram: tuple[int, ...]) -> int:
+        digest = _digest(bytes(gram))
+        slot = self[gram] = (digest >> 1) % self.dim * 2 + (digest & 1)
+        return slot
+
+
+def _slot_memo(dim: int) -> _SlotMemo:
+    global _slot_memos
+    memo = _slot_memos.get(dim)
+    if memo is None or len(memo) > _SLOT_MEMO_LIMIT:
+        memo = _SlotMemo(dim)
+        if len(_slot_memos) >= _MEMO_DIMS:
+            _slot_memos = {}
+        _slot_memos[dim] = memo
+    return memo
 
 
 class HashedNgramEmbedder:
@@ -51,8 +73,8 @@ class HashedNgramEmbedder:
 
     Each n-gram's digest picks a bucket (``(digest >> 1) % dim``) and a
     sign (low bit set: +1, clear: -1).  Each distinct n-gram is hashed
-    once per process: a module-level memo (emptied past 2**18 entries)
-    maps n-gram bytes to their digest for every ``dim``.  Vectors are
+    once per process and dim: a module-level memo per dim (emptied past
+    2**18 entries) maps it to its bucket and sign.  Vectors are
     bit-identical to hashing every n-gram on every call.  The memo is
     safe to share between threads (a filled memo is replaced, never
     cleared under a reader) and is not part of a pickled embedder.
@@ -66,25 +88,34 @@ class HashedNgramEmbedder:
         self.dim = dim
         self.ngram = ngram
 
-    def embed(self, text: str) -> np.ndarray:
-        """A unit-norm float64 vector (all-zero only for empty text), bit-stable across calls."""
+    def embed(self, text: str) -> list[float]:
+        """A unit-norm vector of `dim` floats (all-zero only for empty text), bit-stable across calls.
+
+        The bucket sums are integers, so their sum of squares is exact and
+        each entry is one correctly rounded division by its square root:
+        the same floats as numpy's ``vec / np.linalg.norm(vec)``.
+        """
         dim, ngram = self.dim, self.ngram
         if not text:
-            return np.zeros(dim, dtype=np.float64)
+            return [0.0] * dim
         encoded = text.encode("utf-8")
-        grams = [encoded[i : i + ngram] for i in range(len(encoded) - ngram + 1)] or [encoded]
-        digests = _gram_digests(grams)
-        # Slot 2*bucket + sign bit, so one bincount gives both signs' counts.
-        slots = (((digests >> 1) % dim) * 2 + (digests & 1)).astype(np.intp)
-        counts = np.bincount(slots, minlength=2 * dim)
-        vec = (counts[1::2] - counts[0::2]).astype(np.float64)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        if len(encoded) >= ngram:
+            grams = zip(*(encoded[i:] for i in range(ngram)))
+        else:
+            grams = (tuple(encoded),)
+        counts = [0] * (2 * dim)
+        for slot in map(_slot_memo(dim).__getitem__, grams):
+            counts[slot] += 1
+        signed = list(map(sub, counts[1::2], counts[0::2]))
+        squares = sum(map(mul, signed, signed))
+        if not squares:
             # Signed collisions cancelled everything out; fall back to a
             # single bucket so non-empty text always has unit norm.
+            vec = [0.0] * dim
             vec[(_digest(encoded) >> 1) % dim] = 1.0
             return vec
-        return vec / norm
+        norm = math.sqrt(squares)
+        return [value / norm for value in signed]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -93,6 +124,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     The zero-vector convention keeps empty responses rankable (they fall
     to the bottom by gain) instead of aborting a whole batch.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:

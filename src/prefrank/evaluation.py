@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_KS, NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
-from .corpus import _SAFE_NORM, QARecord
+from .corpus import _SAFE_NORM, QARecord, generation_key
 from .embed import HashedNgramEmbedder, cosine
 from .errors import ValidationError
-from .pipeline import generation_key, resolve_vectors
+from .pipeline import resolve_vectors
 
 
 def pool_similarities(
@@ -156,18 +156,19 @@ def bleu(candidate: str, references: list[str], max_n: int = 4) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0] * (len(b) + 1)
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous = current
-    return previous[-1]
+    """Length of a longest common subsequence, by the bit-parallel LCS of
+    Allison-Dix and Hyyro.  The cleared bits of `v` mark the columns of `b`
+    where the dynamic-programming row steps up by one, so their count is the
+    LCS length; one int addition per token of `a` updates every column."""
+    matches: dict[str, int] = {}
+    for j, token in enumerate(b):
+        matches[token] = matches.get(token, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & matches.get(token, 0)
+        v = (v + u) | (v - u)
+    return len(b) - (v & full).bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:

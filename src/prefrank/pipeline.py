@@ -1,8 +1,9 @@
 """Assembly of per-record perception state.
 
 Bridges the corpus, embedding, distance-factor, and ranking layers.
-`resolve_vectors` is the one place vectors come from: an embedding table
-read by the keys defined here, or an embedder.  `build_perception` takes
+`resolve_vectors` is the one place vectors come from, and the one place
+they become numpy arrays: an embedding table read by `corpus`'s keys, or
+an embedder's float lists.  `build_perception` takes
 the question/candidate cosines once and derives the gain vectors, the
 single and fused distance matrices, the semantic rank, and the dynamic
 ranking.  Everything downstream (losses, training, evaluation, the CLI)
@@ -16,30 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apdf import ApdfMatrix, multi_apdf, popularity_gains, semantic_gains, single_apdf
-from .corpus import DecayConfig, QARecord
+from .corpus import DecayConfig, QARecord, candidate_key, question_key
 from .embed import HashedNgramEmbedder, cosine
 from .errors import ValidationError
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
-
-
-GENERATION_KEY_SUFFIX = "generation"
-
-
-def question_key(record: QARecord) -> str:
-    return record.question_id
-
-
-def candidate_key(record: QARecord, candidate_id: str) -> str:
-    """A candidate's key; the id `generation` is refused, since its key would be the generation's."""
-    if candidate_id == GENERATION_KEY_SUFFIX:
-        raise ValidationError(
-            f"record {record.question_id!r}: candidate id {candidate_id!r} would share the generation's key"
-        )
-    return f"{record.question_id}/{candidate_id}"
-
-
-def generation_key(record_id: str) -> str:
-    return f"{record_id}/{GENERATION_KEY_SUFFIX}"
 
 
 def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
@@ -60,15 +41,16 @@ def resolve_vectors(
     """Vectors of an anchor (the question or a generation) and the candidates.
 
     A table is read by `key` and the candidate keys, where a missing key is
-    an error rather than a silent fallback; an embedder embeds the texts.
+    an error rather than a silent fallback; an embedder embeds the texts,
+    and each vector it returns becomes a float64 array here.
     """
     if table is not None:
         anchor = table_vector(table, key)
         return anchor, [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
     if embedder is None:
         raise ValidationError("either an embedder or an embedding table is required")
-    anchor = embedder.embed(text)
-    return anchor, [embedder.embed(c.content) for c in record.candidates]
+    anchor = np.asarray(embedder.embed(text), dtype=np.float64)
+    return anchor, [np.asarray(embedder.embed(c.content), dtype=np.float64) for c in record.candidates]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """End-to-end subcommand behavior, exit codes, and manifests."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from conftest import (
     question_row,
     write_cli_inputs,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(args):
@@ -898,6 +905,28 @@ class TestManifests:
         digest = manifest["inputs"][str(records_file)]
         assert len(digest) == 64
         assert "workers" not in manifest["config"]
+
+    def test_input_read_from_a_fifo_has_a_null_digest(self, records_file, tmp_path):
+        # In a child with a timeout: digesting the FIFO after the run would block for a writer.
+        fifo = tmp_path / "records.fifo"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_bytes, args=(records_file.read_bytes(),), daemon=True)
+        feeder.start()
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "prefrank.cli", "rank", "--records", fifo, "--out", tmp_path / "piped.jsonl"],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+                capture_output=True, text=True, timeout=60,
+            )
+        finally:
+            feeder.join(timeout=10)
+            if feeder.is_alive():  # the child never opened the FIFO; release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        assert done.returncode == 0, done.stderr
+        assert run(["rank", "--records", records_file, "--out", tmp_path / "ranks.jsonl"]) == 0
+        assert (tmp_path / "piped.jsonl").read_bytes() == (tmp_path / "ranks.jsonl").read_bytes()
+        manifest = json.loads((tmp_path / "piped.jsonl.manifest.json").read_text())
+        assert manifest["inputs"] == {str(fifo): None}
 
     def test_defaults_echo_their_library_values(self, tmp_path):
         paths = write_cli_inputs(tmp_path)

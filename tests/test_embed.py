@@ -21,6 +21,9 @@ from prefrank.embed import (
     write_external_embeddings,
 )
 from prefrank.errors import SchemaError, ValidationError
+from prefrank.pipeline import resolve_vectors
+
+from conftest import make_record
 
 
 def reference_embed(text: str, dim: int, ngram: int) -> np.ndarray:
@@ -70,7 +73,7 @@ TABLE_TOKENS = {
 class TestHashedNgramEmbed:
     def test_empty_text_is_zero_vector(self):
         vec = HashedNgramEmbedder().embed("")
-        assert not vec.any()
+        assert not np.asarray(vec).any()
 
     def test_nonempty_text_is_unit_norm(self):
         for text in ("a", "fn main()", "x" * 500, "日本語のテキスト"):
@@ -79,7 +82,7 @@ class TestHashedNgramEmbed:
     def test_deterministic(self):
         a = HashedNgramEmbedder().embed("def f(x): return x + 1")
         b = HashedNgramEmbedder().embed("def f(x): return x + 1")
-        assert a.tobytes() == b.tobytes()
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_self_similarity(self):
         vec = HashedNgramEmbedder().embed("fn main()")
@@ -95,7 +98,7 @@ class TestHashedNgramEmbed:
                 HashedNgramEmbedder(dim=dim)
         with pytest.raises(ValidationError, match="ngram must be >= 1, got 0"):
             HashedNgramEmbedder(ngram=0)
-        assert HashedNgramEmbedder(dim=MAX_DIM).embed("x").shape == (MAX_DIM,)
+        assert np.asarray(HashedNgramEmbedder(dim=MAX_DIM).embed("x")).shape == (MAX_DIM,)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -107,12 +110,13 @@ class TestHashedNgramEmbed:
     @example(text="ab", ngram=3, dims=(8, 256))
     @example(text="é", ngram=5, dims=(64, 17))
     def test_bit_identical_to_per_gram_loop(self, text, ngram, dims):
-        # Both dims in one call: the memo holds one digest per gram for
-        # every dim, so the second embedding reads what the first stored.
+        # Both dims in one call: each dim has its own memo, and a gram
+        # hashed for one dim is hashed again for the other.
         for dim in dims:
             got = HashedNgramEmbedder(dim, ngram).embed(text)
-            assert got.dtype == np.float64
-            assert got.tobytes() == reference_embed(text, dim, ngram).tobytes()
+            assert type(got) is list and all(type(value) is float for value in got)
+            assert np.asarray(got).dtype == np.float64
+            assert np.asarray(got).tobytes() == reference_embed(text, dim, ngram).tobytes()
 
     def test_cancelled_collisions_fall_back_to_one_bucket(self):
         # At dim=8, ngram=3 the grams "aaa" and "aab" share a bucket with
@@ -124,37 +128,49 @@ class TestHashedNgramEmbed:
             value = int.from_bytes(hashlib.blake2b(gram, digest_size=8).digest(), "big")
             raw[(value >> 1) % 8] += 1.0 if value & 1 else -1.0
         assert not raw.any()
-        vec = HashedNgramEmbedder(8, 3).embed(text)
+        vec = np.asarray(HashedNgramEmbedder(8, 3).embed(text))
         assert vec.tobytes() == reference_embed(text, 8, 3).tobytes()
         assert np.count_nonzero(vec) == 1 and vec.max() == 1.0
 
     def test_full_memo_is_replaced(self, monkeypatch):
-        monkeypatch.setattr(embed, "_DIGEST_MEMO_LIMIT", 16)
-        monkeypatch.setattr(embed, "_digest_memo", {})
+        monkeypatch.setattr(embed, "_SLOT_MEMO_LIMIT", 16)
+        monkeypatch.setattr(embed, "_slot_memos", {})
         for i in range(40):
             text = f"row {i} of the table"
-            assert HashedNgramEmbedder().embed(text).tobytes() == reference_embed(text, 256, 3).tobytes()
+            got = HashedNgramEmbedder().embed(text)
+            assert np.asarray(got).tobytes() == reference_embed(text, 256, 3).tobytes()
             # Replaced before a call once past the limit, so at most one
             # text's grams beyond it.
-            assert len(embed._digest_memo) <= 16 + len(text)
+            assert len(embed._slot_memos[256]) <= 16 + len(text)
+
+    def test_memos_are_kept_for_a_bounded_number_of_dims(self, monkeypatch):
+        monkeypatch.setattr(embed, "_slot_memos", {})
+        for dim in range(8, 8 + 3 * embed._MEMO_DIMS):
+            got = HashedNgramEmbedder(dim).embed("bounded memo")
+            assert np.asarray(got).tobytes() == reference_embed("bounded memo", dim, 3).tobytes()
+            assert dim in embed._slot_memos
+            assert len(embed._slot_memos) <= embed._MEMO_DIMS
 
     def test_threads_share_a_memo_that_keeps_filling_up(self, monkeypatch):
-        monkeypatch.setattr(embed, "_DIGEST_MEMO_LIMIT", 8)
+        # Two dims with room for one memo: the threads also replace each other's memos.
+        monkeypatch.setattr(embed, "_SLOT_MEMO_LIMIT", 8)
+        monkeypatch.setattr(embed, "_MEMO_DIMS", 1)
         texts = [f"thread-safe text {i} " * (1 + i % 3) for i in range(200)]
-        expected = [reference_embed(text, 64, 3).tobytes() for text in texts]
-        embedder = HashedNgramEmbedder(64, 3)
+        dims = (64, 72, 64, 72)
+        expected = [[reference_embed(text, dim, 3).tobytes() for text in texts] for dim in dims]
+
+        def embed_all(embedder):
+            return [np.asarray(embedder.embed(t)).tobytes() for t in texts]
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(lambda: [embedder.embed(t).tobytes() for t in texts])
-                    for _ in range(4)
-                ]
+                futures = [pool.submit(embed_all, HashedNgramEmbedder(dim, 3)) for dim in dims]
                 results = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [expected] * 4
+        assert results == expected
 
     def test_memo_stays_out_of_pickled_embedder(self):
         embedder = HashedNgramEmbedder()
@@ -162,6 +178,17 @@ class TestHashedNgramEmbed:
         for i in range(500):
             embedder.embed(f"text number {i}: " + "xyz" * (i % 7))
         assert len(pickle.dumps(embedder)) == before
+
+
+class TestResolveVectors:
+    def test_hashed_vectors_become_float64_arrays(self):
+        record = make_record(question_text="how do I sort a dict?")
+        embedder = HashedNgramEmbedder(64, 3)
+        anchor, pool = resolve_vectors("q1", record.question_text, record, embedder=embedder)
+        texts = [record.question_text, *(c.content for c in record.candidates)]
+        for vec, text in zip([anchor, *pool], texts, strict=True):
+            assert isinstance(vec, np.ndarray) and vec.dtype == np.float64
+            assert vec.tobytes() == reference_embed(text, 64, 3).tobytes()
 
 
 class TestCosine:
@@ -310,6 +337,25 @@ class TestExternalEmbeddings:
         want, got = load_external_embeddings(lf), load_external_embeddings(crlf)
         assert list(got) == ["a", "b"]
         assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 0.5, -0.5]), min_size=1, max_size=12))
+    @example(row=[0.0, -0.0, 0.0, -0.0])
+    def test_list_and_array_rows_write_the_same_bytes(self, tmp_path_factory, row):
+        work = tmp_path_factory.mktemp("rows")
+        hashed = HashedNgramEmbedder(16).embed("a hashed row")
+        tables = {
+            "list": {"row": row, "hashed": hashed},
+            "array": {"row": np.array(row), "hashed": np.array(hashed)},
+        }
+        for name, table in tables.items():
+            write_external_embeddings(work / f"{name}.tsv", table)
+        written = (work / "list.tsv").read_bytes()
+        assert written == (work / "array.tsv").read_bytes()
+        # Each value is the repr of its float64, as a per-value join writes it.
+        assert written.decode() == "".join(
+            f"{key}\t{' '.join(map(repr, vec))}\n" for key, vec in tables["list"].items()
+        )
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prefrank.embed import HashedNgramEmbedder
 from prefrank.errors import ValidationError
@@ -9,6 +11,7 @@ from prefrank.evaluation import (
     NORMALIZER_BY_K,
     NORMALIZER_PAPER_HALF,
     RecordOutcome,
+    _lcs_length,
     best_match,
     bleu,
     evaluate_dataset,
@@ -206,7 +209,35 @@ class TestBleu:
             assert 0.0 <= bleu(cand, [ref]) <= 1.0
 
 
+def reference_lcs_length(a: list[str], b: list[str]) -> int:
+    """The row-by-row dynamic program the bit-parallel LCS must reproduce."""
+    if not a or not b:
+        return 0
+    previous = [0] * (len(b) + 1)
+    for token_a in a:
+        current = [0] * (len(b) + 1)
+        for j, token_b in enumerate(b, start=1):
+            if token_a == token_b:
+                current[j] = previous[j - 1] + 1
+            else:
+                current[j] = max(previous[j], current[j - 1])
+        previous = current
+    return previous[-1]
+
+
 class TestRougeL:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.lists(st.sampled_from("abcd"), max_size=40),
+        b=st.lists(st.sampled_from("abcde"), max_size=90),
+    )
+    @example(a=[], b=["a"])
+    @example(a=["a"], b=[])
+    @example(a=["a"] * 70, b=["a"] * 70)
+    def test_lcs_equals_dynamic_program(self, a, b):
+        assert _lcs_length(a, b) == reference_lcs_length(a, b)
+        assert _lcs_length(b, a) == reference_lcs_length(a, b)
+
     def test_identical(self):
         assert rouge_l("a b c", "a b c") == 1.0
 

@@ -145,7 +145,7 @@ def test_cli_import_and_decay_config_load_no_numpy():
     "command, loaded",
     [
         ("ingest", CLI_MODULES),
-        ("embed", PERCEPTION_MODULES),
+        ("embed", CLI_MODULES | {"prefrank.embed"}),
         ("rank", PERCEPTION_MODULES),
         ("export-heatmap", PERCEPTION_MODULES),
         ("loss", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
