@@ -572,21 +572,26 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
 def write_external_embeddings(path, table: dict[str, Sequence[float]]) -> None:
     """Write the TSV format read by :func:`load_external_embeddings`, each
     value as the ``repr`` of its float64; a row may be a list or an array.
-    A key that is empty or holds a tab, CR or LF is refused before the file opens."""
-    for key in table:
+    A key that is empty or holds a tab, CR or LF is refused before the file
+    opens, and so is a NaN or infinite value, which the reader would refuse."""
+    lines = []
+    for key, vec in table.items():
         if not key or "\t" in key or "\r" in key or "\n" in key:
             raise ValidationError(f"embedding key {key!r} is empty or holds a tab, CR or LF")
+        lines.append(f"{key}\t{_row_text(key, vec)}\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for key, vec in table.items():
-            handle.write(f"{key}\t{_row_text(vec)}\n")
+        handle.writelines(lines)
 
 
-def _row_text(vec: Sequence[float]) -> str:
+def _row_text(key: str, vec: Sequence[float]) -> str:
     # One repr per distinct float64 bit pattern: a hashed row holds a few
     # distinct values, and bits (unlike ==) tell 0.0 from -0.0.
     values = array("d", vec)
     bits = array("Q", values.tobytes())
-    words = {b: repr(v) for b, v in dict(zip(bits, values)).items()}
+    distinct = dict(zip(bits, values))
+    if not all(map(math.isfinite, distinct.values())):
+        raise ValidationError(f"embedding {key!r} holds a NaN or infinite value")
+    words = {b: repr(v) for b, v in distinct.items()}
     return " ".join(map(words.__getitem__, bits))
 
 

@@ -16,13 +16,14 @@ supported: ``literal`` takes positives from dynamic-rank positions
 1..M-1 (the top response is handled by the alignment loss alone) and
 ``top_anchored`` takes positions 0..M-2.
 
-All rounds are computed at once: row r of an (M-1) x M weight matrix
-holds round r's reward at its positive and the penalties at its
-negatives, and one row-wise logsumexp over score + log(weight) gives
-every round's softmax.  A zero penalty is log 0 = -inf there, so that
-negative adds nothing to its round.  The cost is O(M^2 log M), the row
-sorts; ``reward_weight`` and ``penalty_weights`` read single rows of
-the same arrays.
+All rounds are computed at once: ``comparison_rounds`` builds an
+(M-1) x M weight matrix whose row r holds round r's reward at its
+positive and the penalties at its negatives, and ``weighted_rounds``
+takes one row-wise logsumexp over score + log(weight) for every round's
+softmax.  A zero weight is log 0 = -inf there, so that candidate adds
+nothing to its round.  The cost is O(M^2 log M), the row sorts;
+``reward_weight`` and ``penalty_weights`` read single rows of the same
+arrays.  ``plackett_luce_loss`` runs the same rounds with 0/1 weights.
 """
 
 from __future__ import annotations
@@ -63,11 +64,6 @@ class LossBreakdown:
 
     def to_dict(self) -> dict:
         return {"l_pa": self.l_pa, "l_pc": self.l_pc, "alpha": self.alpha, "total": self.total}
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = float(np.max(values))
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
 
 
 def validate_policy_scores(pi_s: np.ndarray, size: int | None = None) -> np.ndarray:
@@ -176,23 +172,15 @@ def perceptual_comparison_loss(
     return comparison_loss_and_score_grad(pi_s, d_r, single_matrices, multi, mode)[0]
 
 
-def comparison_loss_and_score_grad(
-    pi_s: np.ndarray,
-    d_r: DynamicRanking,
-    single_matrices: list[ApdfMatrix],
-    multi: ApdfMatrix,
-    mode: str = MODE_LITERAL,
-) -> tuple[float, np.ndarray]:
-    """Comparison loss plus its gradient with respect to the score vector.
+def comparison_rounds(
+    d_r: DynamicRanking, single_matrices: list[ApdfMatrix], multi: ApdfMatrix, mode: str = MODE_LITERAL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each round's positive and the (M-1) x M matrix of its reward and penalty weights.
 
-    Each round's softmax runs over the positive, then every negative whose
-    penalty weight is strictly positive; zero-weight negatives contribute
-    nothing to the denominator and are dropped.  The first round whose
-    reward is zero raises ``DegenerateInputError`` naming it; a reward
-    that overflows to a non-finite value raises ``ValidationError``.
+    A zero reward raises ``DegenerateInputError`` naming its round; an
+    overflowing one, ``ValidationError``.
     """
     size = multi.size
-    pi_s = validate_policy_scores(pi_s, size)
     if size < 2:
         raise ValidationError("comparison loss requires a pool of at least 2 candidates")
     positives = np.array(comparison_round_positives(d_r, mode), dtype=np.intp)
@@ -210,19 +198,43 @@ def comparison_loss_and_score_grad(
     weights = np.zeros((positives.size, size))
     weights[rounds[:, None], negatives] = penalties
     weights[rounds, positives] = rewards
-    # Scores overwrite the weights and the softmax is normalized in place,
-    # which keeps the loss's peak memory to a few (M-1) x M arrays.
+    return positives, weights
+
+
+def weighted_rounds(
+    scores: np.ndarray, positives: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed loss, score gradient and per-round softmax of weighted rounds.
+
+    Round r is a softmax over scores + log(weights[r]) with target
+    ``positives[r]``; a zero weight gives its candidate probability 0.0.
+    The logits overwrite ``weights`` and the softmax is normalized in
+    place, which keeps the peak memory to a few rounds x M arrays.
+    """
     with np.errstate(divide="ignore"):
         log_scores = np.log(weights, out=weights)
-    log_scores += pi_s
+    log_scores += scores
     peak = log_scores.max(axis=1, keepdims=True)
     probs = log_scores - peak
     np.exp(probs, out=probs)
     totals = probs.sum(axis=1, keepdims=True)
-    loss = float(np.sum(peak[:, 0] + np.log(totals[:, 0]) - log_scores[rounds, positives]))
+    loss = float(np.sum(peak[:, 0] + np.log(totals[:, 0]) - log_scores[np.arange(positives.size), positives]))
     probs /= totals
-    grad = probs.sum(axis=0) - np.bincount(positives, minlength=size)
-    return loss, grad
+    grad = probs.sum(axis=0) - np.bincount(positives, minlength=scores.size)
+    return loss, grad, probs
+
+
+def comparison_loss_and_score_grad(
+    pi_s: np.ndarray,
+    d_r: DynamicRanking,
+    single_matrices: list[ApdfMatrix],
+    multi: ApdfMatrix,
+    mode: str = MODE_LITERAL,
+) -> tuple[float, np.ndarray]:
+    """Comparison loss plus its gradient with respect to the score vector."""
+    pi_s = validate_policy_scores(pi_s, multi.size)
+    positives, weights = comparison_rounds(d_r, single_matrices, multi, mode)
+    return weighted_rounds(pi_s, positives, weights)[:2]
 
 
 def check_alpha(alpha: float) -> float:
@@ -274,27 +286,19 @@ def plackett_luce_loss(
     """Negative log-likelihood of a full ranking under the listwise model.
 
     Rewards are beta * (pi_theta - pi_ref); the preferred candidate comes
-    first in ``ranking``.  For M == 2 this reduces exactly to
-    :func:`dpo_pair_loss`.
+    first in ``ranking``.  The loss is ``weighted_rounds`` with 0/1 weights;
+    for M == 2 it is :func:`dpo_pair_loss` up to rounding.
     """
     if beta <= 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
-    pi_theta = np.asarray(pi_theta, dtype=np.float64)
-    pi_ref = np.asarray(pi_ref, dtype=np.float64)
-    if pi_theta.shape != pi_ref.shape:
-        raise ValidationError(
-            f"length mismatch: {pi_theta.size} policy scores vs {pi_ref.size} reference scores"
-        )
+    pi_theta = validate_policy_scores(pi_theta)
+    pi_ref = validate_policy_scores(pi_ref, pi_theta.size)
     size = pi_theta.size
     if size < 2:
         raise ValidationError("listwise loss requires at least 2 candidates")
     if sorted(ranking) != list(range(size)):
         raise ValidationError("ranking must be a permutation of 0..M-1")
-    if not (np.all(np.isfinite(pi_theta)) and np.all(np.isfinite(pi_ref))):
-        raise ValidationError("log-probability inputs must be finite")
-    rewards = beta * (pi_theta - pi_ref)
-    ordered = rewards[np.asarray(ranking, dtype=np.int64)]
-    loss = 0.0
-    for m in range(size - 1):
-        loss += _logsumexp(ordered[m:]) - float(ordered[m])
-    return loss
+    # Round r's positive is order[r]; weight 1 on each candidate not yet placed (position >= r).
+    order = np.asarray(ranking, dtype=np.intp)
+    weights = np.triu(np.ones((size - 1, size)))[:, np.argsort(order)]
+    return weighted_rounds(beta * (pi_theta - pi_ref), order[:-1], weights)[0]

@@ -339,7 +339,13 @@ class TestExternalEmbeddings:
         assert all(got[key].tobytes() == want[key].tobytes() for key in want)
 
     @settings(max_examples=60, deadline=None)
-    @given(row=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 0.5, -0.5]), min_size=1, max_size=12))
+    @given(
+        row=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+            min_size=1,
+            max_size=12,
+        )
+    )
     @example(row=[0.0, -0.0, 0.0, -0.0])
     def test_list_and_array_rows_write_the_same_bytes(self, tmp_path_factory, row):
         work = tmp_path_factory.mktemp("rows")
@@ -356,6 +362,14 @@ class TestExternalEmbeddings:
         assert written.decode() == "".join(
             f"{key}\t{' '.join(map(repr, vec))}\n" for key, vec in tables["list"].items()
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_non_finite_value_refused_before_the_file_opens(self, tmp_path, bad, kind):
+        path = tmp_path / "emb.tsv"
+        with pytest.raises(ValidationError, match="embedding 'b' holds a NaN or infinite value"):
+            write_external_embeddings(path, {"a": kind([1.0, 0.0]), "b": kind([0.5, bad, 0.5])})
+        assert not path.exists()
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

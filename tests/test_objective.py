@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefrank.apdf import ApdfMatrix
 from prefrank.errors import DegenerateInputError, ValidationError
@@ -14,6 +16,7 @@ from prefrank.objective import (
     _reward_weights,
     comparison_loss_and_score_grad,
     comparison_round_positives,
+    comparison_rounds,
     dpo_pair_loss,
     penalty_weights,
     perceptual_alignment_loss,
@@ -22,6 +25,7 @@ from prefrank.objective import (
     policy_scores_from_logprobs,
     reward_weight,
     total_loss,
+    weighted_rounds,
 )
 from prefrank.ranking import DynamicRanking, dynamic_rank
 
@@ -70,6 +74,17 @@ def reference_comparison(pi_s, d_r, singles, multi, mode=MODE_LITERAL):
             grad[candidate] += p
         grad[b] -= 1.0
     return loss, grad
+
+
+def reference_plackett_luce(pi_theta, pi_ref, ranking, beta):
+    """The listwise loss as one logsumexp per position, kept as the
+    reference the weighted-rounds version is checked against."""
+    ordered = (beta * (np.asarray(pi_theta) - np.asarray(pi_ref)))[np.asarray(ranking)]
+    loss = 0.0
+    for m in range(ordered.size - 1):
+        peak = float(np.max(ordered[m:]))
+        loss += peak + math.log(float(np.sum(np.exp(ordered[m:] - peak)))) - float(ordered[m])
+    return loss
 
 
 class TestPerceptualAlignmentLoss:
@@ -559,3 +574,45 @@ class TestPlackettLuceLoss:
                 beta=float(rng.uniform(0.05, 2.0)),
             )
             assert loss >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(2, 39), beta=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_one_logsumexp_per_position(self, size, beta, seed):
+        rng = np.random.default_rng(seed)
+        pi_theta, pi_ref = rng.uniform(-20, 0, size=size), rng.uniform(-20, 0, size=size)
+        ranking = [int(i) for i in rng.permutation(size)]
+        loss = plackett_luce_loss(pi_theta, pi_ref, ranking, beta)
+        expected = reference_plackett_luce(pi_theta, pi_ref, ranking, beta)
+        assert abs(loss - expected) <= 1e-14 * max(1.0, expected)
+
+    def test_non_finite_scores_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                plackett_luce_loss(np.array([0.0, bad]), np.zeros(2), [0, 1], 1.0)
+            with pytest.raises(ValidationError):
+                plackett_luce_loss(np.zeros(2), np.array([bad, 0.0]), [0, 1], 1.0)
+
+
+class TestWeightedRounds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(2, 39),
+        quantized=st.booleans(),
+        mode=st.sampled_from([MODE_LITERAL, MODE_TOP_ANCHORED]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_round_is_a_softmax_over_its_nonzero_weights(self, size, quantized, mode, seed):
+        rng = np.random.default_rng(seed)
+        if quantized:
+            singles, multi = quantized_pool_matrices(rng, size)
+        else:
+            _, singles, multi = random_pool_matrices(rng, size)
+        d_r = dynamic_rank(multi, random_semantic_rank(rng, size))
+        try:
+            positives, weights = comparison_rounds(d_r, singles, multi, mode)
+        except DegenerateInputError:
+            return
+        zero = weights == 0.0
+        _, _, probs = weighted_rounds(rng.uniform(-30, 0, size=size), positives, weights)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.all(probs[zero] == 0.0)
