@@ -14,8 +14,9 @@ file format, 4 numerically degenerate input.  No traceback is printed.
 
 This module imports only the standard library, `corpus`, `errors` and
 `constants`; each subcommand imports the modules it runs when it
-starts, so ``ingest`` and ``embed`` never load numpy.  At import (``prefrank``
-on the command line, ``python -m prefrank.cli``), before any subcommand
+starts: ``ingest`` and ``embed`` never load numpy, and ``eval`` only to
+read a table or correlate external scores.  At import (``prefrank`` on
+the command line, ``python -m prefrank.cli``), before any subcommand
 loads numpy, this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
 already set.  prefrank's BLAS calls are vector products, nearly all of
@@ -107,6 +108,8 @@ def _parse_ks(value: str) -> tuple[int, ...]:
         raise ValidationError(f"bad k list {value!r}: {exc}") from exc
     if not ks or any(k < 1 for k in ks):
         raise ValidationError(f"k values must be positive integers, got {value!r}")
+    if len(set(ks)) < len(ks):
+        raise ValidationError(f"k value {max(ks, key=ks.count)} is repeated in {value!r}")
     return ks
 
 

@@ -7,10 +7,11 @@ the hit/recall metrics.  The default embedder hashes character n-grams
 into a fixed number of signed buckets; it is a test-grade stand-in for
 any real encoder.  Vectors precomputed by an external encoder can be
 loaded from a TSV file instead (`corpus` reads and writes that format
-and owns its keys); `pipeline` chooses between a table and an embedder.
+and owns its keys); `resolve_vectors` picks a table or an embedder.
 
-The embedder needs only the standard library, so ``prefrank embed``
-runs without numpy; `cosine` imports numpy when it is called.
+The embedder and `resolve_vectors` need only the standard library, so
+``prefrank embed`` and a hashed ``prefrank eval`` run without numpy;
+`cosine` imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import math
 from operator import mul, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .constants import DEFAULT_DIM, DEFAULT_NGRAM
+from .corpus import QARecord, candidate_key
 from .corpus import load_external_embeddings, write_external_embeddings  # noqa: F401  bench/ reads them here
 from .errors import ValidationError
 
@@ -135,3 +137,29 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
+    """The vector stored under `key`; a missing key is an error naming it."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ValidationError(f"no embedding for key {key!r}") from None
+
+
+def resolve_vectors(
+    key: str,
+    text: str,
+    record: QARecord,
+    embedder: HashedNgramEmbedder | None = None,
+    table: dict[str, np.ndarray] | None = None,
+) -> tuple[Sequence[float], list[Sequence[float]]]:
+    """Vectors of an anchor (the question or a generation) and the candidates:
+    a table's rows under `key` and the candidate keys, as stored (a missing key
+    is an error, not a fallback), or the embedder's float lists for the texts."""
+    if table is not None:
+        anchor = table_vector(table, key)
+        return anchor, [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
+    if embedder is None:
+        raise ValidationError("either an embedder or an embedding table is required")
+    return embedder.embed(text), [embedder.embed(c.content) for c in record.candidates]

@@ -1,13 +1,12 @@
 """Assembly of per-record perception state.
 
 Bridges the corpus, embedding, distance-factor, and ranking layers.
-`resolve_vectors` is the one place vectors come from, and the one place
-they become numpy arrays: an embedding table read by `corpus`'s keys, or
-an embedder's float lists.  `build_perception` takes
-the question/candidate cosines once and derives the gain vectors, the
-single and fused distance matrices, the semantic rank, and the dynamic
-ranking.  Everything downstream (losses, training, evaluation, the CLI)
-consumes the resulting bundle.
+Vectors come from `embed.resolve_vectors` (an embedding table read by
+`corpus`'s keys, or an embedder's float lists); `build_perception` makes
+them float64 arrays, takes the question/candidate cosines once and
+derives the gain vectors, the single and fused distance matrices, the
+semantic rank, and the dynamic ranking.  Losses, training and the
+``rank`` and ``export-heatmap`` subcommands consume the resulting bundle.
 """
 
 from __future__ import annotations
@@ -17,40 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apdf import ApdfMatrix, multi_apdf, popularity_gains, semantic_gains, single_apdf
-from .corpus import DecayConfig, QARecord, candidate_key, question_key
-from .embed import HashedNgramEmbedder, cosine
-from .errors import ValidationError
+from .corpus import DecayConfig, QARecord, question_key
+from .embed import HashedNgramEmbedder, cosine, resolve_vectors, table_vector  # noqa: F401  re-exported
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
-
-
-def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
-    """The vector stored under `key`; a missing key is an error naming it."""
-    try:
-        return table[key]
-    except KeyError:
-        raise ValidationError(f"no embedding for key {key!r}") from None
-
-
-def resolve_vectors(
-    key: str,
-    text: str,
-    record: QARecord,
-    embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Vectors of an anchor (the question or a generation) and the candidates.
-
-    A table is read by `key` and the candidate keys, where a missing key is
-    an error rather than a silent fallback; an embedder embeds the texts,
-    and each vector it returns becomes a float64 array here.
-    """
-    if table is not None:
-        anchor = table_vector(table, key)
-        return anchor, [table_vector(table, candidate_key(record, c.id)) for c in record.candidates]
-    if embedder is None:
-        raise ValidationError("either an embedder or an embedding table is required")
-    anchor = np.asarray(embedder.embed(text), dtype=np.float64)
-    return anchor, [np.asarray(embedder.embed(c.content), dtype=np.float64) for c in record.candidates]
 
 
 @dataclass(frozen=True)
@@ -81,6 +49,7 @@ def build_perception(
     question, candidates = resolve_vectors(
         question_key(record), record.question_text, record, embedder=embedder, table=table
     )
+    question = np.asarray(question, dtype=np.float64)  # `cosine` converts each candidate once
     similarities = np.array([cosine(question, c) for c in candidates])
     gains = [
         semantic_gains(similarities),

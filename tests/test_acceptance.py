@@ -224,7 +224,7 @@ class TestCriterion6MetricSanity:
                 gold=(0, 1, 2, 3),
             )
             sims = pool_similarities(best, record, embedder=embedder)
-            assert [int(x) for x in np.argsort(-sims, kind="stable")] == [0, 1, 2, 3]
+            assert [int(x) for x in np.argsort(-np.asarray(sims), kind="stable")] == [0, 1, 2, 3]
             outcomes.append(
                 RecordOutcome(record_id=record.question_id, similarities=sims, gold_ranking=record.gold_ranking)
             )

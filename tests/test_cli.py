@@ -739,6 +739,13 @@ class TestEval:
         assert report["safer_hit"] == 1.0
         assert report["n_records"] == 4
 
+    def test_repeated_k_is_refused_naming_it(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv("eval", paths, tmp_path) + ["--k", "3,1,3"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "validation", "message": "k value 3 is repeated in '3,1,3'"}
+        assert not list(tmp_path.glob("eval.out*"))
+
     @staticmethod
     def external_score_inputs(tmp_path, scores):
         """Five two-candidate records, their generations and a scores file.

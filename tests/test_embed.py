@@ -12,18 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefrank import embed
+from prefrank import embed, pipeline
+from prefrank.apdf import semantic_gains, single_apdf
+from prefrank.corpus import candidate_key, question_key
 from prefrank.embed import (
     MAX_DIM,
     HashedNgramEmbedder,
     cosine,
     load_external_embeddings,
+    resolve_vectors,
     write_external_embeddings,
 )
 from prefrank.errors import SchemaError, ValidationError
-from prefrank.pipeline import resolve_vectors
 
-from conftest import make_record
+from conftest import make_candidate, make_record
 
 
 def reference_embed(text: str, dim: int, ngram: int) -> np.ndarray:
@@ -181,14 +183,34 @@ class TestHashedNgramEmbed:
 
 
 class TestResolveVectors:
-    def test_hashed_vectors_become_float64_arrays(self):
-        record = make_record(question_text="how do I sort a dict?")
+    def test_embedder_lists_and_table_rows_come_back_as_given(self):
+        texts = ("sorted(d.items(), key=itemgetter(1))", "sort the dict by value", "a heap of dicts")
+        record = make_record(
+            question_text="how do I sort a dict?",
+            candidates=[make_candidate(c, content=text, votes=c) for c, text in enumerate(texts)],
+        )
         embedder = HashedNgramEmbedder(64, 3)
         anchor, pool = resolve_vectors("q1", record.question_text, record, embedder=embedder)
         texts = [record.question_text, *(c.content for c in record.candidates)]
         for vec, text in zip([anchor, *pool], texts, strict=True):
-            assert isinstance(vec, np.ndarray) and vec.dtype == np.float64
-            assert vec.tobytes() == reference_embed(text, 64, 3).tobytes()
+            assert type(vec) is list and vec == embedder.embed(text)
+            assert np.asarray(vec).tobytes() == reference_embed(text, 64, 3).tobytes()
+        keys = [question_key(record), *(candidate_key(record, c.id) for c in record.candidates)]
+        table = {key: np.asarray(vec) for key, vec in zip(keys, [anchor, *pool])}
+        rows = resolve_vectors(keys[0], "", record, table=table)
+        assert rows[0] is table[keys[0]]
+        assert all(row is table[key] for row, key in zip(rows[1], keys[1:], strict=True))
+        assert pipeline.resolve_vectors is resolve_vectors
+
+        hashed = pipeline.build_perception(record, embedder=embedder)
+        tabled = pipeline.build_perception(record, table=table)
+        reference = [reference_embed(text, 64, 3) for text in texts]
+        sims = np.array([cosine(reference[0], vec) for vec in reference[1:]])
+        assert hashed.singles[0].values.tobytes() == single_apdf(semantic_gains(sims)).values.tobytes()
+        for a, b in zip([*hashed.singles, hashed.multi], [*tabled.singles, tabled.multi], strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+        assert hashed.arank.rank_of.tobytes() == tabled.arank.rank_of.tobytes()
+        assert hashed.dynamic.order == tabled.dynamic.order
 
 
 class TestCosine:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prefrank import embed, evaluation
+from prefrank.corpus import candidate_key, generation_key
 from prefrank.embed import HashedNgramEmbedder
 from prefrank.errors import ValidationError
 from prefrank.evaluation import (
@@ -12,6 +14,7 @@ from prefrank.evaluation import (
     NORMALIZER_PAPER_HALF,
     RecordOutcome,
     _lcs_length,
+    _mean,
     best_match,
     bleu,
     evaluate_dataset,
@@ -77,6 +80,81 @@ class TestTopKMatches:
     def test_bad_k_rejected(self):
         with pytest.raises(ValidationError):
             top_k_matches(np.array([0.1]), 0)
+
+
+# Similarities with exact ties and both signed zeros drawn often.
+similarity_lists = st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-1.0, 1.0), min_size=1, max_size=40
+)
+
+
+class TestNumpyFreeHelpers:
+    """The standard-library helpers against the numpy code they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sims=similarity_lists)
+    @example(sims=[0.0, -0.0, 0.0])
+    @example(sims=[-0.0, 0.0])
+    def test_best_match_is_numpy_argmax(self, sims):
+        expected = int(np.argmax(sims))
+        assert best_match(sims) == expected
+        assert best_match(np.asarray(sims)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(sims=similarity_lists, k=st.integers(1, 45))
+    @example(sims=[-0.0, 0.5, 0.0, 0.5, -0.0], k=5)
+    def test_top_k_matches_is_a_stable_numpy_argsort(self, sims, k):
+        expected = np.argsort(-np.asarray(sims), kind="stable")[:k].tolist()
+        assert top_k_matches(sims, k) == expected
+        assert top_k_matches(np.asarray(sims), k) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="abcd efg\u00e9", max_size=300), min_size=2, max_size=2),
+        dim=st.sampled_from([8, 64, 256]),
+    )
+    def test_cosine_matches_numpy_on_hashed_vectors(self, texts, dim):
+        a, b = (HashedNgramEmbedder(dim).embed(t) for t in texts)
+        assert abs(evaluation.cosine(a, b) - embed.cosine(a, b)) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 1024), sparsity=st.floats(0.0, 0.9))
+    def test_cosine_matches_numpy_on_unit_norm_table_rows(self, seed, dim, sparsity):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((2, dim)) * (rng.random((2, dim)) >= sparsity)
+        rows[:, 0] += 1.0  # no all-zero row
+        # Unit-norm float64 rows, as the TSV reader returns them.
+        a, b = (row / np.linalg.norm(row) for row in rows)
+        assert abs(evaluation.cosine(a.tolist(), b.tolist()) - embed.cosine(a, b)) <= 1e-15
+
+    def test_pool_similarities_from_a_table_of_arrays_or_lists(self):
+        # Rows a caller built, not unit-norm, so the anchor's norm matters.
+        rng = np.random.default_rng(17)
+        record = make_record(candidates=[make_candidate(c, content=f"c{c}") for c in range(4)])
+        keys = [generation_key("q1"), *(candidate_key(record, c.id) for c in record.candidates)]
+        rows = dict(zip(keys, rng.standard_normal((5, 32)) * rng.uniform(0.1, 10.0, (5, 1))))
+        expected = [embed.cosine(rows[keys[0]], rows[key]) for key in keys[1:]]
+        for table in (rows, {key: row.tolist() for key, row in rows.items()}):
+            sims = pool_similarities("unused", record, table=table)
+            assert type(sims) is list
+            np.testing.assert_allclose(sims, expected, rtol=0, atol=1e-15)
+
+    def test_cosine_of_a_zero_vector_is_exactly_zero(self):
+        vec = HashedNgramEmbedder(64).embed("some text")
+        zero = [0.0] * 64
+        assert evaluation.cosine(zero, vec) == evaluation.cosine(vec, zero) == 0.0
+        assert evaluation.cosine(zero, zero) == 0.0
+        assert evaluation.cosine(zero, vec, 0.0) == 0.0
+
+    def test_cosine_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="dimension mismatch: 3 vs 4"):
+            evaluation.cosine([1.0] * 3, [1.0] * 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=700))
+    def test_mean_is_numpy_mean(self, xs):
+        expected = float(np.mean(xs))
+        assert abs(_mean(xs) - expected) <= 1e-14 * abs(expected)
 
 
 class TestGoldTopK:

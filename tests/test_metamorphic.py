@@ -11,7 +11,11 @@ transformed copy of it, and checks how the two runs' outputs relate:
 - reordering the records leaves every record's rows unchanged;
 - a copy of a record under a new id gets the original's `rank` and
   `loss` rows;
-- `embed` followed by `rank --embeddings` gives the hashed `rank`.
+- `embed` followed by `rank --embeddings` gives the hashed `rank`, and
+  followed by `eval --embeddings` the hashed `eval`'s hit and recall.
+  Pools where two hashed cosines to the generation differ by 1e-12 or
+  less (but are not equal) are not drawn: the reader re-normalizes each
+  row, which can move a cosine by an ulp and reorder such a near-tie.
 
 `semantic_rank` breaks exact cosine ties by candidate index, and
 `apdf.induced_ranks` exact gain ties, so a pool holding two identical
@@ -31,14 +35,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prefrank.apdf import semantic_gains
 from prefrank.cli import main
 from prefrank.corpus import question_key, read_records, write_records
-from prefrank.embed import HashedNgramEmbedder, cosine
-from prefrank.pipeline import resolve_vectors
+from prefrank.embed import HashedNgramEmbedder, cosine, resolve_vectors
+from prefrank.evaluation import pool_similarities
 from prefrank.policy import LogProbTable, ToyPolicy
 
 from conftest import cli_argv, make_candidate, make_record, write_cli_inputs
@@ -225,3 +229,25 @@ def test_embed_then_rank_from_the_table_equals_the_hashed_rank(tmp_path_factory,
     table = _run("embed", paths, directory / "embed")
     hashed = _jsonl_rows(_run("rank", paths, directory / "hashed"))
     assert _jsonl_rows(_run("rank", paths, directory / "from-table", "--embeddings", table)) == hashed
+
+
+@BUDGET
+@given(pools=st.lists(st.tuples(POOL_TEXTS, TEXTS, st.randoms(use_true_random=False)), min_size=1, max_size=4))
+def test_embed_then_eval_from_the_table_equals_the_hashed_eval(tmp_path_factory, pools):
+    records, generations = [], {}
+    for i, (texts, generated, rng) in enumerate(pools):
+        pool = [make_candidate(c, content=text) for c, text in enumerate(texts)]
+        record = make_record(f"h{i}", candidates=pool, gold=tuple(rng.sample(range(len(pool)), len(pool))))
+        sims = sorted(pool_similarities(generated, record, embedder=HashedNgramEmbedder()))
+        assume(all(b == a or b - a > 1e-12 for a, b in zip(sims, sims[1:])))
+        records.append(record)
+        generations[record.question_id] = generated
+    directory = tmp_path_factory.mktemp("eval-table")
+    paths = _write_inputs(directory, records, generations, {})
+    table = _run("embed", paths, directory / "embed")
+    hashed, from_table = (
+        json.loads(_run("eval", paths, directory / name, *extra).read_text(encoding="utf-8"))
+        for name, extra in (("hashed", ()), ("from-table", ("--embeddings", table)))
+    )
+    for key in ("pref_hit", "pref_recall", "n_records"):
+        assert from_table[key] == hashed[key]

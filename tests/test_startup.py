@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from prefrank.cli import main
 from prefrank.corpus import write_records
 from prefrank.policy import LogProbTable, ToyPolicy
 
@@ -134,6 +135,18 @@ print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("
 """
 CLI_MODULES = {"prefrank", "prefrank.cli", "prefrank.constants", "prefrank.corpus", "prefrank.errors"}
 PERCEPTION_MODULES = CLI_MODULES | {"numpy", *(f"prefrank.{m}" for m in ("apdf", "embed", "pipeline", "ranking"))}
+EVAL_MODULES = CLI_MODULES | {"prefrank.embed", "prefrank.evaluation"}
+
+
+def hashed_eval_argv(paths, out_dir) -> list[str]:
+    """`eval` with the hashed embedder and no external scores."""
+    argv = ["eval", "--records", paths["records"], "--generations", paths["generations"]]
+    return [str(a) for a in argv + ["--out", out_dir / "report.json"]]
+
+
+def modules_loaded_by(argv) -> list[str]:
+    code = f"import json, sys\nfrom prefrank.cli import main\nassert main({argv!r}) == 0\n" + LOADED
+    return run_python(code, child_env())
 
 
 def test_cli_import_and_decay_config_load_no_numpy():
@@ -150,7 +163,7 @@ def test_cli_import_and_decay_config_load_no_numpy():
         ("export-heatmap", PERCEPTION_MODULES),
         ("loss", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
         ("train-toy", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
-        ("eval", PERCEPTION_MODULES | {"prefrank.evaluation"}),
+        ("eval", EVAL_MODULES),
     ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command, loaded):
@@ -158,7 +171,21 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command, loade
         dump = tmp_path / "Posts.xml"
         dump.write_text(build_dump_plan_xml(), encoding="utf-8")
         argv = ["ingest", str(dump), "--out", str(tmp_path / "records.jsonl")]
+    elif command == "eval":
+        argv = hashed_eval_argv(write_cli_inputs(tmp_path), tmp_path)
     else:
         argv = cli_argv(command, write_cli_inputs(tmp_path), tmp_path)
-    code = f"import json, sys\nfrom prefrank.cli import main\nassert main({argv!r}) == 0\n" + LOADED
-    assert run_python(code, child_env()) == sorted(loaded)
+    assert modules_loaded_by(argv) == sorted(loaded)
+
+
+@pytest.mark.parametrize("flag", ["--embeddings", "--external-scores"])
+def test_eval_loads_numpy_only_to_read_a_table_or_correlate_scores(tmp_path, flag):
+    paths = write_cli_inputs(tmp_path)
+    if flag == "--embeddings":
+        value = tmp_path / "e.tsv"
+        embed = ["embed", "--records", paths["records"], "--generations", paths["generations"], "--out", value]
+        assert main([str(a) for a in embed]) == 0
+    else:
+        value = paths["scores"]
+    argv = hashed_eval_argv(paths, tmp_path) + [flag, str(value)]
+    assert modules_loaded_by(argv) == sorted(EVAL_MODULES | {"numpy"})
