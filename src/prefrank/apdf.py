@@ -7,7 +7,8 @@ candidates i and j is
     delta[i, j] = (gain[i] - gain[j]) * (discount(rank[i]) - discount(rank[j]))
 
 with ranks induced per attribute by sorting that attribute's own gains
-in descending order.  Because both factors flip sign together, every
+in descending order; equal gains share the mean discount of the ranks
+they hold.  Because both factors flip sign together, every
 matrix is symmetric, zero on the diagonal, and nonnegative.  The fused
 multi-attribute matrix is the element-wise product of the single
 matrices, which preserves all three properties and keeps per-entry row
@@ -134,9 +135,18 @@ def induced_ranks(gains: GainVector) -> np.ndarray:
 
 
 def single_apdf(gains: GainVector) -> ApdfMatrix:
-    """Distance-factor matrix for one attribute from its gain vector."""
+    """Distance-factor matrix for one attribute from its gain vector.
+
+    Equal gains share one discount, the mean of the discounts of the rank
+    positions they hold, summed in rank order, so no entry depends on the
+    order of the pool.
+    """
     ranks = induced_ranks(gains)
     discounts = np.array([rank_discount(int(r)) for r in ranks])
+    if len(set(gains.gains.tolist())) < len(gains):
+        by_rank = np.argsort(ranks)
+        _, group, counts = np.unique(gains.gains[by_rank], return_inverse=True, return_counts=True)
+        discounts[by_rank] = (np.bincount(group, weights=discounts[by_rank]) / counts)[group]
     gain_diff = np.subtract.outer(gains.gains, gains.gains)
     discount_diff = np.subtract.outer(discounts, discounts)
     # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.

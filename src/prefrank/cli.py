@@ -293,6 +293,7 @@ def cmd_train_toy(args) -> int:
 def cmd_eval(args) -> int:
     from . import evaluation
 
+    ks = _parse_ks(args.k)
     records = corpus.read_records(args.records)
     generations = corpus.read_keyed_jsonl(args.generations, _generation, "generation")
     scores = None
@@ -303,7 +304,7 @@ def cmd_eval(args) -> int:
         records,
         generations,
         **_vectors(args),
-        ks=_parse_ks(args.k),
+        ks=ks,
         normalizer=args.normalizer,
         embedder_name=f"external:{args.embeddings}" if args.embeddings else hashed,
         external_scores=scores,

@@ -6,7 +6,8 @@ ranks higher semantically is placed next, then removed from play.  When
 no strictly positive distance survives, the remaining candidates are
 appended in semantic-rank order.  Only the upper triangle (row < col)
 is read.  ``dynamic_rank`` sorts the positive upper-triangle pairs once
-and walks them in that order, O(M^2 log M); ``brute_force_rank``
+and makes one pass over them, skipping every pair with a placed
+endpoint, O(M^2 log M); ``brute_force_rank``
 implements the same contract by rescanning the full matrix against an
 exclusion set at every step, O(M^3), and exists as an independent
 check on ``dynamic_rank``.
@@ -84,41 +85,24 @@ def dynamic_rank(multi: ApdfMatrix, arank: SemanticRank) -> DynamicRanking:
     The positive entries (row, col) with row < col are sorted once by
     (-value, row, col), so ties on the maximal entry go to the
     lexicographically smallest pair.  Placing a candidate retires every
-    pair it belongs to, so the largest surviving distance is always the
-    first pair in that order with both endpoints unplaced: the walk
-    takes it, places its semantically better endpoint, retires that
-    endpoint's pairs and searches on from there.  Candidates the walk
-    does not reach follow in semantic-rank order.  O(M^2 log M), the sort.
+    pair it belongs to, so one pass over that order is the greedy walk:
+    a pair with a placed endpoint is skipped, any other places its
+    semantically better endpoint.  Candidates the walk does not reach
+    follow in semantic-rank order.  O(M^2 log M), the sort.
     """
     _check_inputs(multi, arank)
-    size = multi.size
     values = multi.values
-    index = np.arange(size)
-    rows, cols = np.nonzero((values > 0.0) & (index[:, None] < index))
+    rows, cols = np.nonzero(np.triu(values > 0.0, k=1))
     walk = np.lexsort((cols, rows, -values[rows, cols]))
-    rows, cols = rows[walk], cols[walk]
-    pairs = rows.size
-    # slot[i, j] is the walk position of pair {i, j}; `pairs` marks no pair.
-    slot = np.full((size, size), pairs)
-    slot[rows, cols] = slot[cols, rows] = np.arange(pairs)
-    alive = np.ones(pairs + 1, dtype=bool)
-    rank_of = arank.rank_of
-    winners = np.where(rank_of[rows] < rank_of[cols], rows, cols)
-    placed = np.zeros(size, dtype=bool)
+    rank_of = arank.rank_of.tolist()
+    placed: set[int] = set()
     order: list[int] = []
-    start = 0
-    while start < pairs:
-        pick = start + int(alive[start:pairs].argmax())
-        if not alive[pick]:
-            break
-        winner = int(winners[pick])
-        order.append(winner)
-        placed[winner] = True
-        alive[slot[winner]] = False
-        start = pick + 1
-    for candidate in arank.by_rank():
-        if not placed[candidate]:
-            order.append(candidate)
+    for row, col in zip(rows[walk].tolist(), cols[walk].tolist()):
+        if row not in placed and col not in placed:
+            winner = row if rank_of[row] < rank_of[col] else col
+            placed.add(winner)
+            order.append(winner)
+    order += [c for c in arank.by_rank() if c not in placed]
     return DynamicRanking(order)
 
 

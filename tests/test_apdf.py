@@ -155,6 +155,22 @@ class TestSingleApdf:
                 else:
                     assert matrix.values[i, j] > 0.0
 
+    def test_equal_gains_share_the_mean_discount(self):
+        matrix = single_apdf(GainVector("x", np.array([1.0, 0.0, 0.0])))
+        shared = (rank_discount(2) + rank_discount(3)) / 2
+        assert matrix.values[0, 1] == matrix.values[0, 2] == rank_discount(1) - shared
+
+    # A small value set, so draws tie often; 0.0 and -0.0 are one gain.
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_permuting_the_gains_permutes_the_matrix(self, data):
+        values = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0])
+        gains = np.array(data.draw(st.lists(values, min_size=1, max_size=10)))
+        sigma = data.draw(st.permutations(range(gains.size)))
+        matrix = single_apdf(GainVector("x", gains)).values
+        permuted = single_apdf(GainVector("x", gains[sigma])).values
+        assert permuted.tobytes() == matrix[np.ix_(sigma, sigma)].tobytes()
+
     @settings(max_examples=100)
     @given(st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=10))
     def test_invariants_hold_for_any_base(self, gains):

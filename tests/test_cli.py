@@ -746,6 +746,13 @@ class TestEval:
         assert payload == {"error": "validation", "message": "k value 3 is repeated in '3,1,3'"}
         assert not list(tmp_path.glob("eval.out*"))
 
+    def test_k_is_checked_before_any_input_is_read(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        paths["generations"] = tmp_path / "missing.jsonl"
+        assert run(cli_argv("eval", paths, tmp_path) + ["--k", "3,3"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "validation", "message": "k value 3 is repeated in '3,3'"}
+
     @staticmethod
     def external_score_inputs(tmp_path, scores):
         """Five two-candidate records, their generations and a scores file.

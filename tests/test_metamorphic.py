@@ -17,11 +17,12 @@ transformed copy of it, and checks how the two runs' outputs relate:
   less (but are not equal) are not drawn: the reader re-normalizes each
   row, which can move a cosine by an ulp and reorder such a near-tie.
 
-`semantic_rank` breaks exact cosine ties by candidate index, and
-`apdf.induced_ranks` exact gain ties, so a pool holding two identical
-texts, or two whose cosines round to one semantic gain, would not follow
-a shuffle.  The corpus's texts are distinct, the fixture checks that its
-semantic gains are too, and each pool's votes are distinct on one day.
+`semantic_rank` breaks exact cosine ties by candidate index, so a pool
+holding two identical texts, or two whose cosines round to one semantic
+gain, would not follow a shuffle.  The corpus's texts are distinct and
+the fixture checks that its semantic gains are too.  Equal gains share
+one rank discount, so popularity ties are drawn: one pool holds two
+0-vote answers.
 """
 
 from __future__ import annotations
@@ -56,14 +57,19 @@ BUDGET = settings(max_examples=10, deadline=None)
 
 
 def _extra_records(seed=16):
-    """Four seeded pools of 4-6 candidates: distinct texts and votes, one day per pool."""
+    """Five seeded pools of 4-6 candidates, one day per pool, with distinct texts.
+
+    Votes are distinct too, except in the last pool: its first two answers have
+    0 votes, so they tie in popularity.
+    """
     rng = random.Random(seed)
     records, generations = [], {}
-    for i, size in enumerate((4, 5, 6, 4)):
+    for i, size in enumerate((4, 5, 6, 4, 5)):
         texts = set()
         while len(texts) < size:
             texts.add(" ".join(rng.sample(VOCAB, rng.randint(3, 7))))
-        votes, day = rng.sample(range(40), size), rng.randint(0, 30)
+        votes = [0, 0, *rng.sample(range(1, 40), size - 2)] if i == 4 else rng.sample(range(40), size)
+        day = rng.randint(0, 30)
         candidates = [
             make_candidate(c, content=text, votes=v, days=day, accepted=c == 0)
             for c, (text, v) in enumerate(zip(sorted(texts), votes))
@@ -180,7 +186,7 @@ def test_shuffling_each_pool_maps_every_output_back(corpus, tmp_path_factory, da
 
 
 @BUDGET
-@given(order=st.permutations(range(6)))
+@given(order=st.permutations(range(7)))
 def test_reordering_the_records_leaves_each_records_rows_unchanged(corpus, tmp_path_factory, order):
     directory = tmp_path_factory.mktemp("reordered")
     paths = corpus.write(directory, [corpus.records[i] for i in order])
@@ -192,7 +198,7 @@ def test_reordering_the_records_leaves_each_records_rows_unchanged(corpus, tmp_p
 
 
 @BUDGET
-@given(index=st.integers(0, 5), position=st.integers(0, 6))
+@given(index=st.integers(0, 6), position=st.integers(0, 7))
 def test_a_copied_record_gets_the_originals_rows(corpus, tmp_path_factory, index, position):
     original = corpus.records[index]
     records = list(corpus.records)
