@@ -143,10 +143,9 @@ def single_apdf(gains: GainVector) -> ApdfMatrix:
     """
     ranks = induced_ranks(gains)
     discounts = np.array([rank_discount(int(r)) for r in ranks])
-    if len(set(gains.gains.tolist())) < len(gains):
-        by_rank = np.argsort(ranks)
-        _, group, counts = np.unique(gains.gains[by_rank], return_inverse=True, return_counts=True)
-        discounts[by_rank] = (np.bincount(group, weights=discounts[by_rank]) / counts)[group]
+    by_rank = np.argsort(ranks)
+    _, group, counts = np.unique(gains.gains[by_rank], return_inverse=True, return_counts=True)
+    discounts[by_rank] = (np.bincount(group, weights=discounts[by_rank]) / counts)[group]
     gain_diff = np.subtract.outer(gains.gains, gains.gains)
     discount_diff = np.subtract.outer(discounts, discounts)
     # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.
