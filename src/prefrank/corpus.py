@@ -1,9 +1,8 @@
 """StackExchange-style corpus ingestion and persistence.
 
 The stdlib-only I/O layer: posts dumps, records, JSON-Lines rows, the
-embedding-table TSV and its keys (numpy is imported only to read a
-table) and the popularity decay config, so `ingest` and `embed` run
-without numpy.
+embedding-table TSV and its keys, and the popularity decay config; none
+of these formats needs numpy.
 
 The pipeline mirrors how the training corpus is built: parse a Posts
 XML dump into question/answer pools, keep questions with a
@@ -29,13 +28,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from xml.etree import ElementTree
 
 from .errors import DumpParseError, SchemaError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _CODE_BLOCK_RE = re.compile(r"<code[\s>]|```", re.IGNORECASE)
 
@@ -518,21 +514,23 @@ def generation_key(record_id: str) -> str:
     return f"{record_id}/{GENERATION_KEY_SUFFIX}"
 
 
-# Below this norm a row's squared sum is subnormal or zero and has lost bits.
+# A norm in [_SAFE_NORM, _MAX_NORM) squares to a normal, finite float, and so
+# does the product of two such norms, a cosine's divisor.
 _SAFE_NORM = math.sqrt(sys.float_info.min)
+_MAX_NORM = math.sqrt(sys.float_info.max)
 
 
-def load_external_embeddings(path) -> dict[str, np.ndarray]:
-    """Read `id<TAB>floats` lines into a map of unit-norm vectors.
+def load_external_embeddings(path) -> dict[str, Sequence[float]]:
+    """Read `id<TAB>floats` lines into a map of ``array('d')`` rows, each
+    value as ``float()`` reads its token.
 
     All rows must share one dimension.  Duplicate ids, malformed rows,
     bytes that are not UTF-8 and non-finite values are SchemaErrors naming
-    the line; vectors are L2-normalized on load (an all-zero row stays zero;
-    a row whose squared sum leaves the float range is first scaled to max 1).
+    the line.  Rows are kept as written (cosines divide by the norms), except
+    that a row whose norm leaves [sqrt(float min), sqrt(float max)) and that
+    is not all-zero is scaled to a largest |value| of 1.
     """
-    import numpy as np
-
-    table: dict[str, np.ndarray] = {}
+    table: dict[str, Sequence[float]] = {}
     dim: int | None = None
     for lineno, raw in iter_lines(path):
         line = raw.rstrip("\r\n")
@@ -542,30 +540,27 @@ def load_external_embeddings(path) -> dict[str, np.ndarray]:
         if not sep or not key:
             raise SchemaError("expected `id<TAB>floats`", line=lineno)
         try:
-            # numpy converts each str token with float(); tests/test_embed.py
-            # checks this against a per-token float() reference.
-            values = np.array(rest.split(), dtype=np.float64)
+            values = list(map(float, rest.split()))
         except ValueError as exc:
             raise SchemaError(f"bad float in embedding row: {exc}", line=lineno) from exc
-        if values.size == 0:
+        if not values:
             raise SchemaError("embedding row has no values", line=lineno)
-        if not np.all(np.isfinite(values)):
-            raise SchemaError("non-finite value in embedding row", line=lineno)
+        norm = math.hypot(*values)  # inf or nan if a value is; ordinary rows stop here
+        if not _SAFE_NORM <= norm < _MAX_NORM:
+            if not all(map(math.isfinite, values)):
+                raise SchemaError("non-finite value in embedding row", line=lineno)
+            if norm:
+                peak = max(map(abs, values))
+                values = [value / peak for value in values]
         if dim is None:
-            dim = values.size
-        elif values.size != dim:
+            dim = len(values)
+        elif len(values) != dim:
             raise SchemaError(
-                f"dimension mismatch: expected {dim}, got {values.size}", line=lineno
+                f"dimension mismatch: expected {dim}, got {len(values)}", line=lineno
             )
         if key in table:
             raise SchemaError(f"duplicate embedding id {key!r}", line=lineno)
-        # Per row, not norm(axis=1): the batched sum runs in another order.
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(values)
-        if not _SAFE_NORM <= norm < math.inf and values.any():
-            values = values / np.abs(values).max()  # ordinary rows skip this
-            norm = np.linalg.norm(values)
-        table[key] = values / norm if norm > 0 else values
+        table[key] = array("d", values)  # 8 bytes a value; a list of floats takes 32
     return table
 
 

@@ -7,11 +7,12 @@ the hit/recall metrics.  The default embedder hashes character n-grams
 into a fixed number of signed buckets; it is a test-grade stand-in for
 any real encoder.  Vectors precomputed by an external encoder can be
 loaded from a TSV file instead (`corpus` reads and writes that format
-and owns its keys); `resolve_vectors` picks a table or an embedder.
+and owns its keys, and keeps each row as written); `resolve_vectors`
+picks a table or an embedder.
 
 The embedder and `resolve_vectors` need only the standard library, so
-``prefrank embed`` and a hashed ``prefrank eval`` run without numpy;
-`cosine` imports numpy when it is called.
+``prefrank embed`` runs without numpy and ``prefrank eval`` loads it only
+to correlate external scores; `cosine` imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from __future__ import annotations
 import hashlib
 import math
 from operator import mul, sub
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .constants import DEFAULT_DIM, DEFAULT_NGRAM
 from .corpus import QARecord, candidate_key
 from .corpus import load_external_embeddings, write_external_embeddings  # noqa: F401  bench/ reads them here
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # A hashed vector is dense in memory, so its width is capped far above any useful size.
 MIN_DIM, MAX_DIM = 8, 1 << 16
@@ -120,7 +118,7 @@ class HashedNgramEmbedder:
         return [value / norm for value in signed]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     """Cosine similarity in [-1, 1]; 0 if either vector is all-zero.
 
     The zero-vector convention keeps empty responses rankable (they fall
@@ -139,7 +137,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (norm_a * norm_b))
 
 
-def table_vector(table: dict[str, np.ndarray], key: str) -> np.ndarray:
+def table_vector(table: dict[str, Sequence[float]], key: str) -> Sequence[float]:
     """The vector stored under `key`; a missing key is an error naming it."""
     try:
         return table[key]
@@ -152,7 +150,7 @@ def resolve_vectors(
     text: str,
     record: QARecord,
     embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
+    table: dict[str, Sequence[float]] | None = None,
 ) -> tuple[Sequence[float], list[Sequence[float]]]:
     """Vectors of an anchor (the question or a generation) and the candidates:
     a table's rows under `key` and the candidate keys, as stored (a missing key

@@ -10,7 +10,7 @@ generation sit closer to the designated safer response.  BLEU, Rouge-L,
 and rank correlations round out the report.  `evaluate_dataset` builds
 each record's similarities once (vectors from `embed.resolve_vectors`)
 and derives every metric, external-score correlations included, from them.
-Only a table read and the rank correlations load numpy.
+Only the rank correlations load numpy.
 """
 
 from __future__ import annotations
@@ -44,18 +44,19 @@ def pool_similarities(
     generated: str,
     record: QARecord,
     embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
+    table: dict[str, Sequence[float]] | None = None,
 ) -> list[float]:
     """Similarity of the generated text to each pool candidate.
 
     With an external table, the generation's vector must be present
     under `question_id/generation`; mixing externally-encoded candidates
     with hash-embedded generations would compare across spaces.  No
-    question vector is needed.  Table rows (ndarrays, which Python
-    iterates slowly) become lists once, and the anchor's norm is taken once."""
+    question vector is needed.  The anchor, read once per candidate,
+    becomes a list once (an ``array('d')`` table row boxes a float on
+    every read), and its norm is taken once."""
     key = generation_key(record.question_id)
     anchor, pool = resolve_vectors(key, generated, record, embedder=embedder, table=table)
-    anchor, *pool = (vec.tolist() if hasattr(vec, "tolist") else vec for vec in (anchor, *pool))
+    anchor = list(anchor)
     norm = math.hypot(*anchor)
     return [cosine(anchor, emb, norm) for emb in pool]
 
@@ -292,7 +293,7 @@ def build_outcomes(
     records: list[QARecord],
     generations: dict[str, str],
     embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
+    table: dict[str, Sequence[float]] | None = None,
 ) -> tuple[list[RecordOutcome], Counter]:
     """Pair records with generations; count records skipped for missing
     generations or missing gold rankings."""
@@ -347,7 +348,7 @@ def evaluate_dataset(
     ks: tuple[int, ...] = DEFAULT_KS,
     normalizer: str = NORMALIZER_PAPER_HALF,
     embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
+    table: dict[str, Sequence[float]] | None = None,
     embedder_name: str = "hashed_ngram",
     external_scores: dict[str, float] | None = None,
 ) -> EvalReport:

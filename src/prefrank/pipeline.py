@@ -1,9 +1,9 @@
 """Assembly of per-record perception state.
 
 Bridges the corpus, embedding, distance-factor, and ranking layers.
-Vectors come from `embed.resolve_vectors` (an embedding table read by
-`corpus`'s keys, or an embedder's float lists); `build_perception` makes
-them float64 arrays, takes the question/candidate cosines once and
+Vectors come from `embed.resolve_vectors` (an embedding table's rows
+under `corpus`'s keys, or an embedder's float lists); `build_perception`
+makes them float64 arrays, takes the question/candidate cosines once and
 derives the gain vectors, the single and fused distance matrices, the
 semantic rank, and the dynamic ranking.  Losses, training and the
 ``rank`` and ``export-heatmap`` subcommands consume the resulting bundle.
@@ -12,6 +12,7 @@ semantic rank, and the dynamic ranking.  Losses, training and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class PreparedRecord:
 def build_perception(
     record: QARecord,
     embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
+    table: dict[str, Sequence[float]] | None = None,
     decay: DecayConfig | None = None,
 ) -> PerceptionBundle:
     """Distance matrices and rankings for one record; `decay=None` leaves votes undecayed."""
@@ -69,7 +70,7 @@ def build_perception(
 def prepare_records(
     records: list[QARecord],
     embedder: HashedNgramEmbedder | None = None,
-    table: dict[str, np.ndarray] | None = None,
+    table: dict[str, Sequence[float]] | None = None,
     decay: DecayConfig | None = None,
 ) -> list[PreparedRecord]:
     """Build perception bundles for a batch, preserving record order."""

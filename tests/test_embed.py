@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import warnings
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefrank import embed, pipeline
+from prefrank import embed, evaluation, pipeline
 from prefrank.apdf import semantic_gains, single_apdf
 from prefrank.corpus import candidate_key, question_key
 from prefrank.embed import (
@@ -51,13 +52,23 @@ def reference_embed(text: str, dim: int, ngram: int) -> np.ndarray:
     return vec / norm
 
 
-# Below this norm a row's squared sum is subnormal or zero.
-SUBNORMAL_SQUARES_NORM = math.sqrt(np.finfo(np.float64).tiny)
+# The reader keeps a row as written when its norm is in [LOW_NORM, HIGH_NORM):
+# below, the squared sum is subnormal or zero; at or above, it overflows.
+LOW_NORM = math.sqrt(np.finfo(np.float64).tiny)
+HIGH_NORM = math.sqrt(np.finfo(np.float64).max)
 
 
 def reference_table_row(rest: str) -> np.ndarray:
     """The per-token parse the table reader must reproduce bit for bit."""
     return np.array([float(tok) for tok in rest.split()], dtype=np.float64)
+
+
+def reference_range_guard(row: np.ndarray) -> np.ndarray:
+    """`row` unless its norm leaves [LOW_NORM, HIGH_NORM) and it is not all-zero;
+    then `row` scaled to a largest |value| of 1."""
+    if LOW_NORM <= math.hypot(*row) < HIGH_NORM or not row.any():
+        return row
+    return row / np.abs(row).max()
 
 
 # Token -> how float() reads it: a finite value, a non-finite one, or an error.
@@ -260,10 +271,11 @@ class TestExternalEmbeddings:
             encoding="utf-8",
         )
         table = load_external_embeddings(path)
-        assert len(table) == 3
-        for vec in table.values():
-            assert vec.shape == (4,)
-            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert {key: (type(row), row.typecode, row.tolist()) for key, row in table.items()} == {
+            "q1": (array, "d", [1.0, 0.0, 0.0, 0.0]),
+            "q1/a1": (array, "d", [0.0, 2.0, 0.0, 0.0]),
+            "q1/a2": (array, "d", [1.0, 1.0, 1.0, 1.0]),
+        }
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -308,13 +320,14 @@ class TestExternalEmbeddings:
             return
         assert kind == "finite"
         got = load_external_embeddings(path)["a"]
-        assert got.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
+        assert LOW_NORM <= np.linalg.norm(expected) < HIGH_NORM  # so the row is kept as written
+        assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(
-            # Bounded so that the squared norm stays finite.
-            st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+            # Bounded so that "{:.3e}" cannot round a value up to inf.
+            st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
             min_size=1,
             max_size=6,
         ),
@@ -328,13 +341,8 @@ class TestExternalEmbeddings:
         table = load_external_embeddings(path)
         for line in lines:
             key, _, rest = line.partition("\t")
-            expected = reference_table_row(rest)
-            norm = np.linalg.norm(expected)
-            if expected.any() and norm < SUBNORMAL_SQUARES_NORM:
-                # The squared sum underflowed; the reader scales such rows first.
-                expected = expected / np.abs(expected).max()
-                norm = np.linalg.norm(expected)
-            assert table[key].tobytes() == (expected / norm if norm > 0 else expected).tobytes()
+            expected = reference_range_guard(reference_table_row(rest))
+            assert table[key].tobytes() == expected.tobytes()
 
     def test_rows_whose_squared_sum_leaves_the_float_range(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -402,6 +410,53 @@ class TestExternalEmbeddings:
         path = tmp_path / "emb.tsv"
         write_external_embeddings(path, table)
         loaded = load_external_embeddings(path)
-        assert set(loaded) == set(table)
+        assert list(loaded) == list(table)
         for key in table:
-            assert np.allclose(loaded[key], table[key], atol=1e-15)
+            assert loaded[key].tobytes() == table[key].tobytes()
+
+    def test_hashed_rows_read_back_bit_identical(self, tmp_path):
+        embedder = HashedNgramEmbedder(64)
+        table = {text: embedder.embed(text) for text in ("sort a dict by value", "heap", "x" * 300)}
+        table["signed zeros"] = [-0.0 if value == 0 else value for value in table["heap"]]
+        table["empty text"] = embedder.embed("")
+        table["negative zeros"] = [-0.0] * 64
+        path = tmp_path / "emb.tsv"
+        write_external_embeddings(path, table)
+        loaded = load_external_embeddings(path)
+        assert list(loaded) == list(table)
+        for key, row in table.items():
+            assert loaded[key].tobytes() == array("d", row).tobytes()
+
+    def test_rows_at_the_ends_of_the_range_give_finite_cosines(self, tmp_path):
+        def spread(n, end):
+            # n equal |values| whose norm is just inside the range at `end`.
+            value = end / math.sqrt(n)
+            while not LOW_NORM <= math.hypot(*[value] * n) < HIGH_NORM:
+                value = math.nextafter(value, 1.0)
+            return [value if i % 2 else -value for i in range(n)]
+
+        inside = {
+            "low": [LOW_NORM, 0.0, 0.0],
+            "low2": spread(2, LOW_NORM) + [0.0],
+            "low3": spread(3, LOW_NORM),
+            "high": [math.nextafter(HIGH_NORM, 0.0), 0.0, 0.0],
+            "high2": [0.0, *spread(2, HIGH_NORM)],
+            "high3": spread(3, HIGH_NORM),
+            "unit": [0.25, -0.5, 1.0],
+        }
+        outside = {"below": [math.nextafter(LOW_NORM, 0.0), 0.0, 0.0], "above": [HIGH_NORM, 0.0, 0.0]}
+        path = tmp_path / "emb.tsv"
+        write_external_embeddings(path, {**inside, **outside})
+        table = load_external_embeddings(path)
+        for key, row in inside.items():
+            assert table[key].tobytes() == array("d", row).tobytes()
+        for key in outside:
+            assert table[key].tolist() == [1.0, 0.0, 0.0]
+        # Rounding alone takes a cosine up to a few ulps past 1, as it does for unit rows.
+        bound = 1.0 + 4 * sys.float_info.epsilon
+        for a in table.values():
+            for b in table.values():
+                for similarity in (cosine(a, b), evaluation.cosine(a, b)):
+                    assert math.isfinite(similarity) and abs(similarity) <= bound
+            assert cosine(a, a) == pytest.approx(1.0, rel=1e-15)
+            assert evaluation.cosine(a, a) == pytest.approx(1.0, rel=1e-15)

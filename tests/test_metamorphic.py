@@ -11,11 +11,12 @@ transformed copy of it, and checks how the two runs' outputs relate:
 - reordering the records leaves every record's rows unchanged;
 - a copy of a record under a new id gets the original's `rank` and
   `loss` rows;
-- `embed` followed by `rank --embeddings` gives the hashed `rank`, and
-  followed by `eval --embeddings` the hashed `eval`'s hit and recall.
-  Pools where two hashed cosines to the generation differ by 1e-12 or
-  less (but are not equal) are not drawn: the reader re-normalizes each
-  row, which can move a cosine by an ulp and reorder such a near-tie.
+- `embed` followed by `rank`, `loss` and `train-toy --trace` with
+  `--embeddings` writes the hashed runs' ranks, losses, policy and trace
+  byte for byte (or fails as they fail, on a degenerate pool), and
+  followed by `eval --embeddings` the hashed `eval`'s report, bar its
+  `embedder` field: the table holds the embedder's floats as written,
+  and the reader keeps them.
 
 `semantic_rank` breaks exact cosine ties by candidate index, so a pool
 holding two identical texts, or two whose cosines round to one semantic
@@ -36,14 +37,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefrank.apdf import semantic_gains
 from prefrank.cli import main
 from prefrank.corpus import question_key, read_records, write_records
 from prefrank.embed import HashedNgramEmbedder, cosine, resolve_vectors
-from prefrank.evaluation import pool_similarities
 from prefrank.policy import LogProbTable, ToyPolicy
 
 from conftest import cli_argv, make_candidate, make_record, write_cli_inputs
@@ -102,11 +102,19 @@ def _write_inputs(directory: Path, records, generations: dict, scores: dict) -> 
     return paths
 
 
-def _run(command: str, paths: dict, out_dir: Path, *extra) -> Path:
+def _attempt(command: str, paths: dict, out_dir: Path, *extra) -> tuple[int, str, bytes | None]:
+    """`command`'s exit code, its stderr, and its output file's bytes when it exited 0."""
     out_dir.mkdir(exist_ok=True)
-    with contextlib.redirect_stdout(io.StringIO()):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main([*cli_argv(command, paths, out_dir), *map(str, extra)])
-    assert code == 0, f"{command} exited {code}"
+    out = out_dir / f"{command}.out"
+    return code, stderr.getvalue(), out.read_bytes() if code == 0 else None
+
+
+def _run(command: str, paths: dict, out_dir: Path, *extra) -> Path:
+    code, stderr, _ = _attempt(command, paths, out_dir, *extra)
+    assert code == 0, f"{command} exited {code}: {stderr}"
     return out_dir / f"{command}.out"
 
 
@@ -217,12 +225,12 @@ POOL_TEXTS = st.lists(TEXTS, min_size=2, max_size=6, unique=True)
 @BUDGET
 @given(
     pools=st.lists(
-        st.tuples(POOL_TEXTS, st.lists(st.integers(0, 30), min_size=6, max_size=6), st.sampled_from(VOCAB)),
+        st.tuples(POOL_TEXTS, st.lists(st.integers(0, 30), min_size=6, max_size=6), TEXTS),
         min_size=1,
         max_size=4,
     )
 )
-def test_embed_then_rank_from_the_table_equals_the_hashed_rank(tmp_path_factory, pools):
+def test_embed_then_rank_loss_and_train_from_the_table_equal_the_hashed_runs(tmp_path_factory, pools):
     records = []
     for i, (texts, votes, question) in enumerate(pools):
         pool = [
@@ -233,27 +241,37 @@ def test_embed_then_rank_from_the_table_equals_the_hashed_rank(tmp_path_factory,
     directory = tmp_path_factory.mktemp("table")
     paths = _write_inputs(directory, records, {}, {})
     table = _run("embed", paths, directory / "embed")
-    hashed = _jsonl_rows(_run("rank", paths, directory / "hashed"))
-    assert _jsonl_rows(_run("rank", paths, directory / "from-table", "--embeddings", table)) == hashed
+    runs = {}
+    for name, extra in (("hashed", ()), ("from-table", ("--embeddings", table))):
+        out_dir = directory / name
+        trace = out_dir / "trace.jsonl"
+        runs[name] = [
+            _attempt(command, paths, out_dir, *extra, *more)
+            for command, more in (("rank", ()), ("loss", ()), ("train-toy", ("--trace", trace)))
+        ]
+        runs[name].append(trace.read_bytes() if trace.exists() else None)
+    assert runs["hashed"][0][0] == 0
+    # `loss` and `train-toy` refuse a pool where a candidate ties all others in
+    # one attribute (exit 4); the two runs must then fail alike.
+    assert runs["from-table"] == runs["hashed"]
 
 
 @BUDGET
 @given(pools=st.lists(st.tuples(POOL_TEXTS, TEXTS, st.randoms(use_true_random=False)), min_size=1, max_size=4))
 def test_embed_then_eval_from_the_table_equals_the_hashed_eval(tmp_path_factory, pools):
-    records, generations = [], {}
+    records, generations, scores = [], {}, {}
     for i, (texts, generated, rng) in enumerate(pools):
         pool = [make_candidate(c, content=text) for c, text in enumerate(texts)]
         record = make_record(f"h{i}", candidates=pool, gold=tuple(rng.sample(range(len(pool)), len(pool))))
-        sims = sorted(pool_similarities(generated, record, embedder=HashedNgramEmbedder()))
-        assume(all(b == a or b - a > 1e-12 for a, b in zip(sims, sims[1:])))
         records.append(record)
         generations[record.question_id] = generated
+        scores[record.question_id] = rng.random()
     directory = tmp_path_factory.mktemp("eval-table")
-    paths = _write_inputs(directory, records, generations, {})
+    paths = _write_inputs(directory, records, generations, scores)
     table = _run("embed", paths, directory / "embed")
     hashed, from_table = (
         json.loads(_run("eval", paths, directory / name, *extra).read_text(encoding="utf-8"))
         for name, extra in (("hashed", ()), ("from-table", ("--embeddings", table)))
     )
-    for key in ("pref_hit", "pref_recall", "n_records"):
-        assert from_table[key] == hashed[key]
+    assert hashed.pop("embedder") != from_table.pop("embedder")
+    assert from_table == hashed

@@ -179,7 +179,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command, loade
 
 
 @pytest.mark.parametrize("flag", ["--embeddings", "--external-scores"])
-def test_eval_loads_numpy_only_to_read_a_table_or_correlate_scores(tmp_path, flag):
+def test_eval_loads_numpy_only_to_correlate_scores(tmp_path, flag):
     paths = write_cli_inputs(tmp_path)
     if flag == "--embeddings":
         value = tmp_path / "e.tsv"
@@ -188,4 +188,5 @@ def test_eval_loads_numpy_only_to_read_a_table_or_correlate_scores(tmp_path, fla
     else:
         value = paths["scores"]
     argv = hashed_eval_argv(paths, tmp_path) + [flag, str(value)]
-    assert modules_loaded_by(argv) == sorted(EVAL_MODULES | {"numpy"})
+    numpy = {"numpy"} if flag == "--external-scores" else set()
+    assert modules_loaded_by(argv) == sorted(EVAL_MODULES | numpy)
