@@ -29,7 +29,8 @@ _EXPORTS = {
         "semantic_gain",
         "single_apdf",
     ),
-    "corpus": ("DecayConfig", "FilterConfig", "QARecord", "ResponseCandidate", "read_records", "write_records"),
+    "corpus": ("DecayConfig", "FilterConfig", "LogProbTable", "QARecord", "ResponseCandidate",
+               "load_logprob_file", "read_records", "write_records"),
     "embed": ("HashedNgramEmbedder", "cosine", "load_external_embeddings"),
     "errors": (
         "DegenerateInputError",
@@ -62,7 +63,7 @@ _EXPORTS = {
         "total_loss",
     ),
     "pipeline": ("PerceptionBundle", "PreparedRecord", "build_perception", "prepare_records"),
-    "policy": ("LogProbTable", "ToyPolicy", "load_logprob_file", "score", "train"),
+    "policy": ("ToyPolicy", "score", "train"),
     "ranking": (
         "DynamicRanking",
         "SemanticRank",

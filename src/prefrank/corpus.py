@@ -1,8 +1,9 @@
 """StackExchange-style corpus ingestion and persistence.
 
 The stdlib-only I/O layer: posts dumps, records, JSON-Lines rows, the
-embedding-table TSV and its keys, and the popularity decay config; none
-of these formats needs numpy.
+embedding-table TSV and its keys, the token-logprob file that external
+models write, and the popularity decay config; none of these formats
+needs numpy.
 
 The pipeline mirrors how the training corpus is built: parse a Posts
 XML dump into question/answer pools, keep questions with a
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from xml.etree import ElementTree
 
+from .constants import MAX_SCALE
 from .errors import DumpParseError, SchemaError, ValidationError
 
 _CODE_BLOCK_RE = re.compile(r"<code[\s>]|```", re.IGNORECASE)
@@ -635,3 +637,83 @@ def _keyed_record(row) -> tuple[str, QARecord]:
 def read_records(path) -> list[QARecord]:
     """Read JSON-Lines records; a bad row or a repeated question id names the line."""
     return list(read_keyed_jsonl(path, _keyed_record, "record").values())
+
+
+class LogProbTable:
+    """Per-(record, candidate) token log-probabilities, natural-log units,
+    one ``array('d')`` row per key."""
+
+    def __init__(self, entries: dict[tuple[str, str], Sequence[float]]):
+        self.entries = {key: _logprob_row(logprobs, key) for key, logprobs in entries.items()}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def tokens_for(self, record_id: str, candidate_id: str) -> array:
+        key = (record_id, candidate_id)
+        if key not in self.entries:
+            raise ValidationError(f"no log-probabilities for record {record_id!r} candidate {candidate_id!r}")
+        return self.entries[key]
+
+    def scores_for(self, record: QARecord):
+        """Mean token log-probability per candidate, in pool order, as an ndarray (loads numpy)."""
+        from .objective import policy_scores_from_logprobs
+
+        return policy_scores_from_logprobs(
+            [self.tokens_for(record.question_id, c.id) for c in record.candidates]
+        )
+
+    @classmethod
+    def from_policy(cls, policy, records: list[QARecord]) -> "LogProbTable":
+        """The token log-probabilities of every candidate under a `policy.ToyPolicy`."""
+        from .policy import _response_arrays, log_prob_table
+
+        entries = {}
+        for record in records:
+            table = log_prob_table(policy, record.question_text)
+            for candidate in record.candidates:
+                contexts, tokens = _response_arrays(candidate.content)
+                entries[(record.question_id, candidate.id)] = table[contexts, tokens]
+        return cls(entries)
+
+    def write(self, path) -> None:
+        rows = (
+            {"record_id": record_id, "candidate_id": candidate_id, "logprobs": logprobs.tolist()}
+            for (record_id, candidate_id), logprobs in self.entries.items()
+        )
+        write_jsonl(path, rows)
+
+
+def _logprob_row(values, key) -> array:
+    """`values` as an ``array('d')`` row: non-empty, 1-D, every value in [-MAX_SCALE, 0]."""
+    try:
+        row = array("d", values)
+    except TypeError:  # a nested list, a string, a 0-d array or (on a recent numpy) a 2-D one
+        row = None
+    except OverflowError:
+        raise ValidationError(f"{key}: a 'logprobs' entry is too large for a float") from None
+    # An older numpy reads a 2-D array's one-value rows as floats, with only a warning.
+    if not row or getattr(values, "ndim", 1) != 1:
+        raise ValidationError(f"{key}: logprob vector must be non-empty and 1-D")
+    # Bounded so that no score mean, loss or summary mean of a logprob file overflows.  min and
+    # max pass a NaN that is not first, but a sum of in-range values is NaN only if one is.
+    if not (-MAX_SCALE <= min(row) and max(row) <= 0) or math.isnan(sum(row)):
+        raise ValidationError(f"{key}: logprobs must be in [-{MAX_SCALE:g}, 0]")
+    return row
+
+
+def _logprob_entry(row) -> tuple[tuple[str, str], array]:
+    require(row, dict, "a logprob row")
+    key = (str(require_field(row, "record_id")), str(require_field(row, "candidate_id")))
+    values = require_field(row, "logprobs", list)
+    # One pass over the element types; a bool's type is bool, not int.
+    if not set(map(type, values)) <= {int, float}:
+        raise ValidationError(f"{key}: 'logprobs' must be an array of JSON numbers")
+    return key, _logprob_row(values, key)
+
+
+def load_logprob_file(path) -> LogProbTable:
+    """Read the JSON-Lines logprob format; a bad or repeated row names the line."""
+    table = LogProbTable({})
+    table.entries = read_keyed_jsonl(path, _logprob_entry, "logprob entry")  # rows checked as read
+    return table

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .apdf import ApdfMatrix
-from .constants import COMPARISON_MODES, DEFAULT_ALPHA, MODE_LITERAL, MODE_TOP_ANCHORED
+from .constants import COMPARISON_MODES, DEFAULT_ALPHA, MAX_SCALE, MODE_LITERAL, MODE_TOP_ANCHORED
 from .errors import DegenerateInputError, ValidationError
 from .ranking import DynamicRanking
 
@@ -43,10 +43,6 @@ if TYPE_CHECKING:
     from .pipeline import PerceptionBundle
 
 DEFAULT_DPO_BETA = 0.1
-# Largest alpha, and in `policy` the largest |learning rate|, weight scale
-# or |token logprob|: far past any useful value and far inside the float
-# range, so that no step or loss overflows with all of them at the limit.
-MAX_SCALE = 1e100
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Token log-probability providers.
+"""The toy policy: a byte-level bigram softmax language model small
+enough to train at desk scale with exact analytic gradients.
 
-Two providers feed the objectives: a file-backed table for scores
-precomputed by any external model, and a byte-level bigram softmax
-language model small enough to train at desk scale with exact analytic
-gradients.  The toy model conditions on the question through a fixed
-hashed bias on the logits; it is a numerical test vehicle, not a
-language model in any linguistic sense.
+It conditions on the question through a fixed hashed bias on the
+logits; it is a numerical test vehicle, not a language model in any
+linguistic sense.  The other log-probability provider, the table of
+scores that any external model writes, is read by `corpus`
+(``LogProbTable``, ``load_logprob_file``); both names resolve here too.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objective
-from .constants import DEFAULT_INIT_SCALE, DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE
-from .corpus import QARecord, read_keyed_jsonl, require, require_field, write_jsonl
+from .constants import DEFAULT_INIT_SCALE, DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE, MAX_SCALE
+from .corpus import LogProbTable, QARecord, load_logprob_file  # noqa: F401  cli and bench/ call them here
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
 
@@ -29,78 +29,6 @@ CONTEXTS = VOCAB + 1
 
 _CHECKPOINT_MAGIC = b"PRNKPOL1"
 _CHECKPOINT_VERSION = 1
-
-
-class LogProbTable:
-    """Per-(record, candidate) token log-probabilities, natural-log units."""
-
-    def __init__(self, entries: dict[tuple[str, str], np.ndarray]):
-        self.entries: dict[tuple[str, str], np.ndarray] = {}
-        for key, logprobs in entries.items():
-            self.entries[key] = _validate_logprobs(np.asarray(logprobs, dtype=np.float64), key)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def tokens_for(self, record_id: str, candidate_id: str) -> np.ndarray:
-        key = (record_id, candidate_id)
-        if key not in self.entries:
-            raise ValidationError(f"no log-probabilities for record {record_id!r} candidate {candidate_id!r}")
-        return self.entries[key]
-
-    def scores_for(self, record: QARecord) -> np.ndarray:
-        """Mean token log-probability per candidate, in pool order."""
-        return objective.policy_scores_from_logprobs(
-            [self.tokens_for(record.question_id, c.id) for c in record.candidates]
-        )
-
-    @classmethod
-    def from_policy(cls, policy: "ToyPolicy", records: list[QARecord]) -> "LogProbTable":
-        entries = {}
-        for record in records:
-            table = log_prob_table(policy, record.question_text)
-            for candidate in record.candidates:
-                contexts, tokens = _response_arrays(candidate.content)
-                entries[(record.question_id, candidate.id)] = table[contexts, tokens]
-        return cls(entries)
-
-    def write(self, path) -> None:
-        rows = (
-            {"record_id": record_id, "candidate_id": candidate_id, "logprobs": logprobs.tolist()}
-            for (record_id, candidate_id), logprobs in self.entries.items()
-        )
-        write_jsonl(path, rows)
-
-
-def _validate_logprobs(logprobs: np.ndarray, key) -> np.ndarray:
-    if logprobs.ndim != 1 or logprobs.size == 0:
-        raise ValidationError(f"{key}: logprob vector must be non-empty and 1-D")
-    # Bounded so that no score mean, loss or summary mean of a logprob file overflows.
-    if not np.all((logprobs <= 0) & (logprobs >= -objective.MAX_SCALE)):
-        raise ValidationError(f"{key}: logprobs must be in [-{objective.MAX_SCALE:g}, 0]")
-    return logprobs
-
-
-def _logprob_entry(row) -> tuple[tuple[str, str], np.ndarray]:
-    require(row, dict, "a logprob row")
-    key = (str(require_field(row, "record_id")), str(require_field(row, "candidate_id")))
-    values = require_field(row, "logprobs", list)
-    # One pass over the element types; a bool's type is bool, not int.
-    if not set(map(type, values)) <= {int, float}:
-        raise ValidationError(f"{key}: 'logprobs' must be an array of JSON numbers")
-    try:
-        logprobs = np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        raise ValidationError(f"{key}: a 'logprobs' entry is too large for a float") from None
-    return key, _validate_logprobs(logprobs, key)
-
-
-def load_logprob_file(path) -> LogProbTable:
-    """Read the JSON-Lines logprob format; a bad or repeated row names the line."""
-    table = LogProbTable({})
-    # Each row was validated as it was read.
-    table.entries = read_keyed_jsonl(path, _logprob_entry, "logprob entry")
-    return table
 
 
 def question_bias(question: str, scale: float) -> np.ndarray:
@@ -209,9 +137,8 @@ class ToyPolicy:
 
 
 def _check_scale(name: str, value: float) -> None:
-    limit = objective.MAX_SCALE
-    if not (math.isfinite(value) and abs(value) <= limit):
-        raise ValidationError(f"{name} must be finite and at most {limit:g} in size, got {value}")
+    if not (math.isfinite(value) and abs(value) <= MAX_SCALE):
+        raise ValidationError(f"{name} must be finite and at most {MAX_SCALE:g} in size, got {value}")
 
 
 def _response_arrays(response: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,20 @@
-"""Dump parsing, filtering, HTML cleaning, gold labels, persistence."""
+"""Dump parsing, filtering, HTML cleaning, gold labels, persistence, logprob files."""
 
 import dataclasses
+import json
+import math
 import re
 from datetime import timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from prefrank.apdf import DecayConfig
 from prefrank.corpus import (
     FilterConfig,
+    LogProbTable,
     QARecord,
     apply_quality_filters,
     assign_gold_ranking,
@@ -17,6 +23,7 @@ from prefrank.corpus import (
     filter_accepted,
     filter_code_block,
     has_code_block,
+    load_logprob_file,
     parse_dump,
     parse_timestamp,
     read_keyed_jsonl,
@@ -620,3 +627,59 @@ class TestFieldGate:
         path.write_text('{"id": 1}\n', encoding="utf-8")
         with pytest.raises(KeyError):
             read_keyed_jsonl(path, lambda row: row["missing"], "row")
+
+
+# Values the reader must keep: in [-1e100, 0], with -0.0, subnormals, the bound itself
+# and integers near 2**53, where a float cannot hold every integer.
+KEPT_LOGPROBS = st.one_of(
+    st.floats(min_value=-1e100, max_value=0.0),
+    st.sampled_from([-0.0, -5e-324, -2.2250738585072014e-308, -1e100]),
+    st.integers(min_value=-1000, max_value=0),
+    st.integers(min_value=-(2**53) - 64, max_value=-(2**53) + 64),
+)
+# Values it must refuse; json.dumps writes the first three as NaN, Infinity and -Infinity.
+REFUSED_LOGPROBS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(max_value=-1e100, exclude_max=True, allow_infinity=False),
+)
+LOGPROB_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def logprob_line(candidate_id, values) -> str:
+    return json.dumps({"record_id": "q1", "candidate_id": candidate_id, "logprobs": values}) + "\n"
+
+
+class TestLogProbFile:
+    @LOGPROB_SETTINGS
+    @given(
+        row=st.lists(KEPT_LOGPROBS, min_size=1, max_size=12),
+        position=st.integers(min_value=0, max_value=12),
+        bad=REFUSED_LOGPROBS,
+    )
+    @example(row=[-1.0, -2.0], position=1, bad=math.nan)  # a NaN that min and max pass over
+    def test_a_bad_value_anywhere_is_refused_naming_its_line_and_key(self, tmp_path, row, position, bad):
+        row.insert(min(position, len(row)), bad)
+        path = tmp_path / "logprobs.jsonl"
+        path.write_text(logprob_line("a", [-1.0]) + logprob_line("b", row), encoding="utf-8")
+        expected = re.escape("('q1', 'b'): logprobs must be in [-1e+100, 0]")
+        with pytest.raises(SchemaError, match=f"line 2: bad logprob entry: {expected}"):
+            load_logprob_file(path)
+        with pytest.raises(ValidationError, match=expected):
+            LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): row})
+
+    @LOGPROB_SETTINGS
+    @given(rows=st.lists(st.lists(KEPT_LOGPROBS, min_size=1, max_size=12), min_size=1, max_size=4))
+    def test_rows_and_scores_are_bit_identical_to_float64(self, tmp_path, rows):
+        record = make_record(candidates=[make_candidate(i) for i in range(len(rows))])
+        path = tmp_path / "logprobs.jsonl"
+        path.write_text("".join(logprob_line(f"a{i}", values) for i, values in enumerate(rows)), encoding="utf-8")
+        expected = [np.asarray(values, np.float64) for values in rows]
+        means = np.array([float(np.mean(values)) for values in expected])
+        for table in (load_logprob_file(path), LogProbTable({("q1", f"a{i}"): v for i, v in enumerate(rows)})):
+            assert [table.tokens_for("q1", f"a{i}").tobytes() for i in range(len(rows))] == [
+                values.tobytes() for values in expected
+            ]
+            assert table.scores_for(record).tobytes() == means.tobytes()

@@ -154,6 +154,23 @@ def test_cli_import_and_decay_config_load_no_numpy():
     assert run_python(code, child_env()) == sorted(CLI_MODULES)
 
 
+def test_loading_the_three_inputs_loads_no_numpy(tmp_path):
+    # The benchmark's set-up probe: records, logprobs and an embedding table through the
+    # public names, in a fresh interpreter.  `loss` itself still loads `policy`: it reads the
+    # logprob file through `policy.load_logprob_file`, the name the benchmark's tracer patches.
+    paths = write_cli_inputs(tmp_path)
+    table = tmp_path / "e.tsv"
+    assert main(["embed", "--records", str(paths["records"]), "--out", str(table)]) == 0
+    code = (
+        "import json, sys\nimport prefrank\n"
+        f"prefrank.read_records({str(paths['records'])!r})\n"
+        f"prefrank.load_logprob_file({str(paths['logprobs'])!r})\n"
+        f"prefrank.load_external_embeddings({str(table)!r})\n" + LOADED
+    )
+    loaded = run_python(code, child_env())
+    assert loaded == ["prefrank", "prefrank.constants", "prefrank.corpus", "prefrank.embed", "prefrank.errors"]
+
+
 @pytest.mark.parametrize(
     "command, loaded",
     [
