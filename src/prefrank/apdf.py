@@ -8,11 +8,14 @@ candidates i and j is
 
 with ranks induced per attribute by sorting that attribute's own gains
 in descending order; equal gains share the mean discount of the ranks
-they hold.  Because both factors flip sign together, every
-matrix is symmetric, zero on the diagonal, and nonnegative.  The fused
-multi-attribute matrix is the element-wise product of the single
-matrices, which preserves all three properties and keeps per-entry row
-lookups meaningful for the comparison weights downstream.
+they hold.  An entry is LambdaRank's swap cost: |DCG(pi) - DCG(pi with
+i and j swapped)| for DCG = sum of gain / ln(rank + 1) over the order
+pi, averaged over the orders of equal gains.  Because both factors flip
+sign together, every matrix is symmetric, zero on the diagonal, and
+nonnegative.  The fused multi-attribute matrix is the element-wise
+product of the single matrices, which preserves all three properties
+and keeps per-entry row lookups meaningful for the comparison weights
+downstream.
 """
 
 from __future__ import annotations

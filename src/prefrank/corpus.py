@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from html.parser import HTMLParser
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from xml.etree import ElementTree
@@ -685,16 +686,23 @@ class LogProbTable:
 
 
 def _logprob_row(values, key) -> array:
-    """`values` as an ``array('d')`` row: non-empty, 1-D, every value in [-MAX_SCALE, 0]."""
+    """`values` as an ``array('d')`` row: non-empty, 1-D, real numbers only (no bool
+    or string), every value in [-MAX_SCALE, 0].  The file reader and `LogProbTable`
+    share this gate."""
+    try:
+        kinds = set(map(type, values))
+    except TypeError:  # not iterable: a number or a 0-d array
+        kinds = set()
+    # A nested list, or a 2-D array (its items are 1-D arrays), is a row of rows.
+    if not kinds or list in kinds or getattr(values, "ndim", 1) != 1:
+        raise ValidationError(f"{key}: logprob vector must be non-empty and 1-D")
+    # A JSON number, or a numpy row's float64; a bool's type is bool, not int.
+    if not all(issubclass(kind, Real) and kind is not bool for kind in kinds):
+        raise ValidationError(f"{key}: 'logprobs' must be an array of JSON numbers")
     try:
         row = array("d", values)
-    except TypeError:  # a nested list, a string, a 0-d array or (on a recent numpy) a 2-D one
-        row = None
     except OverflowError:
         raise ValidationError(f"{key}: a 'logprobs' entry is too large for a float") from None
-    # An older numpy reads a 2-D array's one-value rows as floats, with only a warning.
-    if not row or getattr(values, "ndim", 1) != 1:
-        raise ValidationError(f"{key}: logprob vector must be non-empty and 1-D")
     # Bounded so that no score mean, loss or summary mean of a logprob file overflows.  min and
     # max pass a NaN that is not first, but a sum of in-range values is NaN only if one is.
     if not (-MAX_SCALE <= min(row) and max(row) <= 0) or math.isnan(sum(row)):
@@ -705,11 +713,7 @@ def _logprob_row(values, key) -> array:
 def _logprob_entry(row) -> tuple[tuple[str, str], array]:
     require(row, dict, "a logprob row")
     key = (str(require_field(row, "record_id")), str(require_field(row, "candidate_id")))
-    values = require_field(row, "logprobs", list)
-    # One pass over the element types; a bool's type is bool, not int.
-    if not set(map(type, values)) <= {int, float}:
-        raise ValidationError(f"{key}: 'logprobs' must be an array of JSON numbers")
-    return key, _logprob_row(values, key)
+    return key, _logprob_row(require_field(row, "logprobs", list), key)
 
 
 def load_logprob_file(path) -> LogProbTable:

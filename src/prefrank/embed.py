@@ -10,9 +10,11 @@ loaded from a TSV file instead (`corpus` reads and writes that format
 and owns its keys, and keeps each row as written); `resolve_vectors`
 picks a table or an embedder.
 
-The embedder and `resolve_vectors` need only the standard library, so
-``prefrank embed`` runs without numpy and ``prefrank eval`` loads it only
-to correlate external scores; `cosine` imports numpy when it is called.
+The embedder, `cosine` and `resolve_vectors` need only the standard
+library, so ``prefrank embed`` runs without numpy and ``prefrank eval``
+loads it only to correlate external scores.  `cosine` is the one cosine:
+``rank``, ``loss``, ``train-toy`` and ``eval`` all take their
+similarities from it.
 """
 
 from __future__ import annotations
@@ -118,23 +120,17 @@ class HashedNgramEmbedder:
         return [value / norm for value in signed]
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity in [-1, 1]; 0 if either vector is all-zero.
-
-    The zero-vector convention keeps empty responses rankable (they fall
-    to the bottom by gain) instead of aborting a whole batch.
-    """
-    import numpy as np
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
+def cosine(a: Sequence[float], b: Sequence[float], norm_a: float | None = None) -> float:
+    """Cosine similarity in [-1, 1], to rounding: the correctly rounded sum
+    of the products (`math.fsum`) over the product of the norms.  0 if
+    either vector is all-zero or the norms' product underflows, which keeps
+    empty responses rankable (they fall to the bottom by gain) instead of
+    aborting a whole batch.  `norm_a` is ``math.hypot(*a)``, when the
+    caller has it."""
+    if len(a) != len(b):
+        raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    norms = (math.hypot(*a) if norm_a is None else norm_a) * math.hypot(*b)
+    return math.fsum(map(mul, a, b)) / norms if norms else 0.0
 
 
 def table_vector(table: dict[str, Sequence[float]], key: str) -> Sequence[float]:

@@ -3,7 +3,7 @@
 Bridges the corpus, embedding, distance-factor, and ranking layers.
 Vectors come from `embed.resolve_vectors` (an embedding table's rows
 under `corpus`'s keys, or an embedder's float lists); `build_perception`
-makes them float64 arrays, takes the question/candidate cosines once and
+takes the question/candidate cosines once, with `embed.cosine`, and
 derives the gain vectors, the single and fused distance matrices, the
 semantic rank, and the dynamic ranking.  Losses, training and the
 ``rank`` and ``export-heatmap`` subcommands consume the resulting bundle.
@@ -11,10 +11,9 @@ semantic rank, and the dynamic ranking.  Losses, training and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .apdf import ApdfMatrix, multi_apdf, popularity_gains, semantic_gains, single_apdf
 from .corpus import DecayConfig, QARecord, question_key
@@ -50,8 +49,9 @@ def build_perception(
     question, candidates = resolve_vectors(
         question_key(record), record.question_text, record, embedder=embedder, table=table
     )
-    question = np.asarray(question, dtype=np.float64)  # `cosine` converts each candidate once
-    similarities = np.array([cosine(question, c) for c in candidates])
+    question = list(question)  # read once per candidate; an ``array('d')`` row boxes a float per read
+    norm = math.hypot(*question)
+    similarities = [cosine(question, c, norm) for c in candidates]
     gains = [
         semantic_gains(similarities),
         popularity_gains(
@@ -62,7 +62,7 @@ def build_perception(
     ]
     singles = [single_apdf(g) for g in gains]
     multi = multi_apdf(singles)
-    arank = semantic_rank(similarities)
+    arank = semantic_rank(similarities, [c.id for c in record.candidates])
     dynamic = dynamic_rank(multi, arank)
     return PerceptionBundle(singles=singles, multi=multi, arank=arank, dynamic=dynamic)
 

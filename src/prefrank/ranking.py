@@ -16,6 +16,7 @@ check on ``dynamic_rank``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,14 +63,15 @@ class DynamicRanking:
         return self.order[0]
 
 
-def semantic_rank(similarities: np.ndarray) -> SemanticRank:
-    """Rank candidates by descending question/candidate cosine; ties by index."""
-    similarities = np.asarray(similarities, dtype=np.float64)
-    if similarities.size == 0:
+def semantic_rank(similarities: Sequence[float], ids: Sequence[str]) -> SemanticRank:
+    """Rank candidates by descending question/candidate cosine; an exact tie goes to
+    the lower candidate id, so a candidate's rank does not depend on its pool position."""
+    if len(similarities) == 0:
         raise ValidationError("candidate pool must be non-empty")
-    rank_of = np.empty(similarities.size, dtype=np.int64)
-    rank_of[np.argsort(-similarities, kind="stable")] = np.arange(similarities.size)
-    return SemanticRank(rank_of)
+    if len(ids) != len(similarities):
+        raise ValidationError(f"{len(ids)} candidate ids for {len(similarities)} similarities")
+    by_rank = sorted(range(len(ids)), key=lambda c: (-similarities[c], ids[c]))
+    return SemanticRank(np.argsort(by_rank))  # the inverse permutation
 
 
 def _check_inputs(multi: ApdfMatrix, arank: SemanticRank) -> None:

@@ -179,6 +179,7 @@ class TestCriterion5EndToEndAlignment:
                     RecordOutcome(
                         record_id=record.question_id,
                         similarities=sims,
+                        candidate_ids=tuple(c.id for c in record.candidates),
                         gold_ranking=record.gold_ranking,
                     )
                 )
@@ -226,7 +227,12 @@ class TestCriterion6MetricSanity:
             sims = pool_similarities(best, record, embedder=embedder)
             assert [int(x) for x in np.argsort(-np.asarray(sims), kind="stable")] == [0, 1, 2, 3]
             outcomes.append(
-                RecordOutcome(record_id=record.question_id, similarities=sims, gold_ranking=record.gold_ranking)
+                RecordOutcome(
+                    record_id=record.question_id,
+                    similarities=sims,
+                    candidate_ids=tuple(c.id for c in record.candidates),
+                    gold_ranking=record.gold_ranking,
+                )
             )
         assert pref_hit(outcomes, 1) == 1.0
         for k in (1, 2, 3):
@@ -240,6 +246,7 @@ class TestCriterion6MetricSanity:
                 RecordOutcome(
                     record_id="x",
                     similarities=rng.uniform(0, 1, size=size),
+                    candidate_ids=tuple(f"a{c}" for c in range(size)),
                     gold_ranking=tuple(int(v) for v in rng.permutation(size)),
                 )
                 for _ in range(int(rng.integers(1, 4)))

@@ -1,10 +1,12 @@
 """Gain functions, rank discounts, and distance-factor matrices."""
 
+import itertools
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefrank.apdf import (
@@ -22,6 +24,27 @@ from prefrank.apdf import (
 from prefrank.errors import ValidationError
 
 from conftest import random_pool_matrices
+
+
+def expected_swap_costs(gains: list[float]) -> np.ndarray:
+    """Brute force: |DCG(pi) - DCG(pi with i and j swapped)|, averaged over every
+    order pi that sorts the gains descending (each order of each group of equal
+    gains), where DCG = sum of gain / ln(rank + 1) over 1-indexed ranks."""
+    size = len(gains)
+    groups = [[c for c in range(size) if gains[c] == value] for value in sorted(set(gains), reverse=True)]
+    orders = list(itertools.product(*(itertools.permutations(group) for group in groups)))
+    total = np.zeros((size, size))
+    for parts in orders:
+        rank = {c: r for r, c in enumerate(itertools.chain(*parts), start=1)}
+
+        def dcg(ranks):
+            return sum(gains[c] / math.log(ranks[c] + 1) for c in range(size))
+
+        for i, j in itertools.combinations(range(size), 2):
+            cost = abs(dcg(rank) - dcg({**rank, i: rank[j], j: rank[i]}))
+            total[i, j] += cost
+            total[j, i] += cost
+    return total / len(orders)
 
 
 class TestRankDiscount:
@@ -170,6 +193,22 @@ class TestSingleApdf:
         matrix = single_apdf(GainVector("x", gains)).values
         permuted = single_apdf(GainVector("x", gains[sigma])).values
         assert permuted.tobytes() == matrix[np.ix_(sigma, sigma)].tobytes()
+
+    # Half the draws from a small value set, so that ties occur.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(min_value=0, max_value=4),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    @example([1.0, 0.5, 1.0, 0.0, 0.5, 1.0, 2.0])
+    @example([0.5] * 7)
+    def test_entries_are_lambdaranks_expected_swap_costs(self, gains):
+        matrix = single_apdf(GainVector("x", np.array(gains))).values
+        largest_term = max(gains) / math.log(2)
+        assert np.abs(matrix - expected_swap_costs(gains)).max() <= 1e-14 * largest_term
 
     @settings(max_examples=100)
     @given(st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=10))

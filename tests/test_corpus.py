@@ -670,6 +670,19 @@ class TestLogProbFile:
         with pytest.raises(ValidationError, match=expected):
             LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): row})
 
+    @pytest.mark.parametrize("bad", [[False], [-1.0, True], ["-1.5"], [-1.0, None]])
+    def test_a_row_that_is_not_all_numbers_is_refused_alike(self, tmp_path, bad):
+        # The file reader and the constructor share one gate: a bool is not a number, nor a string.
+        expected = re.escape("('q1', 'b'): 'logprobs' must be an array of JSON numbers")
+        path = tmp_path / "logprobs.jsonl"
+        path.write_text(logprob_line("a", [-1.0]) + logprob_line("b", bad), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"line 2: bad logprob entry: {expected}"):
+            load_logprob_file(path)
+        with pytest.raises(ValidationError, match=expected):
+            LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): bad})
+        # A numpy row, as `LogProbTable.from_policy` builds them, is numbers.
+        assert LogProbTable({("q1", "b"): np.array([-1.5, -0.5])}).entries[("q1", "b")].tolist() == [-1.5, -0.5]
+
     @LOGPROB_SETTINGS
     @given(rows=st.lists(st.lists(KEPT_LOGPROBS, min_size=1, max_size=12), min_size=1, max_size=4))
     def test_rows_and_scores_are_bit_identical_to_float64(self, tmp_path, rows):

@@ -1,5 +1,7 @@
 """Hit/recall metrics, text-overlap metrics, and correlations."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,23 +34,36 @@ from prefrank.evaluation import (
 from conftest import make_candidate, make_record
 
 
+def ids(size):
+    """Candidate ids that sort like their indices."""
+    return tuple(f"a{c:02d}" for c in range(size))
+
+
 def outcome(sims, gold, record_id="r"):
     return RecordOutcome(
         record_id=record_id,
         similarities=np.asarray(sims, dtype=np.float64),
+        candidate_ids=ids(len(sims)),
         gold_ranking=tuple(gold),
     )
 
 
+def numpy_cosine(a, b) -> float:
+    """The numpy cosine that `embed.cosine` replaced."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 class TestBestMatch:
     def test_argmax(self):
-        assert best_match(np.array([0.1, 0.8, 0.3])) == 1
+        assert best_match(np.array([0.1, 0.8, 0.3]), ids(3)) == 1
 
     def test_single(self):
-        assert best_match(np.array([0.42])) == 0
+        assert best_match(np.array([0.42]), ids(1)) == 0
 
-    def test_tie_goes_to_lower_index(self):
-        assert best_match(np.array([0.5, 0.9, 0.9])) == 1
+    def test_tie_goes_to_lower_id(self):
+        assert best_match(np.array([0.5, 0.9, 0.9]), ids(3)) == 1
+        assert best_match(np.array([0.5, 0.9, 0.9]), ("a0", "b", "a1")) == 2
 
     def test_verbatim_candidate_wins(self):
         embedder = HashedNgramEmbedder(dim=64)
@@ -60,26 +75,26 @@ class TestBestMatch:
             )
         )
         sims = pool_similarities("vectorize with numpy instead", record, embedder=embedder)
-        assert best_match(sims) == 2
+        assert best_match(sims, [c.id for c in record.candidates]) == 2
         assert sims[2] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTopKMatches:
     def test_k_at_least_pool_returns_all_sorted(self):
-        assert top_k_matches(np.array([0.1, 0.8, 0.3]), 10) == [1, 2, 0]
+        assert top_k_matches(np.array([0.1, 0.8, 0.3]), ids(3), 10) == [1, 2, 0]
 
     def test_example(self):
-        assert top_k_matches(np.array([0.1, 0.8, 0.3]), 2) == [1, 2]
+        assert top_k_matches(np.array([0.1, 0.8, 0.3]), ids(3), 2) == [1, 2]
 
     def test_k1_equals_best_match(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
             sims = rng.uniform(-1, 1, size=int(rng.integers(1, 9)))
-            assert top_k_matches(sims, 1) == [best_match(sims)]
+            assert top_k_matches(sims, ids(sims.size), 1) == [best_match(sims, ids(sims.size))]
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValidationError):
-            top_k_matches(np.array([0.1]), 0)
+            top_k_matches(np.array([0.1]), ids(1), 0)
 
 
 # Similarities with exact ties and both signed zeros drawn often.
@@ -89,7 +104,8 @@ similarity_lists = st.lists(
 
 
 class TestNumpyFreeHelpers:
-    """The standard-library helpers against the numpy code they replace."""
+    """The standard-library helpers against the numpy code they replace.  With ids
+    that sort like the indices, an id tie-break is numpy's stable index tie-break."""
 
     @settings(max_examples=200, deadline=None)
     @given(sims=similarity_lists)
@@ -97,16 +113,27 @@ class TestNumpyFreeHelpers:
     @example(sims=[-0.0, 0.0])
     def test_best_match_is_numpy_argmax(self, sims):
         expected = int(np.argmax(sims))
-        assert best_match(sims) == expected
-        assert best_match(np.asarray(sims)) == expected
+        assert best_match(sims, ids(len(sims))) == expected
+        assert best_match(np.asarray(sims), ids(len(sims))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(sims=similarity_lists, k=st.integers(1, 45))
     @example(sims=[-0.0, 0.5, 0.0, 0.5, -0.0], k=5)
     def test_top_k_matches_is_a_stable_numpy_argsort(self, sims, k):
         expected = np.argsort(-np.asarray(sims), kind="stable")[:k].tolist()
-        assert top_k_matches(sims, k) == expected
-        assert top_k_matches(np.asarray(sims), k) == expected
+        assert top_k_matches(sims, ids(len(sims)), k) == expected
+        assert top_k_matches(np.asarray(sims), ids(len(sims)), k) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(sims=similarity_lists, data=st.data())
+    def test_matches_follow_the_candidates_not_their_positions(self, sims, data):
+        # Candidate sigma[p] moves to position p and keeps its id, so exact ties still go by id.
+        names = [f"x{c}" for c in range(len(sims))]
+        sigma = data.draw(st.permutations(range(len(sims))))
+        moved_sims, moved_names = [sims[s] for s in sigma], [names[s] for s in sigma]
+        assert sigma[best_match(moved_sims, moved_names)] == best_match(sims, names)
+        for k in range(1, len(sims) + 1):
+            assert [sigma[c] for c in top_k_matches(moved_sims, moved_names, k)] == top_k_matches(sims, names, k)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -115,7 +142,10 @@ class TestNumpyFreeHelpers:
     )
     def test_cosine_matches_numpy_on_hashed_vectors(self, texts, dim):
         a, b = (HashedNgramEmbedder(dim).embed(t) for t in texts)
-        assert abs(evaluation.cosine(a, b) - embed.cosine(a, b)) <= 1e-15
+        if any(a) and any(b):
+            assert abs(embed.cosine(a, b) - numpy_cosine(a, b)) <= 1e-15
+        else:
+            assert embed.cosine(a, b) == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 1024), sparsity=st.floats(0.0, 0.9))
@@ -123,9 +153,11 @@ class TestNumpyFreeHelpers:
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((2, dim)) * (rng.random((2, dim)) >= sparsity)
         rows[:, 0] += 1.0  # no all-zero row
-        # Unit-norm float64 rows, as the TSV reader returns them.
+        # Unit-norm float64 rows, as lists and as the ``array('d')`` rows the TSV reader returns.
         a, b = (row / np.linalg.norm(row) for row in rows)
-        assert abs(evaluation.cosine(a.tolist(), b.tolist()) - embed.cosine(a, b)) <= 1e-15
+        expected = numpy_cosine(a, b)
+        for kind in (list, lambda row: array("d", row)):
+            assert abs(embed.cosine(kind(a), kind(b)) - expected) <= 1e-15
 
     def test_pool_similarities_from_a_table_of_arrays_or_lists(self):
         # Rows a caller built, not unit-norm, so the anchor's norm matters.
@@ -133,22 +165,25 @@ class TestNumpyFreeHelpers:
         record = make_record(candidates=[make_candidate(c, content=f"c{c}") for c in range(4)])
         keys = [generation_key("q1"), *(candidate_key(record, c.id) for c in record.candidates)]
         rows = dict(zip(keys, rng.standard_normal((5, 32)) * rng.uniform(0.1, 10.0, (5, 1))))
-        expected = [embed.cosine(rows[keys[0]], rows[key]) for key in keys[1:]]
+        expected = [numpy_cosine(rows[keys[0]], rows[key]) for key in keys[1:]]
         for table in (rows, {key: row.tolist() for key, row in rows.items()}):
             sims = pool_similarities("unused", record, table=table)
             assert type(sims) is list
             np.testing.assert_allclose(sims, expected, rtol=0, atol=1e-15)
 
     def test_cosine_of_a_zero_vector_is_exactly_zero(self):
+        # `eval` takes its similarities from the one cosine, by the name it imports.
+        assert evaluation.cosine is embed.cosine
         vec = HashedNgramEmbedder(64).embed("some text")
-        zero = [0.0] * 64
-        assert evaluation.cosine(zero, vec) == evaluation.cosine(vec, zero) == 0.0
-        assert evaluation.cosine(zero, zero) == 0.0
-        assert evaluation.cosine(zero, vec, 0.0) == 0.0
+        for zero in ([0.0] * 64, array("d", [0.0] * 64)):
+            assert embed.cosine(zero, vec) == embed.cosine(vec, zero) == 0.0
+            assert embed.cosine(zero, zero) == 0.0
+            assert embed.cosine(zero, vec, 0.0) == 0.0
 
     def test_cosine_dimension_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="dimension mismatch: 3 vs 4"):
-            evaluation.cosine([1.0] * 3, [1.0] * 4)
+        for kind in (list, lambda row: array("d", row)):
+            with pytest.raises(ValidationError, match="dimension mismatch: 3 vs 4"):
+                embed.cosine(kind([1.0] * 3), kind([1.0] * 4))
 
     @settings(max_examples=300, deadline=None)
     @given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=700))
@@ -235,18 +270,18 @@ class TestPrefRecall:
 
 class TestSaferHit:
     def test_hit(self):
-        assert safer_hit(np.array([0.9, 0.2]), 0) == 1
+        assert safer_hit(np.array([0.9, 0.2]), ids(2), 0) == 1
 
     def test_miss(self):
-        assert safer_hit(np.array([0.9, 0.2]), 1) == 0
+        assert safer_hit(np.array([0.9, 0.2]), ids(2), 1) == 0
 
     def test_pool_must_be_two(self):
         with pytest.raises(ValidationError):
-            safer_hit(np.array([0.9, 0.2, 0.1]), 0)
+            safer_hit(np.array([0.9, 0.2, 0.1]), ids(3), 0)
 
     def test_dataset_mean(self):
         sims = [([0.9, 0.1], 0), ([0.3, 0.8], 1), ([0.6, 0.5], 0), ([0.2, 0.4], 0)]
-        hits = [safer_hit(np.array(s), g) for s, g in sims]
+        hits = [safer_hit(np.array(s), ids(2), g) for s, g in sims]
         assert sum(hits) / len(hits) == 0.75
 
 

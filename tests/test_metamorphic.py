@@ -18,12 +18,13 @@ transformed copy of it, and checks how the two runs' outputs relate:
   `embedder` field: the table holds the embedder's floats as written,
   and the reader keeps them.
 
-`semantic_rank` breaks exact cosine ties by candidate index, so a pool
-holding two identical texts, or two whose cosines round to one semantic
-gain, would not follow a shuffle.  The corpus's texts are distinct and
-the fixture checks that its semantic gains are too.  Equal gains share
-one rank discount, so popularity ties are drawn: one pool holds two
-0-vote answers.
+Equal gains share one rank discount, and `semantic_rank` and `eval`'s
+matches break exact cosine ties by candidate id, so ties follow a
+shuffle: one pool holds two 0-vote answers, another two answers with one
+text and distinct votes.  Only full twins, equal in text, votes and
+time, are still ordered by pool position (`dynamic_rank` breaks equal
+distances by the (row, col) pair); the fixture checks that the corpus
+holds none, and the drawn pools below keep their texts distinct.
 """
 
 from __future__ import annotations
@@ -57,22 +58,26 @@ BUDGET = settings(max_examples=10, deadline=None)
 
 
 def _extra_records(seed=16):
-    """Five seeded pools of 4-6 candidates, one day per pool, with distinct texts.
+    """Six seeded pools of 4-6 candidates, one day per pool.
 
-    Votes are distinct too, except in the last pool: its first two answers have
-    0 votes, so they tie in popularity.
+    Texts and votes are distinct, with two exceptions.  The fifth pool's first
+    two answers have 0 votes, so they tie in popularity.  The last pool's first
+    two answers share a text, so they tie in semantic gain.
     """
     rng = random.Random(seed)
     records, generations = [], {}
-    for i, size in enumerate((4, 5, 6, 4, 5)):
+    for i, size in enumerate((4, 5, 6, 4, 5, 4)):
         texts = set()
         while len(texts) < size:
             texts.add(" ".join(rng.sample(VOCAB, rng.randint(3, 7))))
+        texts = sorted(texts)
+        if i == 5:
+            texts[0] = texts[1]
         votes = [0, 0, *rng.sample(range(1, 40), size - 2)] if i == 4 else rng.sample(range(40), size)
         day = rng.randint(0, 30)
         candidates = [
             make_candidate(c, content=text, votes=v, days=day, accepted=c == 0)
-            for c, (text, v) in enumerate(zip(sorted(texts), votes))
+            for c, (text, v) in enumerate(zip(texts, votes))
         ]
         gold = tuple(rng.sample(range(size), size))
         question = " ".join(rng.sample(VOCAB, 5))
@@ -150,7 +155,9 @@ def corpus(tmp_path_factory) -> Corpus:
     paths = write_cli_inputs(directory)
     extra, generations = _extra_records()
     records = read_records(paths["records"]) + extra
-    assert all(len(set(_semantic_gains(record))) == record.pool_size for record in records)
+    for record in records:
+        attributes = {(g, c.votes, c.created_at) for g, c in zip(_semantic_gains(record), record.candidates)}
+        assert len(attributes) == record.pool_size, f"{record.question_id} holds full twins"
     generations.update((row["record_id"], row["text"]) for row in _jsonl_rows(paths["generations"]))
     scores = {row["record_id"]: row["score"] for row in _jsonl_rows(paths["scores"])}
     scores.update((record.question_id, 0.25 * i) for i, record in enumerate(extra))
@@ -194,7 +201,7 @@ def test_shuffling_each_pool_maps_every_output_back(corpus, tmp_path_factory, da
 
 
 @BUDGET
-@given(order=st.permutations(range(7)))
+@given(order=st.permutations(range(8)))
 def test_reordering_the_records_leaves_each_records_rows_unchanged(corpus, tmp_path_factory, order):
     directory = tmp_path_factory.mktemp("reordered")
     paths = corpus.write(directory, [corpus.records[i] for i in order])
@@ -206,7 +213,7 @@ def test_reordering_the_records_leaves_each_records_rows_unchanged(corpus, tmp_p
 
 
 @BUDGET
-@given(index=st.integers(0, 6), position=st.integers(0, 7))
+@given(index=st.integers(0, 7), position=st.integers(0, 8))
 def test_a_copied_record_gets_the_originals_rows(corpus, tmp_path_factory, index, position):
     original = corpus.records[index]
     records = list(corpus.records)

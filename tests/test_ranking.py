@@ -40,26 +40,46 @@ class TestDescendingOrderReference:
         expected = [order.index(i) + 1 for i in range(len(gains))]
         assert induced_ranks(GainVector("x", np.array(gains))).tolist() == expected
 
+        # Ids that sort like the indices make the id tie-break the index one.
+        ids = [f"a{c:02d}" for c in range(len(cosines))]
         order = reference_descending_order(cosines)
         expected = [order.index(i) for i in range(len(cosines))]
-        assert semantic_rank(np.array(cosines)).rank_of.tolist() == expected
+        assert semantic_rank(np.array(cosines), ids).rank_of.tolist() == expected
         for k in range(1, len(cosines) + 2):
-            assert top_k_matches(np.array(cosines), k) == order[:k]
+            assert top_k_matches(np.array(cosines), ids, k) == order[:k]
 
 
 class TestSemanticRank:
     def test_example(self):
-        assert semantic_rank(np.array([0.2, 0.9, 0.5])).rank_of.tolist() == [2, 0, 1]
+        assert semantic_rank(np.array([0.2, 0.9, 0.5]), ["a", "b", "c"]).rank_of.tolist() == [2, 0, 1]
 
-    def test_all_equal_ties_by_index(self):
-        assert semantic_rank(np.array([0.4, 0.4, 0.4, 0.4])).rank_of.tolist() == [0, 1, 2, 3]
+    def test_all_equal_ties_by_id(self):
+        assert semantic_rank([0.4, 0.4, 0.4, 0.4], ["a", "b", "c", "d"]).rank_of.tolist() == [0, 1, 2, 3]
+        assert semantic_rank([0.4, 0.4, 0.4, 0.4], ["d", "a", "c", "b"]).rank_of.tolist() == [3, 0, 2, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cosines=st.lists(COSINE_VALUES | st.floats(-1.0, 1.0), min_size=1, max_size=10),
+        data=st.data(),
+    )
+    def test_ties_go_by_id_whatever_the_position(self, cosines, data):
+        # Candidate sigma[p] moves to position p with its id; its rank must not change.
+        ids = [f"c{c}" for c in range(len(cosines))]
+        sigma = data.draw(st.permutations(range(len(cosines))))
+        ranks = semantic_rank(cosines, ids).rank_of
+        moved = semantic_rank([cosines[s] for s in sigma], [ids[s] for s in sigma]).rank_of
+        assert moved.tolist() == ranks[sigma].tolist()
 
     def test_single_candidate(self):
-        assert semantic_rank(np.array([0.3])).rank_of.tolist() == [0]
+        assert semantic_rank(np.array([0.3]), ["a"]).rank_of.tolist() == [0]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):
-            semantic_rank(np.array([]))
+            semantic_rank(np.array([]), [])
+
+    def test_one_id_per_candidate(self):
+        with pytest.raises(ValidationError, match="2 candidate ids for 3 similarities"):
+            semantic_rank([0.1, 0.2, 0.3], ["a", "b"])
 
     def test_by_rank_inverts_rank_of(self):
         rank = SemanticRank(np.array([1, 2, 0]))
