@@ -55,11 +55,9 @@ _EXPORTS = {
     "objective": (
         "LossBreakdown",
         "dpo_pair_loss",
-        "penalty_weights",
         "perceptual_alignment_loss",
         "perceptual_comparison_loss",
         "plackett_luce_loss",
-        "reward_weight",
         "total_loss",
     ),
     "pipeline": ("PerceptionBundle", "PreparedRecord", "build_perception", "prepare_records"),

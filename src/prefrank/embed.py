@@ -14,7 +14,7 @@ The embedder, `cosine` and `resolve_vectors` need only the standard
 library, so ``prefrank embed`` runs without numpy and ``prefrank eval``
 loads it only to correlate external scores.  `cosine` is the one cosine:
 ``rank``, ``loss``, ``train-toy`` and ``eval`` all take their
-similarities from it.
+similarities from it, through `anchor_cosines`.
 """
 
 from __future__ import annotations
@@ -131,6 +131,15 @@ def cosine(a: Sequence[float], b: Sequence[float], norm_a: float | None = None) 
         raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
     norms = (math.hypot(*a) if norm_a is None else norm_a) * math.hypot(*b)
     return math.fsum(map(mul, a, b)) / norms if norms else 0.0
+
+
+def anchor_cosines(anchor: Sequence[float], pool: list[Sequence[float]]) -> list[float]:
+    """`cosine` of the anchor with each pool vector.  The anchor, read once per
+    vector, becomes a list once (an ``array('d')`` table row boxes a float on
+    every read), and its norm is taken once."""
+    anchor = list(anchor)
+    norm = math.hypot(*anchor)
+    return [cosine(anchor, vector, norm) for vector in pool]
 
 
 def table_vector(table: dict[str, Sequence[float]], key: str) -> Sequence[float]:

@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .constants import DEFAULT_KS, NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
 from .corpus import _SAFE_NORM, QARecord, generation_key
-from .embed import HashedNgramEmbedder, cosine, resolve_vectors
+from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors
+from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches evaluation.cosine by name
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -40,14 +41,9 @@ def pool_similarities(
     With an external table, the generation's vector must be present
     under `question_id/generation`; mixing externally-encoded candidates
     with hash-embedded generations would compare across spaces.  No
-    question vector is needed.  The anchor, read once per candidate,
-    becomes a list once (an ``array('d')`` table row boxes a float on
-    every read), and its norm is taken once."""
+    question vector is needed."""
     key = generation_key(record.question_id)
-    anchor, pool = resolve_vectors(key, generated, record, embedder=embedder, table=table)
-    anchor = list(anchor)
-    norm = math.hypot(*anchor)
-    return [cosine(anchor, emb, norm) for emb in pool]
+    return anchor_cosines(*resolve_vectors(key, generated, record, embedder=embedder, table=table))
 
 
 def best_match(similarities: Sequence[float], ids: Sequence[str]) -> int:

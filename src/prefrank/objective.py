@@ -21,9 +21,8 @@ All rounds are computed at once: ``comparison_rounds`` builds an
 positive and the penalties at its negatives, and ``weighted_rounds``
 takes one row-wise logsumexp over score + log(weight) for every round's
 softmax.  A zero weight is log 0 = -inf there, so that candidate adds
-nothing to its round.  The cost is O(M^2 log M), the row sorts;
-``reward_weight`` and ``penalty_weights`` read single rows of the same
-arrays.  ``plackett_luce_loss`` runs the same rounds with 0/1 weights.
+nothing to its round.  The cost is O(M^2 log M), the row sorts.
+``plackett_luce_loss`` runs the same rounds with 0/1 weights.
 """
 
 from __future__ import annotations
@@ -85,78 +84,6 @@ def perceptual_alignment_loss(pi_s: np.ndarray, d_r: DynamicRanking) -> float:
     return float(-pi_s[d_r.top()])
 
 
-def _reward_weights(single_matrices: list[ApdfMatrix], positives: np.ndarray) -> np.ndarray:
-    """Reward weight of each positive: the product over attributes of its row max."""
-    if not single_matrices:
-        raise ValidationError("reward weight requires at least one matrix")
-    size = single_matrices[0].size
-    _check_candidates(positives, size)
-    rewards = np.ones(positives.size)
-    # Overflow is reported by the caller as a non-finite reward.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for matrix in single_matrices:
-            if matrix.size != size:
-                raise ValidationError("single-attribute matrices must share one shape")
-            rewards *= matrix.values.max(axis=1)[positives]
-    return rewards
-
-
-def _penalty_weights(
-    multi: ApdfMatrix, d_r: DynamicRanking, positives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Negatives and their penalty weights, one row per positive.
-
-    Row r lists the dynamic order without positives[r] and, aligned with
-    it, that positive's matrix row sorted ascending without its smallest
-    entry.  Entries are nonnegative and the diagonal is zero, so the
-    dropped entry is a zero, as the diagonal itself would be.
-    """
-    size = multi.size
-    if len(d_r) != size:
-        raise ValidationError("dynamic ranking does not match matrix size")
-    _check_candidates(positives, size)
-    order = np.asarray(d_r.order, dtype=np.intp)
-    position = np.empty(size, dtype=np.intp)
-    position[order] = np.arange(size)
-    slots = np.arange(size - 1)
-    negatives = order[slots + (slots >= position[positives][:, None])]
-    penalties = multi.values[positives]
-    penalties.sort(axis=1)
-    return negatives, penalties[:, 1:]
-
-
-def _check_candidates(candidates: np.ndarray, size: int) -> None:
-    outside = (candidates < 0) | (candidates >= size)
-    if outside.any():
-        b = int(candidates[outside.argmax()])
-        raise ValidationError(f"candidate index {b} out of range for pool of {size}")
-
-
-def reward_weight(single_matrices: list[ApdfMatrix], b: int) -> float:
-    """Product over attributes of the largest entry in row b."""
-    return float(_reward_weights(single_matrices, np.array([b]))[0])
-
-
-def penalty_weights(multi: ApdfMatrix, d_r: DynamicRanking, b: int) -> dict[int, float]:
-    """Ascending-sorted row-b entries assigned to negatives in dynamic order.
-
-    The j-th smallest value goes to the j-th non-b candidate in the
-    dynamic ranking, so better-ranked negatives are penalized least.
-    The positive's own (diagonal) entry is excluded from the sort.
-    """
-    negatives, penalties = _penalty_weights(multi, d_r, np.array([b]))
-    return dict(zip(negatives[0].tolist(), penalties[0].tolist()))
-
-
-def comparison_round_positives(d_r: DynamicRanking, mode: str = MODE_LITERAL) -> list[int]:
-    """The positive candidate for each of the M-1 comparison rounds."""
-    if mode not in COMPARISON_MODES:
-        raise ValidationError(f"unknown comparison mode {mode!r}; expected one of {COMPARISON_MODES}")
-    if mode == MODE_LITERAL:
-        return [d_r.order[m] for m in range(1, len(d_r))]
-    return [d_r.order[m] for m in range(0, len(d_r) - 1)]
-
-
 def perceptual_comparison_loss(
     pi_s: np.ndarray,
     d_r: DynamicRanking,
@@ -173,15 +100,30 @@ def comparison_rounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each round's positive and the (M-1) x M matrix of its reward and penalty weights.
 
-    A zero reward raises ``DegenerateInputError`` naming its round; an
-    overflowing one, ``ValidationError``.
+    Round r's positive sits at dynamic-rank position r + 1 (``literal``)
+    or r (``top_anchored``).  A zero reward raises ``DegenerateInputError``
+    naming its round; an overflowing one, ``ValidationError``.
     """
     size = multi.size
     if size < 2:
         raise ValidationError("comparison loss requires a pool of at least 2 candidates")
-    positives = np.array(comparison_round_positives(d_r, mode), dtype=np.intp)
-    rewards = _reward_weights(single_matrices, positives)
-    negatives, penalties = _penalty_weights(multi, d_r, positives)
+    if mode not in COMPARISON_MODES:
+        raise ValidationError(f"unknown comparison mode {mode!r}; expected one of {COMPARISON_MODES}")
+    if not single_matrices:
+        raise ValidationError("reward weight requires at least one matrix")
+    if any(matrix.size != size for matrix in single_matrices):
+        raise ValidationError("single-attribute matrices must share one shape")
+    if len(d_r) != size:
+        raise ValidationError("dynamic ranking does not match matrix size")
+    order = np.asarray(d_r.order, dtype=np.intp)
+    rounds = np.arange(size - 1)
+    position = rounds + (mode == MODE_LITERAL)
+    positives = order[position]
+    rewards = np.ones(size - 1)
+    # Overflow is reported below as a non-finite reward.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for matrix in single_matrices:
+            rewards *= matrix.values.max(axis=1)[positives]
     unusable = ~np.isfinite(rewards) | (rewards == 0.0)
     if unusable.any():
         m = int(unusable.argmax())
@@ -190,9 +132,15 @@ def comparison_rounds(
         raise DegenerateInputError(
             f"round {m}: reward weight for candidate {positives[m]} is zero (all-zero matrix row)"
         )
-    rounds = np.arange(positives.size)
-    weights = np.zeros((positives.size, size))
-    weights[rounds[:, None], negatives] = penalties
+    # Round r's negatives are the dynamic order without its positive, and their
+    # penalties the positive's fused row sorted ascending without its smallest
+    # entry: entries are nonnegative and the diagonal is zero, so that is a zero.
+    # Sorted in place: np.sort's second copy would make this step about 3x slower at M=256.
+    negatives = order[rounds + (rounds >= position[:, None])]
+    penalties = multi.values[positives]
+    penalties.sort(axis=1)
+    weights = np.zeros((size - 1, size))
+    weights[rounds[:, None], negatives] = penalties[:, 1:]
     weights[rounds, positives] = rewards
     return positives, weights
 

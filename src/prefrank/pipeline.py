@@ -3,7 +3,7 @@
 Bridges the corpus, embedding, distance-factor, and ranking layers.
 Vectors come from `embed.resolve_vectors` (an embedding table's rows
 under `corpus`'s keys, or an embedder's float lists); `build_perception`
-takes the question/candidate cosines once, with `embed.cosine`, and
+takes the question/candidate cosines once, with `embed.anchor_cosines`, and
 derives the gain vectors, the single and fused distance matrices, the
 semantic rank, and the dynamic ranking.  Losses, training and the
 ``rank`` and ``export-heatmap`` subcommands consume the resulting bundle.
@@ -11,13 +11,12 @@ semantic rank, and the dynamic ranking.  Losses, training and the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .apdf import ApdfMatrix, multi_apdf, popularity_gains, semantic_gains, single_apdf
 from .corpus import DecayConfig, QARecord, question_key
-from .embed import HashedNgramEmbedder, cosine, resolve_vectors, table_vector  # noqa: F401  re-exported
+from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
 
 
@@ -46,12 +45,9 @@ def build_perception(
     decay: DecayConfig | None = None,
 ) -> PerceptionBundle:
     """Distance matrices and rankings for one record; `decay=None` leaves votes undecayed."""
-    question, candidates = resolve_vectors(
-        question_key(record), record.question_text, record, embedder=embedder, table=table
+    similarities = anchor_cosines(
+        *resolve_vectors(question_key(record), record.question_text, record, embedder=embedder, table=table)
     )
-    question = list(question)  # read once per candidate; an ``array('d')`` row boxes a float per read
-    norm = math.hypot(*question)
-    similarities = [cosine(question, c, norm) for c in candidates]
     gains = [
         semantic_gains(similarities),
         popularity_gains(

@@ -182,17 +182,6 @@ def record_scores(policy: ToyPolicy, record: QARecord) -> np.ndarray:
     return _pool_scores(log_prob_table(policy, record.question_text), pool)
 
 
-def record_loss(
-    policy: ToyPolicy,
-    record: QARecord,
-    perception: PerceptionBundle,
-    alpha: float = objective.DEFAULT_ALPHA,
-    mode: str = objective.MODE_LITERAL,
-) -> objective.LossBreakdown:
-    """Combined loss of one record under the policy."""
-    return objective.record_loss(record_scores(policy, record), perception, alpha, mode)
-
-
 def loss_gradient(
     policy: ToyPolicy,
     record: QARecord,

@@ -31,8 +31,9 @@ from prefrank.objective import (
     dpo_pair_loss,
     perceptual_comparison_loss,
     plackett_luce_loss,
+    record_loss,
 )
-from prefrank.policy import ToyPolicy, loss_gradient, record_loss, record_scores, train
+from prefrank.policy import ToyPolicy, loss_gradient, record_scores, train
 from prefrank.ranking import DynamicRanking, brute_force_rank, dynamic_rank
 
 from conftest import (
@@ -138,9 +139,13 @@ class TestCriterion4GradientCorrectness:
                 r, c = int(rows[idx]), int(cols[idx])
                 original = policy.weights[r, c]
                 policy.weights[r, c] = original + h
-                up = record_loss(policy, item.record, item.perception, alpha, MODE_TOP_ANCHORED).total
+                up = record_loss(
+                    record_scores(policy, item.record), item.perception, alpha, MODE_TOP_ANCHORED
+                ).total
                 policy.weights[r, c] = original - h
-                down = record_loss(policy, item.record, item.perception, alpha, MODE_TOP_ANCHORED).total
+                down = record_loss(
+                    record_scores(policy, item.record), item.perception, alpha, MODE_TOP_ANCHORED
+                ).total
                 policy.weights[r, c] = original
                 fd = (up - down) / (2 * h)
                 rel = abs(fd - grad[r, c]) / max(abs(fd), abs(grad[r, c]))
@@ -271,9 +276,7 @@ class TestCriterion7ConsistencyEcho:
             for item in suite:
                 pi = record_scores(policy, item.record)
                 hits += int(int(np.argmax(pi)) == item.record.gold_ranking[0])
-                losses.append(
-                    record_loss(policy, item.record, item.perception, 0.05, MODE_TOP_ANCHORED).total
-                )
+                losses.append(record_loss(pi, item.perception, 0.05, MODE_TOP_ANCHORED).total)
             return hits / len(suite), float(np.mean(losses))
 
         hit_values = []

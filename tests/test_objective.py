@@ -12,18 +12,13 @@ from prefrank.errors import DegenerateInputError, ValidationError
 from prefrank.objective import (
     MODE_LITERAL,
     MODE_TOP_ANCHORED,
-    _penalty_weights,
-    _reward_weights,
     comparison_loss_and_score_grad,
-    comparison_round_positives,
     comparison_rounds,
     dpo_pair_loss,
-    penalty_weights,
     perceptual_alignment_loss,
     perceptual_comparison_loss,
     plackett_luce_loss,
     policy_scores_from_logprobs,
-    reward_weight,
     total_loss,
     weighted_rounds,
 )
@@ -35,6 +30,20 @@ from conftest import quantized_pool_matrices, random_pool_matrices, random_seman
 def uniform_matrix(size):
     """All off-diagonal entries 1: every reward and penalty weight is 1."""
     return ApdfMatrix("uniform", np.ones((size, size)) - np.eye(size))
+
+
+def reference_positives(d_r, mode):
+    """The rounds' positives: dynamic-rank positions 1..M-1 (literal) or 0..M-2."""
+    return d_r.order[1:] if mode == MODE_LITERAL else d_r.order[:-1]
+
+
+def round_weights(singles, multi, d_r, b):
+    """Candidate b's reward and penalties, read from its row of ``comparison_rounds``
+    in a mode where b is a positive; the penalties in dynamic order."""
+    mode = MODE_TOP_ANCHORED if b == d_r.top() else MODE_LITERAL
+    positives, weights = comparison_rounds(d_r, singles, multi, mode)
+    row = weights[positives.tolist().index(b)]
+    return float(row[b]), {j: float(row[j]) for j in d_r.order if j != b}
 
 
 def reference_round_weights(singles, multi, d_r, b):
@@ -52,7 +61,7 @@ def reference_comparison(pi_s, d_r, singles, multi, mode=MODE_LITERAL):
     reference the all-rounds-at-once version is checked against."""
     grad = np.zeros(multi.size)
     loss = 0.0
-    for m, b in enumerate(comparison_round_positives(d_r, mode)):
+    for m, b in enumerate(reference_positives(d_r, mode)):
         reward, penalties = reference_round_weights(singles, multi, d_r, b)
         if not math.isfinite(reward):
             raise ValidationError(f"reward weight must be finite and >= 0, got {reward}")
@@ -114,29 +123,24 @@ class TestPerceptualAlignmentLoss:
 
 
 class TestRewardWeight:
-    def test_single_candidate_row_is_zero(self):
-        assert reward_weight([ApdfMatrix("a", np.zeros((1, 1)))], 0) == 0.0
-
     def test_row_max(self):
         matrix = ApdfMatrix(
             "a", np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.05], [0.1, 0.05, 0.0]])
         )
-        assert reward_weight([matrix], 0) == pytest.approx(0.3)
+        reward, _ = round_weights([matrix], matrix, DynamicRanking([1, 0, 2]), 0)
+        assert reward == pytest.approx(0.3)
 
     def test_product_across_attributes(self):
         a = ApdfMatrix("a", np.array([[0.0, 0.3], [0.3, 0.0]]))
         b = ApdfMatrix("b", np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert reward_weight([a, b], 0) == pytest.approx(0.15, abs=1e-15)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            reward_weight([uniform_matrix(3)], 3)
+        reward, _ = round_weights([a, b], a, DynamicRanking([1, 0]), 0)
+        assert reward == pytest.approx(0.15, abs=1e-15)
 
 
 class TestPenaltyWeights:
     def test_two_candidates(self):
         matrix = ApdfMatrix("m", np.array([[0.0, 0.7], [0.7, 0.0]]))
-        weights = penalty_weights(matrix, DynamicRanking([0, 1]), 0)
+        _, weights = round_weights([matrix], matrix, DynamicRanking([0, 1]), 0)
         assert weights == {1: 0.7}
 
     def test_hand_assignment(self):
@@ -144,32 +148,34 @@ class TestPenaltyWeights:
         # candidate 2 first among negatives, so it takes the smaller 0.1.
         values = np.array([[0.0, 0.4, 0.2], [0.4, 0.0, 0.1], [0.2, 0.1, 0.0]])
         matrix = ApdfMatrix("m", values)
-        weights = penalty_weights(matrix, DynamicRanking([2, 1, 0]), 1)
+        _, weights = round_weights([matrix], matrix, DynamicRanking([2, 1, 0]), 1)
         assert weights == {2: pytest.approx(0.1), 0: pytest.approx(0.4)}
 
     def test_zero_matrix_gives_zero_penalties(self):
         matrix = ApdfMatrix("m", np.zeros((3, 3)))
-        weights = penalty_weights(matrix, DynamicRanking([0, 1, 2]), 0)
+        _, weights = round_weights([uniform_matrix(3)], matrix, DynamicRanking([0, 1, 2]), 0)
         assert weights == {1: 0.0, 2: 0.0}
 
     def test_covers_exactly_the_negatives(self):
+        # The positive holds the reward; the negatives hold its fused row without the diagonal.
         rng = np.random.default_rng(21)
         for _ in range(50):
             size = int(rng.integers(2, 8))
-            _, _, multi = random_pool_matrices(rng, size=size)
+            _, singles, multi = random_pool_matrices(rng, size=size)
             order = list(rng.permutation(size))
             b = int(rng.integers(size))
-            weights = penalty_weights(multi, DynamicRanking(order), b)
+            _, weights = round_weights(singles, multi, DynamicRanking(order), b)
             assert set(weights) == set(range(size)) - {b}
+            assert sorted(weights.values()) == sorted(np.delete(multi.values[b], b).tolist())
 
     def test_better_rank_smaller_penalty(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             size = int(rng.integers(3, 8))
-            _, _, multi = random_pool_matrices(rng, size=size)
+            _, singles, multi = random_pool_matrices(rng, size=size)
             order = list(rng.permutation(size))
             b = int(rng.integers(size))
-            weights = penalty_weights(multi, DynamicRanking(order), b)
+            _, weights = round_weights(singles, multi, DynamicRanking(order), b)
             negatives = [i for i in order if i != b]
             values = [weights[i] for i in negatives]
             assert values == sorted(values)
@@ -178,15 +184,61 @@ class TestPenaltyWeights:
 class TestComparisonRounds:
     def test_literal_skips_top(self):
         d_r = DynamicRanking([2, 0, 1])
-        assert comparison_round_positives(d_r, MODE_LITERAL) == [0, 1]
+        matrix = uniform_matrix(3)
+        assert comparison_rounds(d_r, [matrix], matrix, MODE_LITERAL)[0].tolist() == [0, 1]
 
     def test_top_anchored_skips_last(self):
         d_r = DynamicRanking([2, 0, 1])
-        assert comparison_round_positives(d_r, MODE_TOP_ANCHORED) == [2, 0]
+        matrix = uniform_matrix(3)
+        assert comparison_rounds(d_r, [matrix], matrix, MODE_TOP_ANCHORED)[0].tolist() == [2, 0]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            comparison_round_positives(DynamicRanking([0, 1]), "both")
+        matrix = uniform_matrix(2)
+        with pytest.raises(ValidationError) as raised:
+            comparison_rounds(DynamicRanking([0, 1]), [matrix], matrix, "both")
+        assert str(raised.value) == (
+            "unknown comparison mode 'both'; expected one of ('literal', 'top_anchored')"
+        )
+
+    def test_empty_singles_rejected(self):
+        with pytest.raises(ValidationError) as raised:
+            comparison_rounds(DynamicRanking([0, 1]), [], uniform_matrix(2))
+        assert str(raised.value) == "reward weight requires at least one matrix"
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (4, 3)])
+    def test_singles_of_mixed_sizes_rejected(self, sizes):
+        singles = [uniform_matrix(size) for size in sizes]
+        with pytest.raises(ValidationError) as raised:
+            comparison_rounds(DynamicRanking([0, 1, 2]), singles, uniform_matrix(3))
+        assert str(raised.value) == "single-attribute matrices must share one shape"
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (4,)])
+    def test_singles_unlike_the_fused_matrix_rejected(self, sizes):
+        # Singles that agree with each other but not with the fused matrix.
+        singles = [uniform_matrix(size) for size in sizes]
+        with pytest.raises(ValidationError) as raised:
+            comparison_rounds(DynamicRanking([0, 1, 2]), singles, uniform_matrix(3))
+        assert str(raised.value) == "single-attribute matrices must share one shape"
+
+    def test_ranking_of_another_length_rejected(self):
+        matrix = uniform_matrix(3)
+        with pytest.raises(ValidationError) as raised:
+            comparison_rounds(DynamicRanking([0, 1]), [matrix], matrix)
+        assert str(raised.value) == "dynamic ranking does not match matrix size"
+
+    def test_checks_run_in_order(self):
+        # Each call breaks every check from one point on; the first of them is reported.
+        matrix = uniform_matrix(3)
+        short = DynamicRanking([0, 1])
+        cases = [
+            (ApdfMatrix("m", np.zeros((1, 1))), "both", [], "at least 2 candidates"),
+            (matrix, "both", [], "unknown comparison mode"),
+            (matrix, MODE_LITERAL, [], "at least one matrix"),
+            (matrix, MODE_LITERAL, [matrix, uniform_matrix(2)], "share one shape"),
+        ]
+        for multi, mode, singles, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                comparison_rounds(short, singles, multi, mode)
 
 
 class TestPerceptualComparisonLoss:
@@ -371,17 +423,18 @@ class TestReferenceEquivalence:
                 singles, multi = quantized_pool_matrices(rng, size)
             d_r = DynamicRanking(list(rng.permutation(size)))
             for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
-                positives = np.array(comparison_round_positives(d_r, mode))
-                rewards = _reward_weights(singles, positives)
-                negatives, penalties = _penalty_weights(multi, d_r, positives)
-                for m, b in enumerate(positives.tolist()):
+                try:
+                    positives, weights = comparison_rounds(d_r, singles, multi, mode)
+                except DegenerateInputError:
+                    continue
+                assert positives.tolist() == reference_positives(d_r, mode)
+                for row, b in zip(weights, positives.tolist()):
                     expected_reward, expected_penalties = reference_round_weights(
                         singles, multi, d_r, b
                     )
-                    row = dict(zip(negatives[m].tolist(), penalties[m].tolist()))
-                    assert reward_weight(singles, b) == rewards[m] == expected_reward
-                    assert list(penalty_weights(multi, d_r, b).items()) == list(row.items())
-                    assert list(row.items()) == list(expected_penalties.items())
+                    assert row[b] == expected_reward
+                    penalties = {j: float(row[j]) for j in d_r.order if j != b}
+                    assert list(penalties.items()) == list(expected_penalties.items())
 
 
 class TestLambdaWeights:
@@ -394,13 +447,13 @@ class TestLambdaWeights:
 
     @staticmethod
     def lambdas(pi, d_r, singles, multi, mode):
-        """lambda[b, j] from a round-by-round softmax over the public weights;
+        """lambda[b, j] from a round-by-round softmax over the rows of ``comparison_rounds``;
         a negative with a zero penalty is left out of its round, so its lambda is 0."""
         lam = np.zeros((multi.size, multi.size))
-        for b in comparison_round_positives(d_r, mode):
-            weights = {b: reward_weight(singles, b), **penalty_weights(multi, d_r, b)}
-            included = [j for j, w in weights.items() if w > 0.0]
-            logits = np.array([pi[j] + math.log(weights[j]) for j in included])
+        positives, weights = comparison_rounds(d_r, singles, multi, mode)
+        for b, row in zip(positives.tolist(), weights):
+            included = [j for j in range(multi.size) if row[j] > 0.0]
+            logits = np.array([pi[j] + math.log(row[j]) for j in included])
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             for j, p in zip(included, probs):
@@ -421,11 +474,8 @@ class TestLambdaWeights:
                 pair_sum = lam.sum(axis=0) - lam.sum(axis=1)
                 _, grad = comparison_loss_and_score_grad(pi, d_r, singles, multi, mode)
                 np.testing.assert_allclose(grad, pair_sum, rtol=0, atol=1e-12)
-                zero_penalties += sum(
-                    penalty == 0.0
-                    for b in comparison_round_positives(d_r, mode)
-                    for penalty in penalty_weights(multi, d_r, b).values()
-                )
+                # Rewards are nonzero, so every zero weight is a zero penalty.
+                zero_penalties += int(np.sum(comparison_rounds(d_r, singles, multi, mode)[1] == 0.0))
         assert zero_penalties > 0  # the suite has tied gains, so some lambdas are 0
 
 
@@ -435,9 +485,9 @@ class TestDiscountScaleInvariance:
     nor the comparison loss may see it.  That is why the base is fixed."""
 
     @staticmethod
-    def loss_or_error(pi_s, d_r, singles, multi, mode):
+    def or_error(function, *args):
         try:
-            return comparison_loss_and_score_grad(pi_s, d_r, singles, multi, mode)
+            return function(*args)
         except DegenerateInputError as exc:
             return str(exc)
 
@@ -457,16 +507,17 @@ class TestDiscountScaleInvariance:
             d_r = dynamic_rank(multi, arank)
             assert dynamic_rank(scaled_multi, arank).order == d_r.order
             for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
-                positives = np.array(comparison_round_positives(d_r, mode))
                 if math.log2(c).is_integer():
-                    # Every weight of every round scales by c**2 exactly.
-                    rewards = _reward_weights(singles, positives)
-                    assert np.array_equal(_reward_weights(scaled, positives), c * c * rewards)
-                    penalties = _penalty_weights(multi, d_r, positives)[1]
-                    scaled_penalties = _penalty_weights(scaled_multi, d_r, positives)[1]
-                    assert np.array_equal(scaled_penalties, c * c * penalties)
-                got = self.loss_or_error(pi_s, d_r, scaled, scaled_multi, mode)
-                expected = self.loss_or_error(pi_s, d_r, singles, multi, mode)
+                    # Every weight of every round scales by c**2 exactly, or both raise alike.
+                    rounds = self.or_error(comparison_rounds, d_r, singles, multi, mode)
+                    scaled_rounds = self.or_error(comparison_rounds, d_r, scaled, scaled_multi, mode)
+                    if isinstance(rounds, str):
+                        assert scaled_rounds == rounds
+                    else:
+                        assert np.array_equal(scaled_rounds[0], rounds[0])
+                        assert np.array_equal(scaled_rounds[1], c * c * rounds[1])
+                got = self.or_error(comparison_loss_and_score_grad, pi_s, d_r, scaled, scaled_multi, mode)
+                expected = self.or_error(comparison_loss_and_score_grad, pi_s, d_r, singles, multi, mode)
                 if isinstance(expected, str):
                     assert got == expected
                     continue

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from prefrank.apdf import GainVector, multi_apdf, single_apdf
+from prefrank.cli import build_parser
+from prefrank.embed import HashedNgramEmbedder
 from prefrank.errors import DegenerateInputError, SchemaError, ValidationError
-from prefrank.objective import MODE_LITERAL, MODE_TOP_ANCHORED, comparison_loss_and_score_grad
+from prefrank.evaluation import RecordOutcome, pool_similarities, pref_hit
+from prefrank.objective import (
+    MODE_LITERAL,
+    MODE_TOP_ANCHORED,
+    comparison_loss_and_score_grad,
+    record_loss,
+)
 from prefrank.pipeline import PerceptionBundle
 from prefrank.policy import (
     BOS,
@@ -19,7 +27,6 @@ from prefrank.policy import (
     load_logprob_file,
     loss_gradient,
     question_bias,
-    record_loss,
     record_scores,
     score,
     train,
@@ -158,9 +165,9 @@ def finite_difference_check(policy, record, perception, alpha, mode, rng, coords
         r, c = int(rows[idx]), int(cols[idx])
         original = policy.weights[r, c]
         policy.weights[r, c] = original + h
-        up = record_loss(policy, record, perception, alpha, mode).total
+        up = record_loss(record_scores(policy, record), perception, alpha, mode).total
         policy.weights[r, c] = original - h
-        down = record_loss(policy, record, perception, alpha, mode).total
+        down = record_loss(record_scores(policy, record), perception, alpha, mode).total
         policy.weights[r, c] = original
         fd = (up - down) / (2 * h)
         rel = abs(fd - grad[r, c]) / max(abs(fd), abs(grad[r, c]))
@@ -183,7 +190,8 @@ class TestLossGradient:
         for item in synthetic_suite:
             for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
                 breakdown, _ = loss_gradient(policy, item.record, item.perception, 0.05, mode)
-                assert breakdown == record_loss(policy, item.record, item.perception, 0.05, mode)
+                scores = record_scores(policy, item.record)
+                assert breakdown == record_loss(scores, item.perception, 0.05, mode)
 
     def test_matches_per_token_reference(self, synthetic_suite):
         # Reference: accumulate d(pi)/d(logits) = (onehot - probs) / T token
@@ -357,3 +365,44 @@ class TestLogProbTable:
         path.write_text(line + line, encoding="utf-8")
         with pytest.raises(SchemaError, match="line 2"):
             load_logprob_file(path)
+
+
+class TestTrainingAtTheCliDefaults:
+    """The synthetic suite trained as ``train-toy`` trains it with no options.
+
+    The suite's gold ranking is its dynamic ranking.  Under ``literal``,
+    the CLI's default schedule, no round has the top answer as its
+    positive, so at alpha 0.05 the policy puts the second answer first;
+    ``top_anchored`` puts the top answer first (README, "Comparison-round
+    schedule")."""
+
+    @staticmethod
+    def pref_hit_at_1(policy, suite):
+        embedder = HashedNgramEmbedder(dim=64)
+        outcomes = []
+        for item in suite:
+            record = item.record
+            generated = record.candidates[int(np.argmax(record_scores(policy, record)))].content
+            outcomes.append(
+                RecordOutcome(
+                    record_id=record.question_id,
+                    similarities=pool_similarities(generated, record, embedder=embedder),
+                    candidate_ids=tuple(c.id for c in record.candidates),
+                    gold_ranking=record.gold_ranking,
+                )
+            )
+        return pref_hit(outcomes, 1)
+
+    @pytest.mark.parametrize("mode, trained_hit", [(MODE_LITERAL, 0.0), (MODE_TOP_ANCHORED, 1.0)])
+    def test_pref_hit_at_1(self, synthetic_suite, mode, trained_hit):
+        args = build_parser().parse_args(["train-toy", "--records", "r.jsonl", "--out-policy", "p.bin"])
+        assert args.mode == MODE_LITERAL
+        policy = ToyPolicy.fresh(
+            seed=args.seed,
+            init_scale=args.init_scale,
+            learning_rate=args.learning_rate,
+            question_scale=args.question_scale,
+        )
+        assert self.pref_hit_at_1(policy, synthetic_suite) == 0.195
+        train(policy, list(synthetic_suite), epochs=args.epochs, alpha=args.alpha, mode=mode)
+        assert self.pref_hit_at_1(policy, synthetic_suite) == trained_hit
