@@ -29,7 +29,7 @@ _EXPORTS = {
         "semantic_gain",
         "single_apdf",
     ),
-    "corpus": ("DecayConfig", "FilterConfig", "LogProbTable", "QARecord", "ResponseCandidate",
+    "corpus": ("DecayConfig", "LogProbTable", "QARecord", "ResponseCandidate",
                "load_logprob_file", "read_records", "write_records"),
     "embed": ("HashedNgramEmbedder", "cosine", "load_external_embeddings"),
     "errors": (
@@ -52,6 +52,7 @@ _EXPORTS = {
         "spearman_r",
         "top_k_matches",
     ),
+    "ingest": ("FilterConfig",),
     "objective": (
         "LossBreakdown",
         "dpo_pair_loss",

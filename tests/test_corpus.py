@@ -11,20 +11,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import prefrank
+from prefrank import corpus, ingest
 from prefrank.apdf import DecayConfig
 from prefrank.corpus import (
-    FilterConfig,
     LogProbTable,
     QARecord,
-    apply_quality_filters,
-    assign_gold_ranking,
-    clean_entries,
-    clean_html,
-    filter_accepted,
-    filter_code_block,
-    has_code_block,
     load_logprob_file,
-    parse_dump,
     parse_timestamp,
     read_keyed_jsonl,
     read_records,
@@ -32,6 +25,17 @@ from prefrank.corpus import (
     write_records,
 )
 from prefrank.errors import DumpParseError, SchemaError, ValidationError
+from prefrank.ingest import (
+    FilterConfig,
+    apply_quality_filters,
+    assign_gold_ranking,
+    clean_entries,
+    clean_html,
+    filter_accepted,
+    filter_code_block,
+    has_code_block,
+    parse_dump,
+)
 
 from conftest import (
     CODE_BODY,
@@ -187,6 +191,18 @@ class TestParseDump:
         result = parse_dump(path)
         assert [(c.id, c.votes) for c in result.entries[0].candidates] == [("11", 3)]
         assert result.warnings == {"bad_Score": 1}
+
+
+def test_each_ingestion_name_is_one_object_wherever_it_resolves():
+    names = {
+        name for name, value in vars(ingest).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == ingest.__name__
+    }
+    assert names == corpus._INGEST_NAMES
+    for name in names:
+        assert getattr(corpus, name) is getattr(ingest, name), name
+        if name in prefrank.__all__:
+            assert getattr(prefrank, name) is getattr(ingest, name), name
 
 
 class TestFilterAccepted:

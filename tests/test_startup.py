@@ -129,11 +129,13 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, synthetic_suite):
     assert outputs["default"] == outputs["two"]
 
 
-# numpy and the prefrank modules loaded, printed as a sorted JSON list.
-LOADED = """
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("prefrank"))))
+# numpy, the dump parsers and the prefrank modules loaded, printed as a sorted JSON list.
+DUMP_PARSERS = ("html.parser", "xml.etree.ElementTree")
+LOADED = f"""
+print(json.dumps(sorted(m for m in sys.modules if m in {("numpy", *DUMP_PARSERS)!r} or m.startswith("prefrank"))))
 """
 CLI_MODULES = {"prefrank", "prefrank.cli", "prefrank.constants", "prefrank.corpus", "prefrank.errors"}
+INGEST_MODULES = CLI_MODULES | {"prefrank.ingest", *DUMP_PARSERS}
 PERCEPTION_MODULES = CLI_MODULES | {"numpy", *(f"prefrank.{m}" for m in ("apdf", "embed", "pipeline", "ranking"))}
 EVAL_MODULES = CLI_MODULES | {"prefrank.embed", "prefrank.evaluation"}
 
@@ -171,10 +173,29 @@ def test_loading_the_three_inputs_loads_no_numpy(tmp_path):
     assert loaded == ["prefrank", "prefrank.constants", "prefrank.corpus", "prefrank.embed", "prefrank.errors"]
 
 
+def test_an_unknown_corpus_name_imports_no_ingestion():
+    code = """
+import json, sys
+import prefrank.corpus as corpus
+state = {"hasattr": hasattr(corpus, "nope")}
+try:
+    corpus.nope
+except AttributeError as exc:
+    state["unknown"] = str(exc)
+state["ingest_loaded"] = "prefrank.ingest" in sys.modules
+print(json.dumps(state))
+"""
+    assert run_python(code, child_env()) == {
+        "hasattr": False,
+        "unknown": "module 'prefrank.corpus' has no attribute 'nope'",
+        "ingest_loaded": False,
+    }
+
+
 @pytest.mark.parametrize(
     "command, loaded",
     [
-        ("ingest", CLI_MODULES),
+        ("ingest", INGEST_MODULES),
         ("embed", CLI_MODULES | {"prefrank.embed"}),
         ("rank", PERCEPTION_MODULES),
         ("export-heatmap", PERCEPTION_MODULES),
