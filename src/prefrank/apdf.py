@@ -16,15 +16,23 @@ nonnegative.  The fused multi-attribute matrix is the element-wise
 product of the single matrices, which preserves all three properties
 and keeps per-entry row lookups meaningful for the comparison weights
 downstream.
+
+Standard-library code: a single matrix keeps its O(M) factors (gains and
+shared discounts) and a fused one its inputs, and `upper_rows` reads the
+strict upper triangle from them.  `values`, the numpy array, is built on
+first access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from datetime import datetime
-
-import numpy as np
+from functools import cached_property, reduce
+from itertools import groupby
+from operator import add, mul
+from typing import Iterator, Sequence
 
 from .corpus import DecayConfig, decayed_popularity
 from .errors import ValidationError
@@ -37,53 +45,94 @@ _SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GainVector:
-    """Per-candidate gains for one attribute over a pool of size M."""
+    """Per-candidate gains for one attribute over a pool of size M, as an ``array('d')``."""
 
     attribute_name: str
-    gains: np.ndarray
+    gains: Sequence[float]
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=np.float64)
-        if gains.ndim != 1 or gains.size < 1:
+        try:
+            gains = array("d", self.gains)
+        except TypeError:
+            raise ValidationError("gains must be a non-empty 1-D vector") from None
+        if not gains:
             raise ValidationError("gains must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(gains)):
+        if not all(map(math.isfinite, gains)):
             raise ValidationError(f"{self.attribute_name}: gains contain non-finite values")
-        if np.any(gains < 0):
+        if min(gains) < 0:
             raise ValidationError(f"{self.attribute_name}: gains must be nonnegative")
         object.__setattr__(self, "gains", gains)
 
     def __len__(self) -> int:
-        return self.gains.size
+        return len(self.gains)
 
 
-@dataclass(frozen=True)
 class ApdfMatrix:
     """M x M pairwise perceptual distances for one attribute (or the fusion).
 
-    Invariants checked at construction: symmetric within 1e-12, exactly
-    zero diagonal, all entries finite and nonnegative.
+    ``ApdfMatrix(name, values)`` checks an explicit array at construction:
+    symmetric within 1e-12, exactly zero diagonal, all entries finite and
+    nonnegative.  `single_apdf` keeps the factors of the entries and
+    `multi_apdf` the inputs, which are symmetric, zero on the diagonal and
+    nonnegative by construction; `_lazy` checks that their entries are finite.
     """
 
-    attribute_name: str
-    values: np.ndarray = field(repr=False)
+    _factors: tuple[array, array] | None = None  # gains g, discounts d: entry (i, j) is (g_i - g_j)(d_i - d_j)
+    _inputs: tuple[ApdfMatrix, ...] = ()  # a fused matrix is the Hadamard product of these
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, attribute_name: str, values):
+        import numpy as np
+
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 1:
             raise ValidationError("APDF matrix must be square and non-empty")
         if not np.all(np.isfinite(values)):
-            raise ValidationError(f"{self.attribute_name}: matrix contains non-finite values")
+            raise ValidationError(f"{attribute_name}: matrix contains non-finite values")
         if np.any(np.diagonal(values) != 0.0):
-            raise ValidationError(f"{self.attribute_name}: matrix diagonal must be exactly zero")
+            raise ValidationError(f"{attribute_name}: matrix diagonal must be exactly zero")
         if np.abs(values - values.T).max() > _SYMMETRY_TOL:
-            raise ValidationError(f"{self.attribute_name}: matrix is not symmetric")
+            raise ValidationError(f"{attribute_name}: matrix is not symmetric")
         if np.any(values < 0.0):
-            raise ValidationError(f"{self.attribute_name}: matrix has negative entries")
-        object.__setattr__(self, "values", values)
+            raise ValidationError(f"{attribute_name}: matrix has negative entries")
+        # `values` set here shadows the cached property, which builds it for `_lazy` matrices.
+        self.attribute_name, self.size, self.values = attribute_name, len(values), values
+        self._bound = float(values.max())
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
+    @classmethod
+    def _lazy(cls, attribute_name: str, size: int, bound: float, factors=None, inputs=()) -> ApdfMatrix:
+        """A matrix held as `factors` or `inputs`, none of whose entries exceeds `bound`."""
+        matrix = cls.__new__(cls)
+        matrix.attribute_name, matrix.size, matrix._bound = attribute_name, size, bound
+        matrix._factors, matrix._inputs = factors, inputs
+        if not math.isfinite(bound):  # rounding is monotone: a finite bound leaves every entry finite
+            cls(attribute_name, matrix.values)  # checks every entry
+        return matrix
+
+    @cached_property
+    def values(self):
+        """The M x M float64 array, built on first access and cached."""
+        import numpy as np
+
+        if self._factors:
+            gains, discounts = (np.frombuffer(f) for f in self._factors)
+            # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.
+            return np.subtract.outer(gains, gains) * np.subtract.outer(discounts, discounts) + 0.0
+        fused = self._inputs[0].values.copy()
+        for m in self._inputs[1:]:
+            fused *= m.values
+        fused += 0.0
+        return fused
+
+    def upper_rows(self) -> Iterator[list[float]]:
+        """Row i's entries (i, i+1) .. (i, M-1) as Python floats, read from the
+        factors, the inputs or ``values``; a zero may read -0.0."""
+        if self._factors:
+            factors = list(zip(*self._factors))  # (g_i, d_i) per candidate
+            return ([(g - h) * (d - e) for h, e in factors[i + 1:]] for i, (g, d) in enumerate(factors))
+        if self._inputs:
+            rows = zip(*(m.upper_rows() for m in self._inputs))
+            return (reduce(lambda a, b: list(map(mul, a, b)), parts) for parts in rows)
+        return (row[i + 1:] for i, row in enumerate(self.values.tolist()))
 
 
 def rank_discount(rank: int) -> float:
@@ -112,10 +161,9 @@ def popularity_gain(decayed_votes: float) -> float:
     return math.log10(decayed_votes + 1.0)
 
 
-def semantic_gains(similarities: np.ndarray) -> GainVector:
+def semantic_gains(similarities: Sequence[float]) -> GainVector:
     """Semantic gain vector for a pool from its question/candidate cosines."""
-    gains = [semantic_gain(phi) for phi in np.asarray(similarities, dtype=np.float64).tolist()]
-    return GainVector(SEMANTIC, np.array(gains))
+    return GainVector(SEMANTIC, [semantic_gain(float(phi)) for phi in similarities])
 
 
 def popularity_gains(
@@ -127,13 +175,19 @@ def popularity_gains(
     gains = [
         popularity_gain(decayed_popularity(v, t, cfg)) for v, t in zip(votes, created_ats)
     ]
-    return GainVector(POPULARITY, np.array(gains))
+    return GainVector(POPULARITY, gains)
 
 
-def induced_ranks(gains: GainVector) -> np.ndarray:
-    """1-indexed ranks by descending gain; ties go to the lower index."""
-    ranks = np.empty(len(gains), dtype=np.int64)
-    ranks[np.argsort(-gains.gains, kind="stable")] = np.arange(1, len(gains) + 1)
+def _by_rank(gains: GainVector) -> list[int]:
+    """Candidates by descending gain; the stable sort leaves ties in index order."""
+    return sorted(range(len(gains)), key=gains.gains.__getitem__, reverse=True)
+
+
+def induced_ranks(gains: GainVector) -> array:
+    """1-indexed ranks by descending gain, as an ``array('q')``; ties go to the lower index."""
+    ranks = array("q", [0]) * len(gains)
+    for rank, candidate in enumerate(_by_rank(gains), 1):
+        ranks[candidate] = rank
     return ranks
 
 
@@ -144,15 +198,14 @@ def single_apdf(gains: GainVector) -> ApdfMatrix:
     positions they hold, summed in rank order, so no entry depends on the
     order of the pool.
     """
-    ranks = induced_ranks(gains)
-    discounts = np.array([rank_discount(int(r)) for r in ranks])
-    by_rank = np.argsort(ranks)
-    _, group, counts = np.unique(gains.gains[by_rank], return_inverse=True, return_counts=True)
-    discounts[by_rank] = (np.bincount(group, weights=discounts[by_rank]) / counts)[group]
-    gain_diff = np.subtract.outer(gains.gains, gains.gains)
-    discount_diff = np.subtract.outer(discounts, discounts)
-    # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.
-    return ApdfMatrix(gains.attribute_name, gain_diff * discount_diff + 0.0)
+    discounts = array("d", [0.0]) * len(gains)
+    for _, group in groupby(enumerate(_by_rank(gains), 1), key=lambda item: gains.gains[item[1]]):
+        ranks, members = zip(*group)
+        total = reduce(add, map(rank_discount, ranks), 0.0)  # not sum(), which compensates since Python 3.12
+        for candidate in members:
+            discounts[candidate] = total / len(ranks)
+    bound = (max(gains.gains) - min(gains.gains)) * (max(discounts) - min(discounts))
+    return ApdfMatrix._lazy(gains.attribute_name, len(gains), bound, factors=(gains.gains, discounts))
 
 
 def multi_apdf(matrices: list[ApdfMatrix]) -> ApdfMatrix:
@@ -165,9 +218,6 @@ def multi_apdf(matrices: list[ApdfMatrix]) -> ApdfMatrix:
             raise ValidationError(
                 f"matrix shape mismatch: {m.attribute_name} is {m.size}x{m.size}, expected {size}"
             )
-    fused = matrices[0].values.copy()
-    for m in matrices[1:]:
-        fused *= m.values
-    fused += 0.0
     name = "*".join(m.attribute_name for m in matrices)
-    return ApdfMatrix(name, fused)
+    bound = math.prod(m._bound for m in matrices)
+    return ApdfMatrix._lazy(name, size, bound, inputs=tuple(matrices))

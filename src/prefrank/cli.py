@@ -14,10 +14,10 @@ file format, 4 numerically degenerate input.  No traceback is printed.
 
 This module imports only the standard library, `corpus`, `errors` and
 `constants`; each subcommand imports the modules it runs when it
-starts: ``ingest`` and ``embed`` never load numpy, and ``eval`` only to
-correlate external scores (an embedding table is read without it).  At
-import (``prefrank`` on the command line, ``python -m prefrank.cli``),
-before any subcommand loads numpy, this module sets
+starts: ``ingest``, ``embed`` and ``rank`` never load numpy, and
+``eval`` only to correlate external scores (an embedding table is read
+without it).  At import (``prefrank`` on the command line, ``python -m
+prefrank.cli``), before any subcommand loads numpy, this module sets
 ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.  prefrank's
 BLAS calls are vector products, nearly all of embedding length, which

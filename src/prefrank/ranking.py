@@ -5,20 +5,21 @@ largest surviving pairwise distance is located and the endpoint that
 ranks higher semantically is placed next, then removed from play.  When
 no strictly positive distance survives, the remaining candidates are
 appended in semantic-rank order.  Only the upper triangle (row < col)
-is read.  ``dynamic_rank`` sorts the positive upper-triangle pairs once
-and makes one pass over them, skipping every pair with a placed
-endpoint, O(M^2 log M); ``brute_force_rank``
-implements the same contract by rescanning the full matrix against an
-exclusion set at every step, O(M^3), and exists as an independent
-check on ``dynamic_rank``.
+is read.  ``dynamic_rank`` sorts the upper-triangle pairs once and makes
+one pass over the positive ones, skipping every pair with a placed
+endpoint, O(M^2 log M); it is standard-library code and reads the
+triangle through `ApdfMatrix.upper_rows`, so ``rank`` loads no numpy.
+``brute_force_rank`` implements the same contract by rescanning the
+full matrix against an exclusion set at every step, O(M^3), and exists
+as an independent check on ``dynamic_rank``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
-
-import numpy as np
 
 from .apdf import ApdfMatrix
 from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches ranking.cosine by name
@@ -27,22 +28,26 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class SemanticRank:
-    """0-indexed semantic ranks: rank_of[c] == 0 means c is closest to the question."""
+    """0-indexed semantic ranks, as an ``array('q')``: rank_of[c] == 0 means c is
+    closest to the question."""
 
-    rank_of: np.ndarray
+    rank_of: Sequence[int]
 
     def __post_init__(self):
-        rank_of = np.asarray(self.rank_of, dtype=np.int64)
-        if sorted(rank_of.tolist()) != list(range(rank_of.size)):
+        try:
+            rank_of = array("q", self.rank_of)
+        except (TypeError, OverflowError):  # not integers, or out of range
+            rank_of = None
+        if rank_of is None or sorted(rank_of) != list(range(len(rank_of))):
             raise ValidationError("rank_of must be a permutation of 0..M-1")
         object.__setattr__(self, "rank_of", rank_of)
 
     def __len__(self) -> int:
-        return self.rank_of.size
+        return len(self.rank_of)
 
     def by_rank(self) -> list[int]:
-        """Candidate indices from most to least semantically similar."""
-        return list(np.argsort(self.rank_of, kind="stable"))
+        """Candidate indices (Python ints) from most to least semantically similar."""
+        return sorted(range(len(self.rank_of)), key=self.rank_of.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ def semantic_rank(similarities: Sequence[float], ids: Sequence[str]) -> Semantic
     if len(ids) != len(similarities):
         raise ValidationError(f"{len(ids)} candidate ids for {len(similarities)} similarities")
     by_rank = sorted(range(len(ids)), key=lambda c: (-similarities[c], ids[c]))
-    return SemanticRank(np.argsort(by_rank))  # the inverse permutation
+    return SemanticRank(sorted(range(len(ids)), key=by_rank.__getitem__))  # the inverse permutation
 
 
 def _check_inputs(multi: ApdfMatrix, arank: SemanticRank) -> None:
@@ -84,27 +89,31 @@ def _check_inputs(multi: ApdfMatrix, arank: SemanticRank) -> None:
 def dynamic_rank(multi: ApdfMatrix, arank: SemanticRank) -> DynamicRanking:
     """Greedy placement by maximal surviving distance, semantic rank deciding.
 
-    The positive entries (row, col) with row < col are sorted once by
-    (-value, row, col), so ties on the maximal entry go to the
-    lexicographically smallest pair.  Placing a candidate retires every
-    pair it belongs to, so one pass over that order is the greedy walk:
-    a pair with a placed endpoint is skipped, any other places its
-    semantically better endpoint.  Candidates the walk does not reach
-    follow in semantic-rank order.  O(M^2 log M), the sort.
+    The entries (row, col) with row < col are read in row-major order and
+    sorted once by descending value; the sort is stable, so ties on the
+    maximal entry go to the lexicographically smallest pair.  Placing a
+    candidate retires every pair it belongs to, so one pass over the
+    positive entries in that order is the greedy walk: a pair with a
+    placed endpoint is skipped, any other places its semantically better
+    endpoint.  Candidates the walk does not reach follow in semantic-rank
+    order.  O(M^2 log M), the sort.
     """
     _check_inputs(multi, arank)
-    values = multi.values
-    rows, cols = np.nonzero(np.triu(values > 0.0, k=1))
-    walk = np.lexsort((cols, rows, -values[rows, cols]))
-    rank_of = arank.rank_of.tolist()
-    placed: set[int] = set()
+    size = multi.size
+    values = list(chain.from_iterable(multi.upper_rows()))
+    rows = list(chain.from_iterable(repeat(row, size - 1 - row) for row in range(size)))
+    cols = list(chain.from_iterable(range(row + 1, size) for row in range(size)))
+    walk = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    del walk[len(values) - values.count(0.0):]  # no entry is negative, so the zeros sort last
+    rank_of = arank.rank_of
+    placed = [False] * size
     order: list[int] = []
-    for row, col in zip(rows[walk].tolist(), cols[walk].tolist()):
-        if row not in placed and col not in placed:
+    for row, col in zip(map(rows.__getitem__, walk), map(cols.__getitem__, walk)):
+        if not (placed[row] or placed[col]):
             winner = row if rank_of[row] < rank_of[col] else col
-            placed.add(winner)
+            placed[winner] = True
             order.append(winner)
-    order += [c for c in arank.by_rank() if c not in placed]
+    order += [c for c in arank.by_rank() if not placed[c]]
     return DynamicRanking(order)
 
 

@@ -1,5 +1,7 @@
 """Dynamic ranking against its brute-force oracle."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,7 +70,7 @@ class TestSemanticRank:
         sigma = data.draw(st.permutations(range(len(cosines))))
         ranks = semantic_rank(cosines, ids).rank_of
         moved = semantic_rank([cosines[s] for s in sigma], [ids[s] for s in sigma]).rank_of
-        assert moved.tolist() == ranks[sigma].tolist()
+        assert moved.tolist() == [ranks[s] for s in sigma]
 
     def test_single_candidate(self):
         assert semantic_rank(np.array([0.3]), ["a"]).rank_of.tolist() == [0]
@@ -84,6 +86,9 @@ class TestSemanticRank:
     def test_by_rank_inverts_rank_of(self):
         rank = SemanticRank(np.array([1, 2, 0]))
         assert rank.by_rank() == [2, 0, 1]
+        # Python ints, not numpy integers, so the order serializes as JSON.
+        assert all(type(c) is int for c in rank.by_rank())
+        assert json.dumps(rank.by_rank()) == "[2, 0, 1]"
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValidationError):
@@ -217,7 +222,7 @@ class TestPermutationEquivariance:
             permuted_values = multi.values[np.ix_(sigma, sigma)]
             permuted_multi = ApdfMatrix("multi", permuted_values)
             # candidate j of the permuted instance is candidate sigma[j] originally
-            permuted_arank = SemanticRank(arank.rank_of[sigma])
+            permuted_arank = SemanticRank([arank.rank_of[s] for s in sigma])
             permuted_order = dynamic_rank(permuted_multi, permuted_arank).order
 
             inverse = np.empty(size, dtype=int)

@@ -136,7 +136,9 @@ print(json.dumps(sorted(m for m in sys.modules if m in {("numpy", *DUMP_PARSERS)
 """
 CLI_MODULES = {"prefrank", "prefrank.cli", "prefrank.constants", "prefrank.corpus", "prefrank.errors"}
 INGEST_MODULES = CLI_MODULES | {"prefrank.ingest", *DUMP_PARSERS}
-PERCEPTION_MODULES = CLI_MODULES | {"numpy", *(f"prefrank.{m}" for m in ("apdf", "embed", "pipeline", "ranking"))}
+# The perception layer is standard-library code: `rank` loads no numpy, and the
+# subcommands that read the distance matrices' arrays load it.
+PERCEPTION_MODULES = CLI_MODULES | {f"prefrank.{m}" for m in ("apdf", "embed", "pipeline", "ranking")}
 EVAL_MODULES = CLI_MODULES | {"prefrank.embed", "prefrank.evaluation"}
 
 
@@ -198,9 +200,9 @@ print(json.dumps(state))
         ("ingest", INGEST_MODULES),
         ("embed", CLI_MODULES | {"prefrank.embed"}),
         ("rank", PERCEPTION_MODULES),
-        ("export-heatmap", PERCEPTION_MODULES),
-        ("loss", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
-        ("train-toy", PERCEPTION_MODULES | {"prefrank.objective", "prefrank.policy"}),
+        ("export-heatmap", PERCEPTION_MODULES | {"numpy"}),
+        ("loss", PERCEPTION_MODULES | {"numpy", "prefrank.objective", "prefrank.policy"}),
+        ("train-toy", PERCEPTION_MODULES | {"numpy", "prefrank.objective", "prefrank.policy"}),
         ("eval", EVAL_MODULES),
     ],
 )
@@ -214,6 +216,14 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command, loade
     else:
         argv = cli_argv(command, write_cli_inputs(tmp_path), tmp_path)
     assert modules_loaded_by(argv) == sorted(loaded)
+
+
+def test_rank_on_an_embedding_table_loads_no_numpy(tmp_path):
+    paths = write_cli_inputs(tmp_path)
+    table = tmp_path / "e.tsv"
+    assert main(["embed", "--records", str(paths["records"]), "--out", str(table)]) == 0
+    argv = cli_argv("rank", paths, tmp_path) + ["--embeddings", str(table)]
+    assert modules_loaded_by(argv) == sorted(PERCEPTION_MODULES)
 
 
 @pytest.mark.parametrize("flag", ["--embeddings", "--external-scores"])
