@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prefrank
 from prefrank import objective, pipeline, policy
 from prefrank.cli import main
 from prefrank.corpus import read_records, write_records
@@ -184,27 +185,51 @@ class TestRank:
         assert expected_losses[-1]["record_id"] == "r3"
         assert losses.read_text() == jsonl(expected_losses)
 
-    def test_external_embeddings_match_hashed(self, records_file, tmp_path):
+    # argv after `--records`: `{out}` is the run's own directory, the other names are inputs.
+    @pytest.mark.parametrize(
+        "template",
+        [
+            pytest.param("rank --out {out}/ranks.jsonl", id="rank"),
+            *(
+                pytest.param(
+                    f"loss --logprobs {{logprobs}} --out {{out}}/losses.jsonl --mode {mode}",
+                    id=f"loss-{mode}",
+                )
+                for mode in ("literal", "top_anchored")
+            ),
+            *(
+                pytest.param(
+                    "train-toy --out-policy {out}/policy.bin --trace {out}/trace.jsonl --epochs 1"
+                    f" --mode {mode}",
+                    id=f"train-toy-{mode}",
+                )
+                for mode in ("literal", "top_anchored")
+            ),
+            pytest.param("export-heatmap --record-id r1 --out {out}/heatmap.csv", id="export-heatmap"),
+            pytest.param("eval --generations {generations} --out {out}/report.json", id="eval"),
+        ],
+    )
+    def test_external_embeddings_match_hashed(self, tmp_path, template):
+        # A table that `embed` wrote holds the hashed embedder's floats, so every artifact is
+        # the same byte for byte, apart from the `embedder` field of `eval`'s report.
+        paths = write_cli_inputs(tmp_path)
         emb = tmp_path / "emb.tsv"
-        assert run(["embed", "--records", records_file, "--out", emb]) == 0
-        out_hashed = tmp_path / "hashed.jsonl"
-        out_table = tmp_path / "table.jsonl"
-        assert run(["rank", "--records", records_file, "--out", out_hashed]) == 0
-        assert (
-            run(
-                [
-                    "rank",
-                    "--records",
-                    records_file,
-                    "--out",
-                    out_table,
-                    "--embeddings",
-                    emb,
-                ]
-            )
-            == 0
-        )
-        assert out_hashed.read_text() == out_table.read_text()
+        embed = ["embed", "--records", paths["records"], "--generations", paths["generations"]]
+        assert run(embed + ["--out", emb]) == 0
+        artifacts = []
+        for variant, extra in (("hashed", []), ("table", ["--embeddings", emb])):
+            out = tmp_path / variant
+            out.mkdir()
+            command, *argv = (token.format(out=out, **paths) for token in template.split())
+            assert run([command, "--records", paths["records"], *argv, *extra]) == 0
+            written = [p for p in out.iterdir() if ".manifest" not in p.name]
+            artifacts.append({p.name: p.read_bytes() for p in written})
+        if command == "eval":
+            reports = [json.loads(files.pop("report.json")) for files in artifacts]
+            embedders = [report.pop("embedder") for report in reports]
+            assert embedders == ["hashed_ngram(dim=256,ngram=3)", f"external:{emb}"]
+            assert reports[0] == reports[1]
+        assert artifacts[0] == artifacts[1]
 
 
 class TestLoss:
@@ -1014,3 +1039,12 @@ class TestFlagEffects:
         assert line in printed(argv + flag, capsys)
         if argv:
             assert line not in printed(argv, capsys)
+
+
+def test_version_matches_pyproject(capsys):
+    # The package's metadata and `prefrank.__version__` are typed separately.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert prefrank.__version__ == version
+    assert printed(["--version"], capsys) == [f"prefrank {version}"]

@@ -312,6 +312,9 @@ class TestBleu:
         assert bleu("a b", ["a x", "y b"], max_n=1) == 1.0
         # But the bigram appears in neither, so the default order-2 score is 0.
         assert bleu("a b", ["a x", "y b"]) == 0.0
+        # The brevity penalty takes the reference length closest to the candidate's, the
+        # shorter on ties: 2 and 4 are both 1 from 3, so no penalty (4 would give exp(-1/3)).
+        assert bleu("a b c", ["a b", "a b c d"]) == 1.0
 
     def test_range(self):
         rng = np.random.default_rng(54)
