@@ -416,14 +416,13 @@ class LogProbTable:
     @classmethod
     def from_policy(cls, policy, records: list[QARecord]) -> "LogProbTable":
         """The token log-probabilities of every candidate under a `policy.ToyPolicy`."""
-        from .policy import _response_arrays, log_prob_table
+        from .policy import _pool_log_probs
 
         entries = {}
         for record in records:
-            table = log_prob_table(policy, record.question_text)
-            for candidate in record.candidates:
-                contexts, tokens = _response_arrays(candidate.content)
-                entries[(record.question_id, candidate.id)] = table[contexts, tokens]
+            log_probs = _pool_log_probs(policy, record.question_text, [c.content for c in record.candidates])[0]
+            for candidate, row in zip(record.candidates, log_probs):
+                entries[(record.question_id, candidate.id)] = row
         return cls(entries)
 
     def write(self, path) -> None:

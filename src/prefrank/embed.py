@@ -134,12 +134,12 @@ def cosine(a: Sequence[float], b: Sequence[float], norm_a: float | None = None) 
 
 
 def anchor_cosines(anchor: Sequence[float], pool: list[Sequence[float]]) -> list[float]:
-    """`cosine` of the anchor with each pool vector.  The anchor, read once per
-    vector, becomes a list once (an ``array('d')`` table row boxes a float on
-    every read), and its norm is taken once."""
+    """`cosine` of the anchor with each pool vector.  Each vector becomes a list
+    once, since `cosine` reads it twice and an ``array('d')`` table row boxes
+    a float on every read; the anchor's norm is taken once."""
     anchor = list(anchor)
     norm = math.hypot(*anchor)
-    return [cosine(anchor, vector, norm) for vector in pool]
+    return [cosine(anchor, list(vector), norm) for vector in pool]
 
 
 def table_vector(table: dict[str, Sequence[float]], key: str) -> Sequence[float]:

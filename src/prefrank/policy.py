@@ -3,7 +3,9 @@ enough to train at desk scale with exact analytic gradients.
 
 It conditions on the question through a fixed hashed bias on the
 logits; it is a numerical test vehicle, not a language model in any
-linguistic sense.  The other log-probability provider, the table of
+linguistic sense.  Scores and gradients compute only the context rows a
+pool uses; every other row's gradient is exactly zero, and `loss_gradient`
+says why it stays dense.  The other log-probability provider, the table of
 scores that any external model writes, is read by `corpus`
 (``LogProbTable``, ``load_logprob_file``); both names resolve here too.
 """
@@ -64,6 +66,9 @@ class ToyPolicy:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("weights must be finite")
+        # The checkpoint stores the seed as a signed 64-bit field.
+        if not 0 <= self.seed < 2**63:
+            raise ValidationError(f"seed must be in [0, 2**63), got {self.seed}")
         for name in ("learning_rate", "question_scale"):
             _check_scale(name, getattr(self, name))
 
@@ -76,19 +81,11 @@ class ToyPolicy:
         question_scale: float = DEFAULT_QUESTION_SCALE,
     ) -> "ToyPolicy":
         """New policy with small seeded-noise weights (uniform if init_scale=0).
-
-        The seed must fit the checkpoint's signed 64-bit field."""
-        if not 0 <= seed < 2**63:
-            raise ValidationError(f"seed must be in [0, 2**63), got {seed}")
+        The constructor checks the seed before numpy's generator sees it."""
+        policy = cls(np.zeros((CONTEXTS, VOCAB)), learning_rate, seed, question_scale)
         _check_scale("init_scale", init_scale)
-        rng = np.random.default_rng(seed)
-        weights = init_scale * rng.standard_normal((CONTEXTS, VOCAB))
-        return cls(
-            weights=weights,
-            learning_rate=learning_rate,
-            seed=seed,
-            question_scale=question_scale,
-        )
+        policy.weights[:] = init_scale * np.random.default_rng(seed).standard_normal((CONTEXTS, VOCAB))
+        return policy
 
     def save(self, path) -> None:
         """Write the checkpoint; weights that training drove non-finite are refused."""
@@ -128,12 +125,10 @@ class ToyPolicy:
         if len(raw) != expected:
             raise SchemaError(f"{path}: checkpoint size {len(raw)} != expected {expected}")
         weights = np.frombuffer(raw[header_size:], dtype="<f8").reshape(contexts, vocab).copy()
-        return cls(
-            weights=weights,
-            learning_rate=learning_rate,
-            seed=seed,
-            question_scale=question_scale,
-        )
+        try:
+            return cls(weights, learning_rate, seed, question_scale)
+        except ValidationError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -150,16 +145,27 @@ def _response_arrays(response: str) -> tuple[np.ndarray, np.ndarray]:
     return contexts, tokens
 
 
-def log_prob_table(policy: ToyPolicy, question: str) -> np.ndarray:
-    """Next-byte log-probabilities for every context row under one question.
+def _pool_log_probs(
+    policy: ToyPolicy, question: str, responses: list[str]
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Each response's token log-probabilities, and the rows they come from.
 
-    Row c is the log-softmax of ``weights[c]`` plus the question bias.  It
-    depends only on the previous byte c (BOS before the first byte), so
-    one CONTEXTS x VOCAB table scores every candidate of a question.
+    Row c is the log-softmax of ``weights[c]`` plus the question bias; it
+    depends only on the previous byte c (BOS before the first byte).  Only
+    the pool's distinct contexts, `rows`, ascending, are computed, each by
+    the float operations a full CONTEXTS x VOCAB table takes, so `table[i]`
+    equals row ``rows[i]`` of it bit for bit; `entries` holds each pool
+    token's flat index into `table`, response after response.
     """
-    logits = policy.weights + question_bias(question, policy.question_scale)
+    pool = [_response_arrays(response) for response in responses]
+    contexts = np.concatenate([ctx for ctx, _ in pool])
+    used = np.bincount(contexts, minlength=CONTEXTS) > 0
+    rows = np.flatnonzero(used)
+    logits = policy.weights[rows] + question_bias(question, policy.question_scale)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    table = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    entries = (np.cumsum(used) - 1)[contexts] * VOCAB + np.concatenate([tok for _, tok in pool])
+    return np.split(table.ravel()[entries], np.cumsum([tok.size for _, tok in pool])[:-1]), rows, entries, table
 
 
 def score(policy: ToyPolicy, question: str, response: str) -> np.ndarray:
@@ -168,18 +174,13 @@ def score(policy: ToyPolicy, question: str, response: str) -> np.ndarray:
     Autoregressive over bytes: entry k depends only on the question and
     bytes before k.
     """
-    contexts, tokens = _response_arrays(response)
-    return log_prob_table(policy, question)[contexts, tokens]
-
-
-def _pool_scores(table: np.ndarray, pool: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return objective.policy_scores_from_logprobs([table[contexts, tokens] for contexts, tokens in pool])
+    return _pool_log_probs(policy, question, [response])[0][0]
 
 
 def record_scores(policy: ToyPolicy, record: QARecord) -> np.ndarray:
     """Mean token log-probability per candidate, in pool order."""
-    pool = [_response_arrays(c.content) for c in record.candidates]
-    return _pool_scores(log_prob_table(policy, record.question_text), pool)
+    log_probs = _pool_log_probs(policy, record.question_text, [c.content for c in record.candidates])[0]
+    return objective.policy_scores_from_logprobs(log_probs)
 
 
 def loss_gradient(
@@ -194,10 +195,13 @@ def loss_gradient(
     With token k of candidate c weighted w_k = -dL/dpi_c / T_c, row r of
     the gradient is sum over tokens with context r of w_k * (probs[r] -
     onehot(token k)): the row's total w times probs[r], minus w per bigram.
+    Only the pool's context rows are computed; every other row is exactly
+    zero.  The gradient stays dense: `train` subtracts it whole through this
+    module-level name, which bench/tracing.py patches, and tests index it.
     """
-    table = log_prob_table(policy, record.question_text)
-    pool = [_response_arrays(c.content) for c in record.candidates]
-    pi_s = _pool_scores(table, pool)
+    responses = [c.content for c in record.candidates]
+    log_probs, rows, entries, table = _pool_log_probs(policy, record.question_text, responses)
+    pi_s = objective.policy_scores_from_logprobs(log_probs)
 
     l_pa = objective.perceptual_alignment_loss(pi_s, perception.dynamic)
     l_pc, d_pi = objective.comparison_loss_and_score_grad(
@@ -206,15 +210,12 @@ def loss_gradient(
     d_pi[perception.dynamic.top()] -= alpha
     breakdown = objective.total_loss(l_pc, l_pa, alpha)
 
-    lengths = np.array([tok.size for _, tok in pool])
+    lengths = np.array([lp.size for lp in log_probs])
     token_weight = np.repeat(-d_pi / lengths, lengths)
-    contexts = np.concatenate([ctx for ctx, _ in pool])
-    tokens = np.concatenate([tok for _, tok in pool])
-    row_weight = np.bincount(contexts, weights=token_weight, minlength=CONTEXTS)
-    bigram_weight = np.bincount(
-        contexts * VOCAB + tokens, weights=token_weight, minlength=CONTEXTS * VOCAB
-    ).reshape(CONTEXTS, VOCAB)
-    grad = row_weight[:, None] * np.exp(table) - bigram_weight
+    row_weight = np.bincount(entries // VOCAB, weights=token_weight, minlength=rows.size)
+    bigram_weight = np.bincount(entries, weights=token_weight, minlength=table.size)
+    grad = np.zeros((CONTEXTS, VOCAB))
+    grad[rows] = row_weight[:, None] * np.exp(table) - bigram_weight.reshape(table.shape)
     return breakdown, grad
 
 

@@ -1,7 +1,9 @@
 """Toy policy scoring, analytic gradients, training, logprob files."""
 
+import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from prefrank.objective import (
     MODE_LITERAL,
     MODE_TOP_ANCHORED,
     comparison_loss_and_score_grad,
+    policy_scores_from_logprobs,
     record_loss,
 )
-from prefrank.pipeline import PerceptionBundle
+from prefrank.pipeline import PerceptionBundle, PreparedRecord
 from prefrank.policy import (
     BOS,
     CONTEXTS,
@@ -133,6 +136,48 @@ class TestCheckpoint:
     def test_non_finite_hyperparameter_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             ToyPolicy.fresh(seed=0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("weights", math.nan, "weights must be finite"),
+            ("weights", math.inf, "weights must be finite"),
+            ("learning_rate", math.nan, "learning_rate must be finite"),
+            ("question_scale", -math.inf, "question_scale must be finite"),
+            ("seed", -5, re.escape("seed must be in [0, 2**63), got -5")),
+            ("seed", 2**63, re.escape(f"seed must be in [0, 2**63), got {2**63}")),
+        ],
+    )
+    def test_constructor_gate(self, field, value, message):
+        weights = np.zeros((CONTEXTS, VOCAB))
+        kwargs = {"weights": weights}
+        if field == "weights":
+            weights[3, 4] = value
+        else:
+            kwargs[field] = value
+        with pytest.raises(ValidationError, match=message):
+            ToyPolicy(**kwargs)
+
+    # Offsets into the "<8sIIIqdd" header (44 bytes), then into the weights.
+    @pytest.mark.parametrize(
+        "offset, fmt, value, message",
+        [
+            (20, "<q", -5, re.escape("seed must be in [0, 2**63), got -5")),
+            (28, "<d", math.nan, "learning_rate must be finite"),
+            (36, "<d", math.inf, "question_scale must be finite"),
+            (44 + 8 * 300, "<d", math.nan, "weights must be finite"),
+        ],
+    )
+    def test_invalid_checkpoint_field_is_a_schema_error_naming_the_path(
+        self, tmp_path, offset, fmt, value, message
+    ):
+        path = tmp_path / "policy.bin"
+        ToyPolicy.fresh(seed=0).save(path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ") + message):
+            ToyPolicy.load(path)
 
     def test_non_finite_weights_are_not_saved(self, tmp_path):
         policy = ToyPolicy.fresh(seed=0)
@@ -265,6 +310,87 @@ class TestLossGradient:
         assert breakdown.l_pa == 0.0
         assert breakdown.total == 0.0
         assert not grad.any()
+
+
+def full_table(policy, question):
+    """Reference: the log-softmax of all CONTEXTS rows of weights plus the question bias."""
+    logits = policy.weights + question_bias(question, policy.question_scale)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def full_table_tokens(table, response):
+    data = np.frombuffer(response.encode("utf-8"), dtype=np.uint8).astype(np.int64)
+    contexts = np.concatenate(([BOS], data[:-1]))
+    return contexts, data, table[contexts, data]
+
+
+def full_table_gradient(policy, record, perception, mode):
+    """Reference: the dense gradient from the full table, every row computed."""
+    table = full_table(policy, record.question_text)
+    pool = [full_table_tokens(table, c.content) for c in record.candidates]
+    pi_s = policy_scores_from_logprobs([logprobs for _, _, logprobs in pool])
+    _, d_pi = comparison_loss_and_score_grad(
+        pi_s, perception.dynamic, perception.singles, perception.multi, mode
+    )
+    d_pi[perception.dynamic.top()] -= 0.05
+    lengths = np.array([tokens.size for _, tokens, _ in pool])
+    token_weight = np.repeat(-d_pi / lengths, lengths)
+    contexts = np.concatenate([contexts for contexts, _, _ in pool])
+    tokens = np.concatenate([tokens for _, tokens, _ in pool])
+    row_weight = np.bincount(contexts, weights=token_weight, minlength=CONTEXTS)
+    bigram_weight = np.bincount(
+        contexts * VOCAB + tokens, weights=token_weight, minlength=CONTEXTS * VOCAB
+    ).reshape(CONTEXTS, VOCAB)
+    return row_weight[:, None] * np.exp(table) - bigram_weight
+
+
+class TestOnlyThePoolsRowsAreComputed:
+    """Scores and gradients built from the rows a pool uses equal the full
+    CONTEXTS x VOCAB table's bit for bit, and so does training."""
+
+    @staticmethod
+    def suite(synthetic_suite):
+        # A multibyte UTF-8 pool, and a one-byte answer that reads only the BOS row.
+        item = synthetic_suite[0]
+        contents = ("déjà vu ✓", "x", "naïve 日本語 answer", "é", "zephyr quartz binding")
+        candidates = tuple(
+            dataclasses.replace(c, content=text) for c, text in zip(item.record.candidates, contents)
+        )
+        record = dataclasses.replace(item.record, question_id="q9999", candidates=candidates)
+        return [*synthetic_suite[:20], PreparedRecord(record=record, perception=item.perception)]
+
+    @staticmethod
+    def policy():
+        return ToyPolicy.fresh(seed=23, init_scale=0.3, question_scale=0.2)
+
+    def test_scores_and_gradient_equal_the_full_table(self, synthetic_suite):
+        policy = self.policy()
+        suite = self.suite(synthetic_suite)
+        table = LogProbTable.from_policy(policy, [item.record for item in suite])
+        for item in suite:
+            record = item.record
+            reference = full_table(policy, record.question_text)
+            expected = [full_table_tokens(reference, c.content)[2] for c in record.candidates]
+            for candidate, logprobs in zip(record.candidates, expected):
+                assert score(policy, record.question_text, candidate.content).tobytes() == logprobs.tobytes()
+                assert table.tokens_for(record.question_id, candidate.id).tobytes() == logprobs.tobytes()
+            expected_scores = policy_scores_from_logprobs(expected)
+            assert record_scores(policy, record).tobytes() == expected_scores.tobytes()
+            for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
+                _, grad = loss_gradient(policy, record, item.perception, 0.05, mode)
+                assert grad.tobytes() == full_table_gradient(policy, record, item.perception, mode).tobytes()
+
+    @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_TOP_ANCHORED])
+    def test_training_equals_a_dense_loop(self, synthetic_suite, mode):
+        suite = self.suite(synthetic_suite)
+        trained, reference = self.policy(), self.policy()
+        train(trained, suite, epochs=3, alpha=0.05, mode=mode)
+        for _ in range(3):
+            for item in sorted(suite, key=lambda p: p.record.question_id):
+                grad = full_table_gradient(reference, item.record, item.perception, mode)
+                reference.weights -= reference.learning_rate * grad
+        assert trained.weights.tobytes() == reference.weights.tobytes()
 
 
 class TestTrain:
