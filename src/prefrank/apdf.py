@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property, reduce
 from itertools import groupby
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .corpus import DecayConfig, decayed_popularity
+from .corpus import DecayConfig, Value, decayed_popularity
 from .errors import ValidationError
 
 SEMANTIC = "semantic"
@@ -43,8 +42,7 @@ POPULARITY = "popularity"
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GainVector:
+class GainVector(Value):
     """Per-candidate gains for one attribute over a pool of size M, as an ``array('d')``."""
 
     attribute_name: str

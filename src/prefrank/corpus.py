@@ -16,7 +16,6 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from numbers import Real
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -41,8 +40,53 @@ def __getattr__(name):
     return value
 
 
-@dataclass(frozen=True)
-class ResponseCandidate:
+class _Fields(type):
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        return super().__new__(mcs, name, bases, {**namespace, "__slots__": fields, "_defaults": defaults})
+
+
+class Value(metaclass=_Fields):
+    """An immutable record of the class body's annotated fields, in order, held in ``__slots__`` (a
+    class-level value is the default), given by position or keyword and checked by `__post_init__`,
+    as is ``replace(**changes)``'s copy.  Equality, hashing and repr go by value."""
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        given = {**dict(zip(fields, args)), **kwargs}  # a field given twice, or past the last, counts once
+        values = {**self._defaults, **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}{fields}: {len(args)} positional, keywords {sorted(kwargs)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __reduce__(self):  # pickle and copy construct, so the checks run; equality and hashing compare it
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self.__reduce__()[1]), **changes))
+
+
+class ResponseCandidate(Value):
     """One answer in a pool: content plus its perceivable attributes."""
 
     id: str
@@ -58,8 +102,7 @@ class ResponseCandidate:
             raise ValidationError(f"candidate {self.id}: created_at must be timezone-aware")
 
 
-@dataclass(frozen=True)
-class QARecord:
+class QARecord(Value):
     """A question with its ordered candidate pool and optional gold ranking."""
 
     question_id: str
@@ -113,8 +156,7 @@ def parse_timestamp(value: str) -> datetime:
 DEFAULT_HALF_LIFE = timedelta(days=365)
 
 
-@dataclass(frozen=True)
-class DecayConfig:
+class DecayConfig(Value):
     """Exponential time decay applied to vote counts.
 
     ``half_life`` is the age at which popularity halves.  No decay is
@@ -125,8 +167,10 @@ class DecayConfig:
     half_life: timedelta = DEFAULT_HALF_LIFE
 
     def __post_init__(self):
-        if self.half_life <= timedelta(0):
-            raise ValidationError("decay half_life must be positive")
+        if not isinstance(self.reference_time, datetime) or self.reference_time.tzinfo is None:
+            raise ValidationError("decay reference_time must be a timezone-aware datetime")
+        if not isinstance(self.half_life, timedelta) or self.half_life <= timedelta(0):
+            raise ValidationError("decay half_life must be a positive timedelta")
 
 
 def decayed_popularity(votes: float, created_at: datetime, cfg: DecayConfig | None) -> float:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .constants import DEFAULT_KS, NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
-from .corpus import _SAFE_NORM, QARecord, generation_key
+from .corpus import _SAFE_NORM, QARecord, Value, generation_key
 from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors
 from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches evaluation.cosine by name
 from .errors import ValidationError
@@ -67,8 +66,7 @@ def gold_top_k(gold_ranking, k: int) -> set[int]:
     return set(list(gold_ranking)[: min(k, len(gold_ranking))])
 
 
-@dataclass(frozen=True)
-class RecordOutcome:
+class RecordOutcome(Value):
     """One evaluated record: generation similarities, the candidate ids that
     break their exact ties, and gold labels."""
 
@@ -227,21 +225,20 @@ def spearman_r(xs, ys) -> float:
     return pearson_r(_average_ranks(xs), _average_ranks(ys))
 
 
-@dataclass
 class EvalReport:
     """Dataset-level metric bundle plus the configuration that produced it."""
 
-    pref_hit: dict[int, float]
-    pref_recall: dict[int, float]
-    safer_hit: float | None
-    bleu: float
-    rouge_l: float
-    n_records: int
-    ks: tuple[int, ...]
-    normalizer: str
-    embedder: str
-    skipped: Counter = field(default_factory=Counter)
-    external_correlations: dict = field(default_factory=dict)
+    __slots__ = ("pref_hit", "pref_recall", "safer_hit", "bleu", "rouge_l", "n_records", "ks", "normalizer",
+                 "embedder", "skipped", "external_correlations")
+
+    def __init__(self, pref_hit: dict[int, float], pref_recall: dict[int, float], safer_hit: float | None,
+                 bleu: float, rouge_l: float, n_records: int, ks: tuple[int, ...], normalizer: str,
+                 embedder: str, skipped: Counter | None = None, external_correlations: dict | None = None):
+        self.pref_hit, self.pref_recall, self.safer_hit = pref_hit, pref_recall, safer_hit
+        self.bleu, self.rouge_l, self.n_records = bleu, rouge_l, n_records
+        self.ks, self.normalizer, self.embedder = ks, normalizer, embedder
+        self.skipped = Counter() if skipped is None else skipped
+        self.external_correlations = {} if external_correlations is None else external_correlations
 
     def to_dict(self) -> dict:
         return {

@@ -10,24 +10,21 @@ order.  Only ``ingest`` runs this module and loads its parsers.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Iterator
 from xml.etree import ElementTree
 
-from .corpus import DecayConfig, QARecord, ResponseCandidate, decayed_popularity, parse_timestamp
+from .corpus import DecayConfig, QARecord, ResponseCandidate, Value, decayed_popularity, parse_timestamp
 from .errors import DumpParseError, ValidationError
 
 _CODE_BLOCK_RE = re.compile(r"<code[\s>]|```", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(Value):
     """Quality thresholds for step-4 filtering.
 
     Zero-valued maxima (`max_pool_size`, `max_question_tokens`,
@@ -58,12 +55,14 @@ class FilterConfig:
             raise ValidationError("since must be timezone-aware")
 
 
-@dataclass
 class DumpParseResult:
     """Parsed entries plus a counter of skipped-row warnings."""
 
-    entries: list[QARecord] = field(default_factory=list)
-    warnings: Counter = field(default_factory=Counter)
+    __slots__ = ("entries", "warnings")
+
+    def __init__(self, entries: list[QARecord] | None = None, warnings: Counter | None = None):
+        self.entries = [] if entries is None else entries
+        self.warnings = Counter() if warnings is None else warnings
 
 
 def _parse_rows(path: Path) -> Iterator[dict]:
@@ -205,20 +204,11 @@ def clean_entries(entries: Iterable[QARecord]) -> list[QARecord]:
     emptied, whole records) whose content is blank after cleaning."""
     cleaned: list[QARecord] = []
     for record in entries:
-        candidates = tuple(
-            dataclasses.replace(c, content=text)
-            for c in record.candidates
-            if (text := clean_html(c.content)).strip()
-        )
+        candidates = tuple(c.replace(content=text) for c in record.candidates
+                           if (text := clean_html(c.content)).strip())
         if not candidates:
             continue
-        cleaned.append(
-            dataclasses.replace(
-                record,
-                question_text=clean_html(record.question_text),
-                candidates=candidates,
-            )
-        )
+        cleaned.append(record.replace(question_text=clean_html(record.question_text), candidates=candidates))
     return cleaned
 
 
@@ -276,4 +266,4 @@ def assign_gold_ranking(record: QARecord, decay: DecayConfig | None) -> QARecord
 
     rest = sorted((i for i in range(record.pool_size) if i != accepted), key=sort_key)
     order = ([accepted] if accepted is not None else []) + rest
-    return dataclasses.replace(record, gold_ranking=tuple(order))
+    return record.replace(gold_ranking=tuple(order))

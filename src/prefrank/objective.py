@@ -28,13 +28,13 @@ nothing to its round.  The cost is O(M^2 log M), the row sorts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .apdf import ApdfMatrix
 from .constants import COMPARISON_MODES, DEFAULT_ALPHA, MAX_SCALE, MODE_LITERAL, MODE_TOP_ANCHORED
+from .corpus import Value
 from .errors import DegenerateInputError, ValidationError
 from .ranking import DynamicRanking
 
@@ -44,8 +44,7 @@ if TYPE_CHECKING:
 DEFAULT_DPO_BETA = 0.1
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(Value):
     """Combined loss: total == l_pc + alpha * l_pa, exactly as computed."""
 
     l_pa: float

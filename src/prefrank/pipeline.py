@@ -11,17 +11,15 @@ semantic rank, and the dynamic ranking.  Losses, training and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .apdf import ApdfMatrix, multi_apdf, popularity_gains, semantic_gains, single_apdf
-from .corpus import DecayConfig, QARecord, question_key
+from .corpus import DecayConfig, QARecord, Value, question_key
 from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors
 from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
 
 
-@dataclass(frozen=True)
-class PerceptionBundle:
+class PerceptionBundle(Value):
     """Everything perception derives from one record's pool."""
 
     singles: list[ApdfMatrix]
@@ -30,8 +28,7 @@ class PerceptionBundle:
     dynamic: DynamicRanking
 
 
-@dataclass(frozen=True)
-class PreparedRecord:
+class PreparedRecord(Value):
     """A record paired with its perception state, ready for loss and training use."""
 
     record: QARecord

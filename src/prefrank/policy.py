@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +44,6 @@ def question_bias(question: str, scale: float) -> np.ndarray:
     return scale * rng.standard_normal(VOCAB)
 
 
-@dataclass
 class ToyPolicy:
     """Byte-level bigram softmax LM with a question-conditioned logit bias.
 
@@ -53,13 +51,12 @@ class ToyPolicy:
     (row BOS for the first byte).  Only ``weights`` is trainable.
     """
 
-    weights: np.ndarray
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    seed: int = 0
-    question_scale: float = DEFAULT_QUESTION_SCALE
+    __slots__ = ("weights", "learning_rate", "seed", "question_scale")
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+    def __init__(self, weights: np.ndarray, learning_rate: float = DEFAULT_LEARNING_RATE, seed: int = 0,
+                 question_scale: float = DEFAULT_QUESTION_SCALE):
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.learning_rate, self.seed, self.question_scale = learning_rate, seed, question_scale
         if self.weights.shape != (CONTEXTS, VOCAB):
             raise ValidationError(
                 f"weights must have shape {(CONTEXTS, VOCAB)}, got {self.weights.shape}"
@@ -219,11 +216,13 @@ def loss_gradient(
     return breakdown, grad
 
 
-@dataclass
 class TrainResult:
     """The per-step loss trace, one entry per record update."""
 
-    trace: list[objective.LossBreakdown] = field(default_factory=list)
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: list[objective.LossBreakdown] | None = None):
+        self.trace = [] if trace is None else trace
 
     @property
     def totals(self) -> np.ndarray:

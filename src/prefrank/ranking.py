@@ -17,17 +17,16 @@ as an independent check on ``dynamic_rank``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
 from .apdf import ApdfMatrix
+from .corpus import Value
 from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches ranking.cosine by name
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SemanticRank:
+class SemanticRank(Value):
     """0-indexed semantic ranks, as an ``array('q')``: rank_of[c] == 0 means c is
     closest to the question."""
 
@@ -50,8 +49,7 @@ class SemanticRank:
         return sorted(range(len(self.rank_of)), key=self.rank_of.__getitem__)
 
 
-@dataclass(frozen=True)
-class DynamicRanking:
+class DynamicRanking(Value):
     """Candidate indices in dynamic-ranking order, best first."""
 
     order: list[int]

@@ -225,7 +225,7 @@ def make_synthetic_records(n=200, seed=7, dim=64):
             candidates=tuple(candidates),
         )
         perception = build_perception(record, embedder=embedder)
-        record = dataclasses.replace(record, gold_ranking=tuple(perception.dynamic.order))
+        record = record.replace(gold_ranking=tuple(perception.dynamic.order))
         prepared.append(PreparedRecord(record=record, perception=perception))
     return prepared
 

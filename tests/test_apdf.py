@@ -118,6 +118,19 @@ class TestDecayedPopularity:
         with pytest.raises(ValidationError):
             DecayConfig(reference_time=self.reference, half_life=timedelta(0))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"reference_time": reference.replace(tzinfo=None)}, "reference_time must be a timezone-aware"),
+            ({"reference_time": "2024-06-01T00:00:00+00:00"}, "reference_time must be a timezone-aware"),
+            ({"reference_time": reference, "half_life": 5}, "half_life must be a positive timedelta"),
+        ],
+        ids=["naive", "string", "number"],
+    )
+    def test_naive_reference_or_bare_number_half_life_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            DecayConfig(**kwargs)
+
 
 class TestPopularityGain:
     def test_values(self):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,7 +379,7 @@ class TestNonStringText:
     @pytest.mark.parametrize("table", [False, True])
     def test_generation_text_is_file_format_error(self, tmp_path, capsys, table):
         records_file = tmp_path / "records.jsonl"
-        write_records(records_file, [replace(three_candidate_record(), gold_ranking=(2, 1, 0))])
+        write_records(records_file, [three_candidate_record().replace(gold_ranking=(2, 1, 0))])
         gens = tmp_path / "gens.jsonl"
         gens.write_text(json.dumps({"record_id": "r3", "text": 5}) + "\n")
         args = ["eval", "--records", records_file, "--generations", gens, "--out", tmp_path / "e.json"]
@@ -441,7 +440,7 @@ class TestEmbeddingKeys:
     @pytest.mark.parametrize("command", ["rank", "eval"])
     def test_reading_a_table_refuses_a_candidate_named_generation(self, tmp_path, capsys, command):
         record = make_record("r4", candidates=(make_candidate(0, cid="generation"), make_candidate(1)))
-        records = self.write_records_file(tmp_path, replace(record, gold_ranking=(0, 1)))
+        records = self.write_records_file(tmp_path, record.replace(gold_ranking=(0, 1)))
         # Written through the library: `embed` itself refuses this record.
         emb = tmp_path / "emb.tsv"
         embedder = HashedNgramEmbedder()
@@ -877,7 +876,7 @@ class TestEval:
 
     def test_missing_candidate_vector_is_validation_error(self, tmp_path, capsys):
         records_file = tmp_path / "records.jsonl"
-        write_records(records_file, [replace(three_candidate_record(), gold_ranking=(2, 1, 0))])
+        write_records(records_file, [three_candidate_record().replace(gold_ranking=(2, 1, 0))])
         gens = tmp_path / "gens.jsonl"
         gens.write_text(json.dumps({"record_id": "r3", "text": "rotate it"}) + "\n")
         emb = tmp_path / "emb.tsv"

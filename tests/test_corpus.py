@@ -1,8 +1,9 @@
 """Dump parsing, filtering, HTML cleaning, gold labels, persistence, logprob files."""
 
-import dataclasses
+import copy
 import json
 import math
+import pickle
 import re
 from datetime import timedelta, timezone
 
@@ -17,6 +18,7 @@ from prefrank.apdf import DecayConfig
 from prefrank.corpus import (
     LogProbTable,
     QARecord,
+    ResponseCandidate,
     load_logprob_file,
     parse_timestamp,
     read_keyed_jsonl,
@@ -36,6 +38,7 @@ from prefrank.ingest import (
     has_code_block,
     parse_dump,
 )
+from prefrank.objective import LossBreakdown
 
 from conftest import (
     CODE_BODY,
@@ -609,9 +612,69 @@ class TestRecordValidation:
 
     def test_immutable_records_support_replace(self):
         record = make_record()
-        updated = dataclasses.replace(record, gold_ranking=(0, 1))
+        updated = record.replace(gold_ranking=(0, 1))
         assert updated.gold_ranking == (0, 1)
         assert record.gold_ranking is None
+
+
+class TestValueRecords:
+    """The contract that prefrank's immutable record classes share (`corpus.Value`)."""
+
+    def test_equality_goes_by_type_and_value(self):
+        assert make_record() == make_record() and make_candidate(0) == make_candidate(0)
+        assert make_record() != make_record(question_id="q2")
+        assert FilterConfig() == FilterConfig(min_pool_size=0) != FilterConfig(min_pool_size=1)
+        assert LossBreakdown(1.0, 2.0, 0.5, 2.5) != (1.0, 2.0, 0.5, 2.5)
+        assert DecayConfig(T0) != FilterConfig(since=T0)
+
+    def test_equal_values_hash_equal(self):
+        assert hash(make_record()) == hash(make_record())
+        assert len({make_candidate(0), make_candidate(0), make_candidate(1)}) == 2
+
+    def test_fields_refuse_assignment_and_deletion(self):
+        record = make_record()
+        with pytest.raises(AttributeError, match="question_id"):
+            record.question_id = "q2"
+        with pytest.raises(AttributeError):
+            del record.candidates
+        with pytest.raises(AttributeError):
+            record.note = "not a field"
+        assert record == make_record()
+
+    def test_replace_checks_the_copy(self):
+        record = make_record()
+        with pytest.raises(ValidationError, match="permutation"):
+            record.replace(gold_ranking=(0, 0))
+        with pytest.raises(ValidationError, match="votes must be >= 0"):
+            record.candidates[0].replace(votes=-1)
+        with pytest.raises(TypeError):
+            record.replace(score=1)
+        assert record.replace() == record
+
+    def test_pickle_and_copy_round_trip(self):
+        record = make_record(gold=(1, 0))
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is QARecord and clone == record
+            assert type(clone.candidates) is tuple and clone.gold_ranking == (1, 0)
+
+    def test_fields_by_position_or_keyword_with_defaults(self):
+        fields = ("a0", "text", 3, T0)
+        assert ResponseCandidate(*fields) == ResponseCandidate(*fields, accepted=False)
+        assert ResponseCandidate(*fields) == ResponseCandidate(id="a0", content="text", votes=3, created_at=T0)
+        assert repr(DecayConfig(T0)) == f"DecayConfig(reference_time={T0!r}, half_life=datetime.timedelta(days=365))"
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (("a0", "text", 3), {}),  # created_at missing
+            (("a0", "text", 3, T0), {"score": 1}),  # no such field
+            (("a0", "text", 3, T0), {"id": "a1"}),  # id given twice
+            (("a0", "text", 3, T0, False, 1), {}),  # one positional too many
+        ],
+    )
+    def test_an_unknown_missing_or_repeated_field_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            ResponseCandidate(*args, **kwargs)
 
 
 class TestFieldGate:

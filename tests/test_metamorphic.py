@@ -182,8 +182,7 @@ def test_shuffling_each_pool_maps_every_output_back(corpus, tmp_path_factory, da
         sigma = data.draw(st.permutations(range(record.pool_size)), label=record.question_id)
         inverse = np.argsort(sigma)
         shuffled.append(
-            dataclasses.replace(
-                record,
+            record.replace(
                 candidates=tuple(record.candidates[s] for s in sigma),
                 gold_ranking=tuple(int(inverse[c]) for c in record.gold_ranking),
             )
@@ -217,7 +216,7 @@ def test_reordering_the_records_leaves_each_records_rows_unchanged(corpus, tmp_p
 def test_a_copied_record_gets_the_originals_rows(corpus, tmp_path_factory, index, position):
     original = corpus.records[index]
     records = list(corpus.records)
-    records.insert(position, dataclasses.replace(original, question_id="copy"))
+    records.insert(position, original.replace(question_id="copy"))
     directory = tmp_path_factory.mktemp("copied")
     out = _outputs(corpus.write(directory, records), directory / "out", ("rank", "loss"))
     for command in ("rank", "loss"):

@@ -1,6 +1,5 @@
 """Toy policy scoring, analytic gradients, training, logprob files."""
 
-import dataclasses
 import math
 import re
 import struct
@@ -355,9 +354,9 @@ class TestOnlyThePoolsRowsAreComputed:
         item = synthetic_suite[0]
         contents = ("déjà vu ✓", "x", "naïve 日本語 answer", "é", "zephyr quartz binding")
         candidates = tuple(
-            dataclasses.replace(c, content=text) for c, text in zip(item.record.candidates, contents)
+            c.replace(content=text) for c, text in zip(item.record.candidates, contents)
         )
-        record = dataclasses.replace(item.record, question_id="q9999", candidates=candidates)
+        record = item.record.replace(question_id="q9999", candidates=candidates)
         return [*synthetic_suite[:20], PreparedRecord(record=record, perception=item.perception)]
 
     @staticmethod

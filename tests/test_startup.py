@@ -129,10 +129,13 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, synthetic_suite):
     assert outputs["default"] == outputs["two"]
 
 
-# numpy, the dump parsers and the prefrank modules loaded, printed as a sorted JSON list.
+# numpy, the dump parsers, `dataclasses` and the prefrank modules loaded, printed as a sorted JSON
+# list.  `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize` at start-up; no expected set
+# below names it, so a path that imports it again fails.
 DUMP_PARSERS = ("html.parser", "xml.etree.ElementTree")
+TRACKED = ("numpy", "dataclasses", *DUMP_PARSERS)
 LOADED = f"""
-print(json.dumps(sorted(m for m in sys.modules if m in {("numpy", *DUMP_PARSERS)!r} or m.startswith("prefrank"))))
+print(json.dumps(sorted(m for m in sys.modules if m in {TRACKED!r} or m.startswith("prefrank"))))
 """
 CLI_MODULES = {"prefrank", "prefrank.cli", "prefrank.constants", "prefrank.corpus", "prefrank.errors"}
 INGEST_MODULES = CLI_MODULES | {"prefrank.ingest", *DUMP_PARSERS}
