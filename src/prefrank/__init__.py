@@ -29,8 +29,8 @@ _EXPORTS = {
         "semantic_gain",
         "single_apdf",
     ),
-    "corpus": ("DecayConfig", "LogProbTable", "QARecord", "ResponseCandidate",
-               "load_logprob_file", "read_records", "write_records"),
+    "corpus": ("DecayConfig", "QARecord", "ResponseCandidate", "load_logprob_file",
+               "logprob_rows", "read_records", "write_logprob_file", "write_records"),
     "embed": ("HashedNgramEmbedder", "cosine", "load_external_embeddings"),
     "errors": (
         "DegenerateInputError",

@@ -246,7 +246,7 @@ def cmd_loss(args) -> int:
     rows = []
     for item in prepared:
         record, perception = item.record, item.perception
-        pi_s = table_logprobs.scores_for(record)
+        pi_s = objective.policy_scores_from_logprobs(corpus.logprob_rows(table_logprobs, record))
         with naming_record(record.question_id):
             breakdown = objective.record_loss(pi_s, perception, args.alpha, args.mode)
         rows.append({"record_id": record.question_id, "mode": args.mode, **breakdown.to_dict()})

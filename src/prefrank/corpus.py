@@ -96,10 +96,12 @@ class ResponseCandidate(Value):
     accepted: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.votes, int) or isinstance(self.votes, bool):
+            raise ValidationError(f"candidate {self.id}: votes must be an int, got {type(self.votes).__name__}")
         if self.votes < 0:
             raise ValidationError(f"candidate {self.id}: votes must be >= 0, got {self.votes}")
-        if self.created_at.tzinfo is None:
-            raise ValidationError(f"candidate {self.id}: created_at must be timezone-aware")
+        if not isinstance(self.created_at, datetime) or self.created_at.tzinfo is None:
+            raise ValidationError(f"candidate {self.id}: created_at must be a timezone-aware datetime")
 
 
 class QARecord(Value):
@@ -116,8 +118,8 @@ class QARecord(Value):
         object.__setattr__(self, "candidates", candidates)
         if not candidates:
             raise ValidationError(f"record {self.question_id}: candidate pool is empty")
-        if self.question_created_at.tzinfo is None:
-            raise ValidationError(f"record {self.question_id}: question_created_at must be timezone-aware")
+        if not isinstance(self.question_created_at, datetime) or self.question_created_at.tzinfo is None:
+            raise ValidationError(f"record {self.question_id}: question_created_at must be a timezone-aware datetime")
         ids = [c.id for c in candidates]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"record {self.question_id}: duplicate candidate ids")
@@ -310,10 +312,10 @@ def generation_key(record_id: str) -> str:
     return f"{record_id}/{GENERATION_KEY_SUFFIX}"
 
 
-# A norm in [_SAFE_NORM, _MAX_NORM) squares to a normal, finite float, and so
+# A norm in [SAFE_NORM, MAX_NORM) squares to a normal, finite float, and so
 # does the product of two such norms, a cosine's divisor.
-_SAFE_NORM = math.sqrt(sys.float_info.min)
-_MAX_NORM = math.sqrt(sys.float_info.max)
+SAFE_NORM = math.sqrt(sys.float_info.min)
+MAX_NORM = math.sqrt(sys.float_info.max)
 
 
 def load_external_embeddings(path) -> dict[str, Sequence[float]]:
@@ -342,7 +344,7 @@ def load_external_embeddings(path) -> dict[str, Sequence[float]]:
         if not values:
             raise SchemaError("embedding row has no values", line=lineno)
         norm = math.hypot(*values)  # inf or nan if a value is; ordinary rows stop here
-        if not _SAFE_NORM <= norm < _MAX_NORM:
+        if not SAFE_NORM <= norm < MAX_NORM:
             if not all(map(math.isfinite, values)):
                 raise SchemaError("non-finite value in embedding row", line=lineno)
             if norm:
@@ -433,54 +435,10 @@ def read_records(path) -> list[QARecord]:
     return list(read_keyed_jsonl(path, _keyed_record, "record").values())
 
 
-class LogProbTable:
-    """Per-(record, candidate) token log-probabilities, natural-log units,
-    one ``array('d')`` row per key."""
-
-    def __init__(self, entries: dict[tuple[str, str], Sequence[float]]):
-        self.entries = {key: _logprob_row(logprobs, key) for key, logprobs in entries.items()}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def tokens_for(self, record_id: str, candidate_id: str) -> array:
-        key = (record_id, candidate_id)
-        if key not in self.entries:
-            raise ValidationError(f"no log-probabilities for record {record_id!r} candidate {candidate_id!r}")
-        return self.entries[key]
-
-    def scores_for(self, record: QARecord):
-        """Mean token log-probability per candidate, in pool order, as an ndarray (loads numpy)."""
-        from .objective import policy_scores_from_logprobs
-
-        return policy_scores_from_logprobs(
-            [self.tokens_for(record.question_id, c.id) for c in record.candidates]
-        )
-
-    @classmethod
-    def from_policy(cls, policy, records: list[QARecord]) -> "LogProbTable":
-        """The token log-probabilities of every candidate under a `policy.ToyPolicy`."""
-        from .policy import _pool_log_probs
-
-        entries = {}
-        for record in records:
-            log_probs = _pool_log_probs(policy, record.question_text, [c.content for c in record.candidates])[0]
-            for candidate, row in zip(record.candidates, log_probs):
-                entries[(record.question_id, candidate.id)] = row
-        return cls(entries)
-
-    def write(self, path) -> None:
-        rows = (
-            {"record_id": record_id, "candidate_id": candidate_id, "logprobs": logprobs.tolist()}
-            for (record_id, candidate_id), logprobs in self.entries.items()
-        )
-        write_jsonl(path, rows)
-
-
 def _logprob_row(values, key) -> array:
     """`values` as an ``array('d')`` row: non-empty, 1-D, real numbers only (no bool
-    or string), every value in [-MAX_SCALE, 0].  The file reader and `LogProbTable`
-    share this gate."""
+    or string), every value in [-MAX_SCALE, 0].  The file reader and writer share
+    this gate."""
     try:
         kinds = set(map(type, values))
     except TypeError:  # not iterable: a number or a 0-d array
@@ -508,8 +466,26 @@ def _logprob_entry(row) -> tuple[tuple[str, str], array]:
     return key, _logprob_row(require_field(row, "logprobs", list), key)
 
 
-def load_logprob_file(path) -> LogProbTable:
-    """Read the JSON-Lines logprob format; a bad or repeated row names the line."""
-    table = LogProbTable({})
-    table.entries = read_keyed_jsonl(path, _logprob_entry, "logprob entry")  # rows checked as read
-    return table
+def load_logprob_file(path) -> dict[tuple[str, str], array]:
+    """Read the JSON-Lines logprob format into ``{(record_id, candidate_id): array('d')}``,
+    each row checked as it is read; a bad or repeated row names the line."""
+    return read_keyed_jsonl(path, _logprob_entry, "logprob entry")
+
+
+def write_logprob_file(path, table: dict[tuple[str, str], Sequence[float]]) -> None:
+    """Write the format read by :func:`load_logprob_file`; a row may be a list or an
+    array, and a row the reader would refuse is refused before the file opens."""
+    rows = [
+        {"record_id": key[0], "candidate_id": key[1], "logprobs": _logprob_row(row, key).tolist()}
+        for key, row in table.items()
+    ]
+    write_jsonl(path, rows)
+
+
+def logprob_rows(table: dict[tuple[str, str], Sequence[float]], record: QARecord) -> list:
+    """The pool's logprob rows, in pool order; a missing one is a ValidationError naming it."""
+    try:
+        return [table[record.question_id, c.id] for c in record.candidates]
+    except KeyError as exc:
+        record_id, candidate_id = exc.args[0]
+        raise ValidationError(f"no log-probabilities for record {record_id!r} candidate {candidate_id!r}") from None

@@ -20,7 +20,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from .constants import DEFAULT_KS, NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
-from .corpus import _SAFE_NORM, QARecord, Value, generation_key
+from .corpus import SAFE_NORM, QARecord, Value, generation_key
 from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors
 from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches evaluation.cosine by name
 from .errors import ValidationError
@@ -188,7 +188,7 @@ def _deviations(sample: np.ndarray) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         dev = sample - sample.mean()
         spread = math.sqrt(float(np.dot(dev, dev)))
-    if not _SAFE_NORM <= spread < math.inf and sample.any():
+    if not SAFE_NORM <= spread < math.inf and sample.any():
         sample = sample / np.abs(sample).max()
         dev = sample - sample.mean()
         spread = math.sqrt(float(np.dot(dev, dev)))

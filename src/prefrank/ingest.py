@@ -49,10 +49,11 @@ class FilterConfig(Value):
             "max_question_tokens",
             "max_response_tokens",
         ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.since is not None and self.since.tzinfo is None:
-            raise ValidationError("since must be timezone-aware")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValidationError(f"{name} must be an int >= 0, got {value!r}")
+        if self.since is not None and (not isinstance(self.since, datetime) or self.since.tzinfo is None):
+            raise ValidationError("since must be a timezone-aware datetime or None")
 
 
 class DumpParseResult:

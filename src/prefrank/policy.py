@@ -5,9 +5,9 @@ It conditions on the question through a fixed hashed bias on the
 logits; it is a numerical test vehicle, not a language model in any
 linguistic sense.  Scores and gradients compute only the context rows a
 pool uses; every other row's gradient is exactly zero, and `loss_gradient`
-says why it stays dense.  The other log-probability provider, the table of
-scores that any external model writes, is read by `corpus`
-(``LogProbTable``, ``load_logprob_file``); both names resolve here too.
+says why it stays dense.  The other log-probability provider, the logprob
+file that any external model writes, is read by `corpus.load_logprob_file`,
+which resolves here too; `logprob_table` gives this policy's rows for that file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import objective
 from .constants import DEFAULT_INIT_SCALE, DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE, MAX_SCALE
-from .corpus import LogProbTable, QARecord, load_logprob_file  # noqa: F401  cli and bench/ call them here
+from .corpus import QARecord, load_logprob_file  # noqa: F401  cli and bench/ call load_logprob_file here
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
 
@@ -163,6 +163,15 @@ def _pool_log_probs(
     table = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     entries = (np.cumsum(used) - 1)[contexts] * VOCAB + np.concatenate([tok for _, tok in pool])
     return np.split(table.ravel()[entries], np.cumsum([tok.size for _, tok in pool])[:-1]), rows, entries, table
+
+
+def logprob_table(policy: ToyPolicy, records: list[QARecord]) -> dict[tuple[str, str], np.ndarray]:
+    """Every candidate's token log-probabilities, keyed as `corpus.write_logprob_file` writes them."""
+    table = {}
+    for record in records:
+        log_probs = _pool_log_probs(policy, record.question_text, [c.content for c in record.candidates])[0]
+        table.update(((record.question_id, c.id), row) for c, row in zip(record.candidates, log_probs))
+    return table
 
 
 def score(policy: ToyPolicy, question: str, response: str) -> np.ndarray:

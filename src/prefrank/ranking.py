@@ -5,8 +5,8 @@ largest surviving pairwise distance is located and the endpoint that
 ranks higher semantically is placed next, then removed from play.  When
 no strictly positive distance survives, the remaining candidates are
 appended in semantic-rank order.  Only the upper triangle (row < col)
-is read.  ``dynamic_rank`` sorts the upper-triangle pairs once and makes
-one pass over the positive ones, skipping every pair with a placed
+is read.  ``dynamic_rank`` sorts the positive upper-triangle pairs once
+and makes one pass over them, skipping every pair with a placed
 endpoint, O(M^2 log M); it is standard-library code and reads the
 triangle through `ApdfMatrix.upper_rows`, so ``rank`` loads no numpy.
 ``brute_force_rank`` implements the same contract by rescanning the
@@ -17,7 +17,7 @@ as an independent check on ``dynamic_rank``.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .apdf import ApdfMatrix
@@ -87,26 +87,23 @@ def _check_inputs(multi: ApdfMatrix, arank: SemanticRank) -> None:
 def dynamic_rank(multi: ApdfMatrix, arank: SemanticRank) -> DynamicRanking:
     """Greedy placement by maximal surviving distance, semantic rank deciding.
 
-    The entries (row, col) with row < col are read in row-major order and
-    sorted once by descending value; the sort is stable, so ties on the
-    maximal entry go to the lexicographically smallest pair.  Placing a
-    candidate retires every pair it belongs to, so one pass over the
-    positive entries in that order is the greedy walk: a pair with a
+    The positive entries (row, col) with row < col are read in row-major
+    order and sorted once by descending value; the sort is stable, so ties
+    on the maximal entry go to the lexicographically smallest pair.  Placing
+    a candidate retires every pair it belongs to, so one pass over the
+    entries in that order is the greedy walk: a pair with a
     placed endpoint is skipped, any other places its semantically better
     endpoint.  Candidates the walk does not reach follow in semantic-rank
     order.  O(M^2 log M), the sort.
     """
     _check_inputs(multi, arank)
-    size = multi.size
-    values = list(chain.from_iterable(multi.upper_rows()))
-    rows = list(chain.from_iterable(repeat(row, size - 1 - row) for row in range(size)))
-    cols = list(chain.from_iterable(range(row + 1, size) for row in range(size)))
-    walk = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    del walk[len(values) - values.count(0.0):]  # no entry is negative, so the zeros sort last
+    walk = [(value, row, col) for row, values in enumerate(multi.upper_rows())
+            for col, value in enumerate(values, row + 1) if value > 0.0]
+    walk.sort(key=itemgetter(0), reverse=True)
     rank_of = arank.rank_of
-    placed = [False] * size
+    placed = [False] * multi.size
     order: list[int] = []
-    for row, col in zip(map(rows.__getitem__, walk), map(cols.__getitem__, walk)):
+    for _, row, col in walk:
         if not (placed[row] or placed[col]):
             winner = row if rank_of[row] < rank_of[col] else col
             placed[winner] = True

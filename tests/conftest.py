@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from prefrank.apdf import GainVector, multi_apdf, single_apdf
-from prefrank.corpus import QARecord, ResponseCandidate, write_records
+from prefrank.corpus import QARecord, ResponseCandidate, write_logprob_file, write_records
 from prefrank.embed import HashedNgramEmbedder
 from prefrank.pipeline import PreparedRecord, build_perception
-from prefrank.policy import LogProbTable, ToyPolicy
+from prefrank.policy import ToyPolicy, logprob_table
 from prefrank.ranking import SemanticRank
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -270,7 +270,7 @@ def write_cli_inputs(directory) -> dict:
         handle.writelines(json.dumps({"record_id": r, "text": t}) + "\n" for r, t, _ in rows)
     with open(paths["scores"], "w", encoding="utf-8") as handle:
         handle.writelines(json.dumps({"record_id": r, "score": s}) + "\n" for r, _, s in rows)
-    LogProbTable.from_policy(ToyPolicy.fresh(seed=0), records).write(paths["logprobs"])
+    write_logprob_file(paths["logprobs"], logprob_table(ToyPolicy.fresh(seed=0), records))
     return paths
 
 

@@ -14,11 +14,11 @@ import pytest
 import prefrank
 from prefrank import objective, pipeline, policy
 from prefrank.cli import main
-from prefrank.corpus import read_records, write_records
+from prefrank.corpus import logprob_rows, read_records, write_logprob_file, write_records
 from prefrank.embed import HashedNgramEmbedder, write_external_embeddings
 from prefrank.evaluation import pearson_r, pool_similarities, spearman_r
 from prefrank.pipeline import build_perception, prepare_records
-from prefrank.policy import LogProbTable, ToyPolicy, load_logprob_file
+from prefrank.policy import ToyPolicy, load_logprob_file, logprob_table
 from prefrank.ranking import brute_force_rank
 
 from conftest import (
@@ -151,7 +151,7 @@ class TestRank:
         path = tmp_path / "records.jsonl"
         write_records(path, records)
         logprobs = tmp_path / "logprobs.jsonl"
-        LogProbTable.from_policy(ToyPolicy.fresh(seed=2), read_records(path)).write(logprobs)
+        write_logprob_file(logprobs, logprob_table(ToyPolicy.fresh(seed=2), read_records(path)))
         ranks, losses = tmp_path / "ranks.jsonl", tmp_path / "losses.jsonl"
         assert run(["rank", "--records", path, "--out", ranks, "--no-decay"]) == 0
         argv = ["loss", "--records", path, "--logprobs", logprobs, "--out", losses, "--no-decay"]
@@ -170,9 +170,9 @@ class TestRank:
         for p in sorted(prepared, key=lambda p: p.record.question_id):
             record, perception = p.record, p.perception
             top = record.candidates[perception.dynamic.top()].id
-            l_pa = -float(np.mean(table.tokens_for(record.question_id, top)))
+            l_pa = -float(np.mean(table[record.question_id, top]))
             l_pc = objective.perceptual_comparison_loss(
-                table.scores_for(record),
+                objective.policy_scores_from_logprobs(logprob_rows(table, record)),
                 perception.dynamic,
                 perception.singles,
                 perception.multi,
@@ -234,9 +234,9 @@ class TestRank:
 class TestLoss:
     def test_alpha_zero_total_equals_comparison(self, records_file, tmp_path):
         record = read_records(records_file)[0]
-        table = LogProbTable.from_policy(ToyPolicy.fresh(seed=2), [record])
+        table = logprob_table(ToyPolicy.fresh(seed=2), [record])
         logprobs = tmp_path / "logprobs.jsonl"
-        table.write(logprobs)
+        write_logprob_file(logprobs, table)
         out = tmp_path / "loss.jsonl"
         code = run(
             [
@@ -270,9 +270,9 @@ class TestLoss:
         )
         records = tmp_path / "records.jsonl"
         write_records(records, [record])
-        table = LogProbTable.from_policy(ToyPolicy.fresh(seed=0), [record])
+        table = logprob_table(ToyPolicy.fresh(seed=0), [record])
         logprobs = tmp_path / "logprobs.jsonl"
-        table.write(logprobs)
+        write_logprob_file(logprobs, table)
         out = tmp_path / "loss.jsonl"
         code = run(["loss", "--records", records, "--logprobs", logprobs, "--out", out])
         assert code == 4
@@ -295,7 +295,7 @@ class TestLoss:
         write_records(path, records)
         if command == "loss":
             logprobs = tmp_path / "logprobs.jsonl"
-            LogProbTable.from_policy(ToyPolicy.fresh(seed=0), records).write(logprobs)
+            write_logprob_file(logprobs, logprob_table(ToyPolicy.fresh(seed=0), records))
             argv = ["loss", "--records", path, "--logprobs", logprobs, "--out", tmp_path / "o"]
         else:
             argv = ["train-toy", "--records", path, "--out-policy", tmp_path / "p.bin"]

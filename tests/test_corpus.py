@@ -16,14 +16,15 @@ import prefrank
 from prefrank import corpus, ingest
 from prefrank.apdf import DecayConfig
 from prefrank.corpus import (
-    LogProbTable,
     QARecord,
     ResponseCandidate,
     load_logprob_file,
+    logprob_rows,
     parse_timestamp,
     read_keyed_jsonl,
     read_records,
     require,
+    write_logprob_file,
     write_records,
 )
 from prefrank.errors import DumpParseError, SchemaError, ValidationError
@@ -38,7 +39,7 @@ from prefrank.ingest import (
     has_code_block,
     parse_dump,
 )
-from prefrank.objective import LossBreakdown
+from prefrank.objective import LossBreakdown, policy_scores_from_logprobs
 
 from conftest import (
     CODE_BODY,
@@ -610,6 +611,34 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match=re.escape(repr(value))):
             parse_timestamp(value)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ResponseCandidate("a0", "text", "3", T0), "votes must be an int, got str"),
+            (lambda: ResponseCandidate("a0", "text", True, T0), "votes must be an int, got bool"),
+            (lambda: ResponseCandidate("a0", "text", 3.0, T0), "votes must be an int, got float"),
+            (lambda: ResponseCandidate("a0", "text", 3, "2024-01-01"), "created_at must be a timezone-aware datetime"),
+            (lambda: make_record().replace(question_created_at="2024-01-01"),
+             "question_created_at must be a timezone-aware datetime"),
+            (lambda: FilterConfig(since="2024-01-01"), "since must be a timezone-aware datetime or None"),
+            (lambda: FilterConfig(since=T0.replace(tzinfo=None)), "since must be a timezone-aware datetime or None"),
+        ],
+        ids=["votes-str", "votes-bool", "votes-float", "created-at-str", "question-created-at-str", "since-str",
+             "since-naive"],
+    )
+    def test_a_wrongly_typed_field_is_a_validation_error(self, build, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("value", ["3", True, 2.0, None])
+    def test_every_filter_threshold_must_be_an_int(self, value):
+        names = ["min_pool_size", "max_pool_size", "min_vote_gap", "min_votes_per_response",
+                 "max_question_tokens", "max_response_tokens"]
+        for name in names:
+            with pytest.raises(ValidationError, match=re.escape(f"{name} must be an int >= 0, got {value!r}")):
+                FilterConfig(**{name: value})
+        assert FilterConfig(**{name: 2 for name in names}).since is None
+
     def test_immutable_records_support_replace(self):
         record = make_record()
         updated = record.replace(gold_ranking=(0, 1))
@@ -746,21 +775,26 @@ class TestLogProbFile:
         expected = re.escape("('q1', 'b'): logprobs must be in [-1e+100, 0]")
         with pytest.raises(SchemaError, match=f"line 2: bad logprob entry: {expected}"):
             load_logprob_file(path)
+        written = tmp_path / "written.jsonl"
         with pytest.raises(ValidationError, match=expected):
-            LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): row})
+            write_logprob_file(written, {("q1", "a"): [-1.0], ("q1", "b"): row})
+        assert not written.exists()
 
     @pytest.mark.parametrize("bad", [[False], [-1.0, True], ["-1.5"], [-1.0, None]])
     def test_a_row_that_is_not_all_numbers_is_refused_alike(self, tmp_path, bad):
-        # The file reader and the constructor share one gate: a bool is not a number, nor a string.
+        # The file reader and writer share one gate: a bool is not a number, nor a string.
         expected = re.escape("('q1', 'b'): 'logprobs' must be an array of JSON numbers")
         path = tmp_path / "logprobs.jsonl"
         path.write_text(logprob_line("a", [-1.0]) + logprob_line("b", bad), encoding="utf-8")
         with pytest.raises(SchemaError, match=f"line 2: bad logprob entry: {expected}"):
             load_logprob_file(path)
+        written = tmp_path / "written.jsonl"
         with pytest.raises(ValidationError, match=expected):
-            LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): bad})
-        # A numpy row, as `LogProbTable.from_policy` builds them, is numbers.
-        assert LogProbTable({("q1", "b"): np.array([-1.5, -0.5])}).entries[("q1", "b")].tolist() == [-1.5, -0.5]
+            write_logprob_file(written, {("q1", "a"): [-1.0], ("q1", "b"): bad})
+        assert not written.exists()
+        # A numpy row, as `policy.logprob_table` builds them, is numbers.
+        write_logprob_file(written, {("q1", "b"): np.array([-1.5, -0.5])})
+        assert load_logprob_file(written)[("q1", "b")].tolist() == [-1.5, -0.5]
 
     @LOGPROB_SETTINGS
     @given(rows=st.lists(st.lists(KEPT_LOGPROBS, min_size=1, max_size=12), min_size=1, max_size=4))
@@ -770,8 +804,8 @@ class TestLogProbFile:
         path.write_text("".join(logprob_line(f"a{i}", values) for i, values in enumerate(rows)), encoding="utf-8")
         expected = [np.asarray(values, np.float64) for values in rows]
         means = np.array([float(np.mean(values)) for values in expected])
-        for table in (load_logprob_file(path), LogProbTable({("q1", f"a{i}"): v for i, v in enumerate(rows)})):
-            assert [table.tokens_for("q1", f"a{i}").tobytes() for i in range(len(rows))] == [
-                values.tobytes() for values in expected
-            ]
-            assert table.scores_for(record).tobytes() == means.tobytes()
+        written = tmp_path / "written.jsonl"
+        write_logprob_file(written, {("q1", f"a{i}"): values for i, values in enumerate(rows)})
+        for table in (load_logprob_file(path), load_logprob_file(written)):
+            assert [row.tobytes() for row in logprob_rows(table, record)] == [values.tobytes() for values in expected]
+            assert policy_scores_from_logprobs(logprob_rows(table, record)).tobytes() == means.tobytes()

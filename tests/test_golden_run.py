@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from prefrank.cli import main
-from prefrank.corpus import read_records
-from prefrank.policy import LogProbTable, ToyPolicy
+from prefrank.corpus import read_records, write_logprob_file
+from prefrank.policy import ToyPolicy, logprob_table
 
 from conftest import answer_row, posts_xml, question_row
 
@@ -125,7 +125,7 @@ def golden_run(directory: Path) -> dict:
         ranks[name] = {row["record_id"]: row["order"] for row in _jsonl(out[name])}
     summary["rank"] = ranks
 
-    LogProbTable.from_policy(ToyPolicy.fresh(seed=SEED), read_records(records)).write(out["logprobs.jsonl"])
+    write_logprob_file(out["logprobs.jsonl"], logprob_table(ToyPolicy.fresh(seed=SEED), read_records(records)))
     _run("loss", "--records", records, "--logprobs", out["logprobs.jsonl"], "--out", out["losses.jsonl"])
     summary["loss"] = _jsonl(out["losses.jsonl"])
 

@@ -43,9 +43,9 @@ from hypothesis import strategies as st
 
 from prefrank.apdf import semantic_gains
 from prefrank.cli import main
-from prefrank.corpus import question_key, read_records, write_records
+from prefrank.corpus import question_key, read_records, write_logprob_file, write_records
 from prefrank.embed import HashedNgramEmbedder, cosine, resolve_vectors
-from prefrank.policy import LogProbTable, ToyPolicy
+from prefrank.policy import ToyPolicy, logprob_table
 
 from conftest import cli_argv, make_candidate, make_record, write_cli_inputs
 
@@ -103,7 +103,7 @@ def _write_inputs(directory: Path, records, generations: dict, scores: dict) -> 
     for name, key, values in (("generations", "text", generations), ("scores", "score", scores)):
         rows = [json.dumps({"record_id": r, key: v}) + "\n" for r, v in values.items()]
         paths[name].write_text("".join(rows), encoding="utf-8")
-    LogProbTable.from_policy(ToyPolicy.fresh(seed=0), records).write(paths["logprobs"])
+    write_logprob_file(paths["logprobs"], logprob_table(ToyPolicy.fresh(seed=0), records))
     return paths
 
 

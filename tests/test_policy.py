@@ -9,6 +9,7 @@ import pytest
 
 from prefrank.apdf import GainVector, multi_apdf, single_apdf
 from prefrank.cli import build_parser
+from prefrank.corpus import logprob_rows, write_logprob_file
 from prefrank.embed import HashedNgramEmbedder
 from prefrank.errors import DegenerateInputError, SchemaError, ValidationError
 from prefrank.evaluation import RecordOutcome, pool_similarities, pref_hit
@@ -24,9 +25,9 @@ from prefrank.policy import (
     BOS,
     CONTEXTS,
     VOCAB,
-    LogProbTable,
     ToyPolicy,
     load_logprob_file,
+    logprob_table,
     loss_gradient,
     question_bias,
     record_scores,
@@ -366,14 +367,14 @@ class TestOnlyThePoolsRowsAreComputed:
     def test_scores_and_gradient_equal_the_full_table(self, synthetic_suite):
         policy = self.policy()
         suite = self.suite(synthetic_suite)
-        table = LogProbTable.from_policy(policy, [item.record for item in suite])
+        table = logprob_table(policy, [item.record for item in suite])
         for item in suite:
             record = item.record
             reference = full_table(policy, record.question_text)
             expected = [full_table_tokens(reference, c.content)[2] for c in record.candidates]
             for candidate, logprobs in zip(record.candidates, expected):
                 assert score(policy, record.question_text, candidate.content).tobytes() == logprobs.tobytes()
-                assert table.tokens_for(record.question_id, candidate.id).tobytes() == logprobs.tobytes()
+                assert table[record.question_id, candidate.id].tobytes() == logprobs.tobytes()
             expected_scores = policy_scores_from_logprobs(expected)
             assert record_scores(policy, record).tobytes() == expected_scores.tobytes()
             for mode in (MODE_LITERAL, MODE_TOP_ANCHORED):
@@ -423,22 +424,20 @@ class TestTrain:
 
 class TestLogProbTable:
     def fixture_table(self):
-        return LogProbTable(
-            {
-                ("q1", "a"): np.array([-0.5, -1.0]),
-                ("q1", "b"): np.array([-2.0]),
-                ("q2", "a"): np.array([-0.25, -0.5, -0.125]),
-            }
-        )
+        return {
+            ("q1", "a"): np.array([-0.5, -1.0]),
+            ("q1", "b"): np.array([-2.0]),
+            ("q2", "a"): np.array([-0.25, -0.5, -0.125]),
+        }
 
     def test_round_trip(self, tmp_path):
         table = self.fixture_table()
         path = tmp_path / "logprobs.jsonl"
-        table.write(path)
+        write_logprob_file(path, table)
         loaded = load_logprob_file(path)
-        assert set(loaded.entries) == set(table.entries)
-        for key in table.entries:
-            assert np.array_equal(loaded.entries[key], table.entries[key])
+        assert list(loaded) == list(table)
+        for key in table:
+            assert np.array_equal(loaded[key], table[key])
 
     def test_positive_logprob_rejected(self, tmp_path):
         path = tmp_path / "logprobs.jsonl"
@@ -449,9 +448,11 @@ class TestLogProbTable:
             load_logprob_file(path)
 
     @pytest.mark.parametrize("bad", [[0.5], [], [-1.0, math.nan], [-math.inf], [[-1.0]]])
-    def test_bad_vector_from_a_caller_names_its_key(self, bad):
+    def test_bad_vector_from_a_caller_names_its_key(self, tmp_path, bad):
+        path = tmp_path / "logprobs.jsonl"
         with pytest.raises(ValidationError, match=re.escape("('q1', 'b'): logprob")):
-            LogProbTable({("q1", "a"): [-1.0], ("q1", "b"): bad})
+            write_logprob_file(path, {("q1", "a"): [-1.0], ("q1", "b"): bad})
+        assert not path.exists()  # refused before the file opens
 
     def test_fixture_size(self, tmp_path):
         entries = {}
@@ -459,7 +460,7 @@ class TestLogProbTable:
             for c in range(4):
                 entries[(f"q{r}", f"a{c}")] = np.array([-1.0, -2.0])
         path = tmp_path / "logprobs.jsonl"
-        LogProbTable(entries).write(path)
+        write_logprob_file(path, entries)
         assert len(load_logprob_file(path)) == 12
 
     def test_missing_candidate_named(self):
@@ -471,18 +472,19 @@ class TestLogProbTable:
                 make_candidate(1, cid="missing"),
             ),
         )
-        with pytest.raises(ValidationError, match="missing"):
-            table.scores_for(record)
+        with pytest.raises(ValidationError, match="no log-probabilities for record 'q1' candidate 'missing'"):
+            logprob_rows(table, record)
 
     def test_scores_match_policy(self, synthetic_suite):
         policy = ToyPolicy.fresh(seed=17)
         records = [item.record for item in synthetic_suite[:5]]
-        table = LogProbTable.from_policy(policy, records)
+        table = logprob_table(policy, records)
         for record in records:
-            assert np.allclose(table.scores_for(record), record_scores(policy, record), atol=0)
+            scores = policy_scores_from_logprobs(logprob_rows(table, record))
+            assert scores.tobytes() == record_scores(policy, record).tobytes()
             for candidate in record.candidates:
                 expected = score(policy, record.question_text, candidate.content)
-                assert table.tokens_for(record.question_id, candidate.id).tobytes() == expected.tobytes()
+                assert table[record.question_id, candidate.id].tobytes() == expected.tobytes()
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "logprobs.jsonl"

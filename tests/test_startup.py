@@ -1,7 +1,9 @@
 """Start-up behaviour in fresh interpreters: what ``import prefrank`` and
 each subcommand load, and the one-thread BLAS default that only the CLI
-module applies."""
+module applies; and, read from the source, which prefrank modules each
+module imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from prefrank.cli import main
-from prefrank.corpus import write_records
-from prefrank.policy import LogProbTable, ToyPolicy
+from prefrank.corpus import write_logprob_file, write_records
+from prefrank.policy import ToyPolicy, logprob_table
 
 from conftest import build_dump_plan_xml, cli_argv, write_cli_inputs
 
@@ -110,7 +112,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, synthetic_suite):
     records_path = tmp_path / "records.jsonl"
     write_records(records_path, records)
     logprobs = tmp_path / "logprobs.jsonl"
-    LogProbTable.from_policy(ToyPolicy.fresh(seed=2), records).write(logprobs)
+    write_logprob_file(logprobs, logprob_table(ToyPolicy.fresh(seed=2), records))
     outputs = {}
     for label, preset in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
         out = tmp_path / label
@@ -243,3 +245,29 @@ def test_eval_loads_numpy_only_to_correlate_scores(tmp_path, flag):
     argv = hashed_eval_argv(paths, tmp_path) + [flag, str(value)]
     numpy = {"numpy"} if flag == "--external-scores" else set()
     assert modules_loaded_by(argv) == sorted(EVAL_MODULES | numpy)
+
+
+
+def package_imports(tree) -> list[ast.ImportFrom]:
+    """Every relative import in `tree`: ``from .module import names`` and ``from . import modules``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+
+
+def test_corpus_imports_only_the_bottom_layer():
+    # `corpus` is the standard-library layer that every other module reads; the model sits above it.
+    tree = ast.parse((SRC / "prefrank" / "corpus.py").read_text(encoding="utf-8"))
+    scope = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+    found = {(scope.get(id(node), "module"), node.module or alias.name)
+             for node in package_imports(tree) for alias in node.names}
+    assert found == {("module", "constants"), ("module", "errors"), ("__getattr__", "ingest")}
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = [
+        (path.name, node.module, alias.name)
+        for path in sorted((SRC / "prefrank").glob("*.py"))
+        for node in package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")  # a dunder, like `__version__`, is public
+    ]
+    assert private == []
