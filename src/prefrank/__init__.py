@@ -29,9 +29,9 @@ _EXPORTS = {
         "semantic_gain",
         "single_apdf",
     ),
-    "corpus": ("DecayConfig", "QARecord", "ResponseCandidate", "load_logprob_file",
-               "logprob_rows", "read_records", "write_logprob_file", "write_records"),
-    "embed": ("HashedNgramEmbedder", "cosine", "load_external_embeddings"),
+    "corpus": ("DecayConfig", "QARecord", "ResponseCandidate", "load_external_embeddings",
+               "load_logprob_file", "logprob_rows", "read_records", "write_logprob_file", "write_records"),
+    "embed": ("HashedNgramEmbedder", "cosine"),
     "errors": (
         "DegenerateInputError",
         "DumpParseError",

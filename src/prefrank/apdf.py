@@ -33,11 +33,9 @@ from itertools import groupby
 from operator import add, mul
 from typing import Iterator, Sequence
 
+from .constants import POPULARITY, SEMANTIC
 from .corpus import DecayConfig, Value, decayed_popularity
 from .errors import ValidationError
-
-SEMANTIC = "semantic"
-POPULARITY = "popularity"
 
 _SYMMETRY_TOL = 1e-12
 
@@ -111,13 +109,14 @@ class ApdfMatrix:
         """The M x M float64 array, built on first access and cached."""
         import numpy as np
 
-        if self._factors:
-            gains, discounts = (np.frombuffer(f) for f in self._factors)
-            # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.
-            return np.subtract.outer(gains, gains) * np.subtract.outer(discounts, discounts) + 0.0
-        fused = self._inputs[0].values.copy()
-        for m in self._inputs[1:]:
-            fused *= m.values
+        with np.errstate(over="ignore"):  # an entry that overflows reads inf, which `_lazy` refuses
+            if self._factors:
+                gains, discounts = (np.frombuffer(f) for f in self._factors)
+                # + 0.0 normalizes the -0.0 entries the sign-agreeing product produces.
+                return np.subtract.outer(gains, gains) * np.subtract.outer(discounts, discounts) + 0.0
+            fused = self._inputs[0].values.copy()
+            for m in self._inputs[1:]:
+                fused *= m.values
         fused += 0.0
         return fused
 

@@ -329,10 +329,6 @@ def cmd_export_heatmap(args) -> int:
     perception = pipeline.build_perception(matches[0], **_vectors(args), decay=_decay_config(args, records))
     by_name = {m.attribute_name: m for m in perception.singles}
     by_name["multi"] = perception.multi
-    if args.attribute not in by_name:
-        raise ValidationError(
-            f"unknown attribute {args.attribute!r}; expected one of {sorted(by_name)}"
-        )
     np.savetxt(args.out, by_name[args.attribute].values, delimiter=",")
     _write_manifest(args.out, args)
     print(f"exported\t{args.attribute}\t{perception.multi.size}x{perception.multi.size}")
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logprobs", required=True, help="JSON-Lines token logprob file")
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=constants.DEFAULT_ALPHA)
-    p.add_argument("--mode", default=constants.MODE_LITERAL, choices=list(constants.COMPARISON_MODES))
+    p.add_argument("--mode", default=constants.DEFAULT_MODE, choices=list(constants.COMPARISON_MODES))
     _add_embedding_flags(p)
     _add_decay_flags(p)
     p.set_defaults(func=cmd_loss)
@@ -417,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-scale", type=float, default=constants.DEFAULT_INIT_SCALE)
     p.add_argument("--question-scale", type=float, default=constants.DEFAULT_QUESTION_SCALE)
     p.add_argument("--alpha", type=float, default=constants.DEFAULT_ALPHA)
-    p.add_argument("--mode", default=constants.MODE_LITERAL, choices=list(constants.COMPARISON_MODES))
+    p.add_argument("--mode", default=constants.DEFAULT_MODE, choices=list(constants.COMPARISON_MODES))
     _add_embedding_flags(p)
     _add_decay_flags(p)
     p.set_defaults(func=cmd_train_toy)
@@ -438,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--attribute",
         default="multi",
-        help="semantic, popularity, or multi",
+        choices=[constants.SEMANTIC, constants.POPULARITY, "multi"],
     )
     p.add_argument("--out", required=True, help="output CSV (row-major, headerless)")
     _add_embedding_flags(p)

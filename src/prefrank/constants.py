@@ -1,13 +1,17 @@
 """Defaults, bounds and choice lists that the CLI's parser shares with
-`corpus`, `embed`, `objective`, `policy` and `evaluation`, which import
-them from here.  Stdlib-only, so building the parser loads no numpy."""
+`corpus`, `embed`, `apdf`, `objective`, `policy` and `evaluation`, which
+import them from here.  Stdlib-only, so building the parser loads no numpy."""
 
 DEFAULT_DIM = 256
 DEFAULT_NGRAM = 3
 
+SEMANTIC = "semantic"
+POPULARITY = "popularity"
+
 MODE_LITERAL = "literal"
 MODE_TOP_ANCHORED = "top_anchored"
 COMPARISON_MODES = (MODE_LITERAL, MODE_TOP_ANCHORED)
+DEFAULT_MODE = MODE_TOP_ANCHORED  # `loss`'s and `train-toy`'s; the library's functions default to literal
 DEFAULT_ALPHA = 0.05
 # Largest alpha, |learning rate|, weight scale and |token logprob|: far past
 # any useful value and far inside the float range, so that no step or loss

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import re
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from prefrank.apdf import (
     induced_ranks,
     multi_apdf,
     popularity_gain,
+    popularity_gains,
     rank_discount,
     semantic_gain,
     single_apdf,
@@ -29,22 +32,28 @@ from conftest import random_pool_matrices
 def expected_swap_costs(gains: list[float]) -> np.ndarray:
     """Brute force: |DCG(pi) - DCG(pi with i and j swapped)|, averaged over every
     order pi that sorts the gains descending (each order of each group of equal
-    gains), where DCG = sum of gain / ln(rank + 1) over 1-indexed ranks."""
+    gains), where DCG = sum of gain / ln(rank + 1) over 1-indexed ranks.  Each
+    term is an exact integer count of 1/unit, so the two DCGs cancel exactly and
+    only the averaged cost is rounded; float terms below the normal range would
+    round to a fixed step, and a cost there could cancel to 0."""
     size = len(gains)
     groups = [[c for c in range(size) if gains[c] == value] for value in sorted(set(gains), reverse=True)]
     orders = list(itertools.product(*(itertools.permutations(group) for group in groups)))
-    total = np.zeros((size, size))
+    logs = {r: Fraction(math.log(r + 1)) for r in range(1, size + 1)}
+    unit = math.lcm(*(Fraction(g).denominator for g in gains)) * math.lcm(*(f.numerator for f in logs.values()))
+    term = {(c, r): int(Fraction(gains[c]) / log * unit) for c in range(size) for r, log in logs.items()}
+    total = np.zeros((size, size), dtype=object)
     for parts in orders:
         rank = {c: r for r, c in enumerate(itertools.chain(*parts), start=1)}
 
         def dcg(ranks):
-            return sum(gains[c] / math.log(ranks[c] + 1) for c in range(size))
+            return sum(term[c, ranks[c]] for c in range(size))
 
         for i, j in itertools.combinations(range(size), 2):
             cost = abs(dcg(rank) - dcg({**rank, i: rank[j], j: rank[i]}))
             total[i, j] += cost
             total[j, i] += cost
-    return total / len(orders)
+    return (total / Fraction(unit * len(orders))).astype(float)
 
 
 class TestRankDiscount:
@@ -147,6 +156,10 @@ class TestPopularityGain:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             popularity_gain(-0.5)
+
+    def test_votes_and_times_must_pair_up(self):
+        with pytest.raises(ValidationError, match="votes and created_ats must have equal length"):
+            popularity_gains([1, 2], [datetime(2024, 1, 1, tzinfo=timezone.utc)], None)
 
 
 class TestInducedRanks:
@@ -284,6 +297,33 @@ class TestMatrixValidation:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValidationError):
             ApdfMatrix("x", np.array([[0.0, -0.5], [-0.5, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((2, 3)), "APDF matrix must be square and non-empty"),
+            (np.zeros((0, 0)), "APDF matrix must be square and non-empty"),
+            (np.zeros(3), "APDF matrix must be square and non-empty"),
+            (np.array([[0.0, np.inf], [np.inf, 0.0]]), "x: matrix contains non-finite values"),
+            (np.array([[0.0, np.nan], [np.nan, 0.0]]), "x: matrix contains non-finite values"),
+        ],
+        ids=["not-square", "empty", "one-dimensional", "infinite", "nan"],
+    )
+    def test_a_matrix_must_be_square_non_empty_and_finite(self, values, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ApdfMatrix("x", values)
+
+    def test_a_held_matrix_whose_entries_overflow_is_rejected(self):
+        # (1.79e308 - 0) x (1/ln 2 - 1/ln 11) overflows, so the bound is infinite and every entry
+        # is checked; the check, not numpy's overflow warning, reports it.
+        gains = GainVector("x", [1.79e308, *(k * 1e-300 for k in range(9))])
+        with pytest.raises(ValidationError, match="x: matrix contains non-finite"):
+            single_apdf(gains)
+
+    @pytest.mark.parametrize("gains", [[], 0.5, ["a"], np.ones((2, 2))], ids=["empty", "scalar", "text", "2-D"])
+    def test_gain_vector_must_be_a_non_empty_vector(self, gains):
+        with pytest.raises(ValidationError, match="gains must be a non-empty 1-D vector"):
+            GainVector("x", gains)
 
     def test_gain_vector_rejects_negative_and_nan(self):
         with pytest.raises(ValidationError):

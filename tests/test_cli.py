@@ -13,7 +13,7 @@ import pytest
 
 import prefrank
 from prefrank import objective, pipeline, policy
-from prefrank.cli import main
+from prefrank.cli import build_parser, main
 from prefrank.corpus import logprob_rows, read_records, write_logprob_file, write_records
 from prefrank.embed import HashedNgramEmbedder, write_external_embeddings
 from prefrank.evaluation import pearson_r, pool_similarities, spearman_r
@@ -176,9 +176,9 @@ class TestRank:
                 perception.dynamic,
                 perception.singles,
                 perception.multi,
-                "literal",
+                objective.MODE_TOP_ANCHORED,  # the CLI's default schedule
             )
-            row = {"record_id": record.question_id, "mode": "literal"}
+            row = {"record_id": record.question_id, "mode": "top_anchored"}
             row.update(objective.total_loss(l_pc, l_pa, objective.DEFAULT_ALPHA).to_dict())
             expected_losses.append(row)
         assert expected_losses[-1]["record_id"] == "r3"
@@ -256,7 +256,7 @@ class TestLoss:
         assert rows
         for row in rows:
             assert row["total"] == row["l_pc"]
-            assert row["mode"] == "literal"
+            assert row["mode"] == "top_anchored"
 
     def test_degenerate_pool_exits_4(self, tmp_path):
         # Identical texts and votes: both matrices are all-zero, so the
@@ -770,6 +770,20 @@ class TestEval:
         assert payload == {"error": "validation", "message": "k value 3 is repeated in '3,1,3'"}
         assert not list(tmp_path.glob("eval.out*"))
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1,x", "bad k list '1,x': invalid literal for int() with base 10: 'x'"),
+            ("0,1", "k values must be positive integers, got '0,1'"),
+            (",", "k values must be positive integers, got ','"),
+        ],
+        ids=["not-an-integer", "zero", "none"],
+    )
+    def test_a_k_list_that_is_not_positive_integers_is_refused(self, tmp_path, capsys, k, message):
+        paths = write_cli_inputs(tmp_path)
+        assert run(cli_argv("eval", paths, tmp_path) + ["--k", k]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "message": message}
+
     def test_k_is_checked_before_any_input_is_read(self, tmp_path, capsys):
         paths = write_cli_inputs(tmp_path)
         paths["generations"] = tmp_path / "missing.jsonl"
@@ -915,6 +929,18 @@ class TestExportHeatmap:
         perception = build_perception(record, embedder=HashedNgramEmbedder())
         assert np.allclose(exported, perception.multi.values, atol=1e-12)
         assert exported.shape == (3, 3)
+
+    def test_unknown_attribute_is_refused_before_the_records_are_read(self, tmp_path, capsys):
+        argv = ["export-heatmap", "--records", tmp_path / "missing.jsonl", "--record-id", "r3",
+                "--attribute", "semantics", "--out", tmp_path / "x.csv"]
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        assert exited.value.code == 2
+        assert "argument --attribute: invalid choice: 'semantics'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        for attribute in ("semantic", "popularity", "multi"):
+            args = [str(a) for a in argv[:6] + [attribute] + argv[7:]]
+            assert build_parser().parse_args(args).attribute == attribute
 
     def test_unknown_record_is_validation_error(self, records_file, tmp_path):
         code = run(

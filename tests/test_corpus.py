@@ -294,6 +294,9 @@ class TestCleanHtml:
         cleaned = clean_entries([record])
         assert len(cleaned) == 1
         assert [c.content for c in cleaned[0].candidates] == ["real"]
+        # A record none of whose answers survives is dropped whole.
+        emptied = make_record("q2", candidates=(make_candidate(0, content="<p> </p>"),))
+        assert clean_entries([emptied, record]) == cleaned
 
 
 class TestQualityFilters:
@@ -475,6 +478,16 @@ class TestPersistence:
         assert path.read_text(encoding="utf-8") == ""
         assert read_records(path) == []
 
+    def test_blank_lines_are_skipped_and_still_numbered(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [make_record("q1")])
+        line = path.read_text(encoding="utf-8")
+        path.write_text("\n" + line + " \t\r\n", encoding="utf-8")
+        assert read_records(path) == [make_record("q1")]
+        path.write_text("\n" + line + "  \n{", encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 4: invalid JSON"):
+            read_records(path)
+
     def test_missing_key_names_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
         good = (
@@ -622,9 +635,10 @@ class TestRecordValidation:
              "question_created_at must be a timezone-aware datetime"),
             (lambda: FilterConfig(since="2024-01-01"), "since must be a timezone-aware datetime or None"),
             (lambda: FilterConfig(since=T0.replace(tzinfo=None)), "since must be a timezone-aware datetime or None"),
+            (lambda: make_record(candidates=()), "record q1: candidate pool is empty"),
         ],
         ids=["votes-str", "votes-bool", "votes-float", "created-at-str", "question-created-at-str", "since-str",
-             "since-naive"],
+             "since-naive", "empty-pool"],
     )
     def test_a_wrongly_typed_field_is_a_validation_error(self, build, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -779,6 +793,22 @@ class TestLogProbFile:
         with pytest.raises(ValidationError, match=expected):
             write_logprob_file(written, {("q1", "a"): [-1.0], ("q1", "b"): row})
         assert not written.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[], [[-1.0]], -1.0, np.array(-1.0), np.zeros((1, 2))],
+        ids=["empty", "nested", "number", "0-d", "2-D"],
+    )
+    def test_a_row_that_is_not_one_flat_vector_is_refused(self, tmp_path, bad):
+        expected = re.escape("('q1', 'b'): logprob vector must be non-empty and 1-D")
+        written = tmp_path / "written.jsonl"
+        with pytest.raises(ValidationError, match=expected):
+            write_logprob_file(written, {("q1", "b"): bad})
+        assert not written.exists()
+        if isinstance(bad, list):
+            written.write_text(logprob_line("b", bad), encoding="utf-8")
+            with pytest.raises(SchemaError, match=f"line 1: bad logprob entry: {expected}"):
+                load_logprob_file(written)
 
     @pytest.mark.parametrize("bad", [[False], [-1.0, True], ["-1.5"], [-1.0, None]])
     def test_a_row_that_is_not_all_numbers_is_refused_alike(self, tmp_path, bad):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+import re
 import sys
 import warnings
 from array import array
@@ -223,6 +224,10 @@ class TestResolveVectors:
         assert hashed.arank.rank_of.tobytes() == tabled.arank.rank_of.tobytes()
         assert hashed.dynamic.order == tabled.dynamic.order
 
+    def test_neither_an_embedder_nor_a_table_is_refused(self):
+        with pytest.raises(ValidationError, match="either an embedder or an embedding table is required"):
+            pipeline.build_perception(make_record())
+
 
 class TestCosine:
     def test_self_is_one(self):
@@ -300,6 +305,18 @@ class TestExternalEmbeddings:
             path.write_text("b\t1 0\n" + bad_row, encoding="utf-8")
             with pytest.raises(SchemaError, match="line 2"):
                 load_external_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("a 1 0\n", "expected `id<TAB>floats`"), ("\t1 0\n", "expected `id<TAB>floats`"),
+         ("a\t\n", "embedding row has no values"), ("a\t \n", "embedding row has no values")],
+        ids=["no-tab", "no-key", "no-values", "blank-values"],
+    )
+    def test_a_row_without_a_key_or_values_is_rejected(self, tmp_path, row, message):
+        path = tmp_path / "emb.tsv"
+        path.write_text("b\t1 0\n" + row, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"line 2: {message}")):
+            load_external_embeddings(path)
 
     @pytest.mark.parametrize("token, kind", TABLE_TOKENS.items())
     def test_token_parse_matches_float(self, tmp_path, token, kind):

@@ -78,6 +78,10 @@ class TestBestMatch:
         assert best_match(sims, [c.id for c in record.candidates]) == 2
         assert sims[2] == pytest.approx(1.0, abs=1e-12)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="similarity vector must be non-empty"):
+            best_match([], ())
+
 
 class TestTopKMatches:
     def test_k_at_least_pool_returns_all_sorted(self):
@@ -198,6 +202,10 @@ class TestGoldTopK:
         assert gold_top_k(gold, 2) == {2, 0}
         assert gold_top_k(gold, 7) == {0, 1, 2}
 
+    def test_bad_k_rejected(self):
+        with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
+            gold_top_k((0, 1), 0)
+
 
 class TestPrefHit:
     def test_all_hits(self):
@@ -267,6 +275,10 @@ class TestPrefRecall:
         with pytest.raises(ValidationError):
             pref_recall([outcome([0.5], [0])], 1, "thirds")
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="pref_recall requires at least one record"):
+            pref_recall([], 1)
+
 
 class TestSaferHit:
     def test_hit(self):
@@ -278,6 +290,10 @@ class TestSaferHit:
     def test_pool_must_be_two(self):
         with pytest.raises(ValidationError):
             safer_hit(np.array([0.9, 0.2, 0.1]), ids(3), 0)
+
+    def test_gold_index_must_be_0_or_1(self):
+        with pytest.raises(ValidationError, match="gold_safer_index must be 0 or 1, got 2"):
+            safer_hit(np.array([0.9, 0.2]), ids(2), 2)
 
     def test_dataset_mean(self):
         sims = [([0.9, 0.1], 0), ([0.3, 0.8], 1), ([0.6, 0.5], 0), ([0.2, 0.4], 0)]
@@ -323,6 +339,10 @@ class TestBleu:
             cand = " ".join(rng.choice(vocab, size=int(rng.integers(1, 8))))
             ref = " ".join(rng.choice(vocab, size=int(rng.integers(1, 8))))
             assert 0.0 <= bleu(cand, [ref]) <= 1.0
+
+    def test_bad_max_n_rejected(self):
+        with pytest.raises(ValidationError, match="max_n must be >= 1, got 0"):
+            bleu("a b", ["a b"], max_n=0)
 
 
 def reference_lcs_length(a: list[str], b: list[str]) -> int:
@@ -408,8 +428,10 @@ class TestCorrelations:
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+        for correlation in (pearson_r, spearman_r):
+            for xs, ys in ([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0], [1.0]):
+                with pytest.raises(ValidationError, match="correlation requires two equal-length 1-D samples"):
+                    correlation(xs, ys)
 
 
 def graded_pool_record(record_id="g1"):

@@ -6,8 +6,8 @@ table) -> loss -> train-toy -> eval -> export-heatmap.  The dump holds a
 semantic tie (two answers with identical text, votes and date), a pool
 whose votes are all equal (its vote gap, 0, sits on the filter's bound),
 a pool the size filter drops and a question without an accepted answer.
-`loss` runs the literal comparison rounds and `train-toy` the
-top-anchored ones.
+`loss` and `train-toy` run the top-anchored comparison rounds, the CLI's
+default.
 
 Integers and orders must match exactly, and so must PrefHit/PrefRecall
 (ratios of small integers).  Losses, trace rows, BLEU/Rouge-L and the

@@ -1,6 +1,7 @@
 """Closed-form checks and properties of the loss functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from prefrank.apdf import ApdfMatrix
 from prefrank.errors import DegenerateInputError, ValidationError
 from prefrank.objective import (
+    LossBreakdown,
     MODE_LITERAL,
     MODE_TOP_ANCHORED,
     comparison_loss_and_score_grad,
@@ -120,6 +122,10 @@ class TestPerceptualAlignmentLoss:
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValidationError, match="NaN or infinite"):
             perceptual_alignment_loss(np.array([-1.0, np.nan]), DynamicRanking([0, 1]))
+
+    def test_scores_must_be_a_vector(self):
+        with pytest.raises(ValidationError, match="policy scores must be a 1-D vector"):
+            perceptual_alignment_loss(np.zeros((2, 1)), DynamicRanking([0, 1]))
 
 
 class TestRewardWeight:
@@ -556,6 +562,10 @@ class TestTotalLoss:
         with pytest.raises(ValidationError, match="alpha must be finite"):
             total_loss(1.0, 1.0, alpha=alpha)
 
+    def test_a_breakdown_built_directly_must_add_up(self):
+        with pytest.raises(ValidationError, match=re.escape("total must equal l_pc + alpha * l_pa")):
+            LossBreakdown(l_pa=1.0, l_pc=2.0, alpha=0.5, total=3.0)
+
 
 class TestDpoPairLoss:
     def test_equal_ratios(self):
@@ -586,6 +596,14 @@ class TestDpoPairLoss:
         with pytest.raises(ValidationError):
             dpo_pair_loss(0, 0, 0, 0, beta=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_log_probability_rejected(self, position, bad):
+        values = [-1.0] * 4
+        values[position] = bad
+        with pytest.raises(ValidationError, match="log-probability inputs must be finite"):
+            dpo_pair_loss(*values)
+
 
 class TestPlackettLuceLoss:
     def test_pairwise_reduction(self):
@@ -613,6 +631,15 @@ class TestPlackettLuceLoss:
     def test_bad_ranking_rejected(self):
         with pytest.raises(ValidationError):
             plackett_luce_loss(np.zeros(3), np.zeros(3), [0, 0, 2], 1.0)
+
+    @pytest.mark.parametrize(
+        "size, beta, message",
+        [(2, 0.0, "beta must be > 0, got 0.0"), (2, -1.0, "beta must be > 0, got -1.0"),
+         (1, 1.0, "listwise loss requires at least 2 candidates")],
+    )
+    def test_bad_beta_or_single_candidate_rejected(self, size, beta, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            plackett_luce_loss(np.zeros(size), np.zeros(size), list(range(size)), beta)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(29)

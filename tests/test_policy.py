@@ -146,12 +146,14 @@ class TestCheckpoint:
             ("question_scale", -math.inf, "question_scale must be finite"),
             ("seed", -5, re.escape("seed must be in [0, 2**63), got -5")),
             ("seed", 2**63, re.escape(f"seed must be in [0, 2**63), got {2**63}")),
+            ("weights", np.zeros((CONTEXTS, VOCAB - 1)),
+             re.escape(f"weights must have shape {(CONTEXTS, VOCAB)}, got {(CONTEXTS, VOCAB - 1)}")),
         ],
     )
     def test_constructor_gate(self, field, value, message):
         weights = np.zeros((CONTEXTS, VOCAB))
         kwargs = {"weights": weights}
-        if field == "weights":
+        if field == "weights" and np.ndim(value) == 0:
             weights[3, 4] = value
         else:
             kwargs[field] = value
@@ -166,6 +168,8 @@ class TestCheckpoint:
             (28, "<d", math.nan, "learning_rate must be finite"),
             (36, "<d", math.inf, "question_scale must be finite"),
             (44 + 8 * 300, "<d", math.nan, "weights must be finite"),
+            (8, "<I", 2, "unsupported checkpoint version 2"),
+            (12, "<I", 256, "unexpected dimensions 256x256"),
         ],
     )
     def test_invalid_checkpoint_field_is_a_schema_error_naming_the_path(
@@ -177,6 +181,12 @@ class TestCheckpoint:
         struct.pack_into(fmt, raw, offset, value)
         path.write_bytes(bytes(raw))
         with pytest.raises(SchemaError, match=re.escape(f"{path}: ") + message):
+            ToyPolicy.load(path)
+
+    def test_a_file_shorter_than_the_header_is_refused(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        path.write_bytes(b"PRNKPOL1")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: truncated policy checkpoint")):
             ToyPolicy.load(path)
 
     def test_non_finite_weights_are_not_saved(self, tmp_path):
@@ -421,6 +431,18 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(ToyPolicy.fresh(seed=0), [], epochs=1)
 
+    def test_a_non_finite_loss_stops_training_naming_the_record_and_step(self, synthetic_suite):
+        # Finite weights under which every token of the pool has log-probability about -1e300,
+        # so alpha * l_pa overflows at the largest alpha.
+        item = synthetic_suite[0]
+        weights = np.zeros((CONTEXTS, VOCAB))
+        weights[:, sorted({b for c in item.record.candidates for b in c.content.encode("utf-8")})] = -1e300
+        policy = ToyPolicy(weights)
+        expected = f"record '{item.record.question_id}': non-finite loss at step 0"
+        with pytest.raises(DegenerateInputError, match=re.escape(expected)):
+            train(policy, [item], epochs=1, alpha=1e100)
+        assert np.array_equal(policy.weights, weights)
+
 
 class TestLogProbTable:
     def fixture_table(self):
@@ -498,10 +520,10 @@ class TestTrainingAtTheCliDefaults:
     """The synthetic suite trained as ``train-toy`` trains it with no options.
 
     The suite's gold ranking is its dynamic ranking.  Under ``literal``,
-    the CLI's default schedule, no round has the top answer as its
+    which the CLI still offers, no round has the top answer as its
     positive, so at alpha 0.05 the policy puts the second answer first;
-    ``top_anchored`` puts the top answer first (README, "Comparison-round
-    schedule")."""
+    ``top_anchored``, the CLI's default schedule, puts the top answer first
+    (README, "Comparison-round schedule")."""
 
     @staticmethod
     def pref_hit_at_1(policy, suite):
@@ -523,7 +545,7 @@ class TestTrainingAtTheCliDefaults:
     @pytest.mark.parametrize("mode, trained_hit", [(MODE_LITERAL, 0.0), (MODE_TOP_ANCHORED, 1.0)])
     def test_pref_hit_at_1(self, synthetic_suite, mode, trained_hit):
         args = build_parser().parse_args(["train-toy", "--records", "r.jsonl", "--out-policy", "p.bin"])
-        assert args.mode == MODE_LITERAL
+        assert args.mode == MODE_TOP_ANCHORED
         policy = ToyPolicy.fresh(
             seed=args.seed,
             init_scale=args.init_scale,

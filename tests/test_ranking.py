@@ -94,6 +94,13 @@ class TestSemanticRank:
         with pytest.raises(ValidationError):
             SemanticRank(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "rank_of", [[0.0, 1.0], ["0", "1"], [0, 2**63], None], ids=["floats", "text", "past-int64", "none"]
+    )
+    def test_ranks_that_are_not_integers_are_rejected(self, rank_of):
+        with pytest.raises(ValidationError, match="rank_of must be a permutation of 0..M-1"):
+            SemanticRank(rank_of)
+
 
 HAND_MATRIX = ApdfMatrix(
     "multi", np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 0.2], [0.9, 0.2, 0.0]])

@@ -1,4 +1,5 @@
-"""README's CLI walkthrough and its "Library use" block, run verbatim.
+"""README's CLI walkthrough and its "Library use" block, run verbatim, and its
+module list checked against the package.
 
 The bash block under "## CLI walkthrough" runs under `bash -e -o pipefail`
 in a temporary directory, then the python block under "## Library use"
@@ -12,13 +13,18 @@ the package installed, it covers the installed package.
 The fixture writes the three inputs that the walkthrough reads but does
 not produce: `Posts.xml` (question 12345, whose pool of three answers
 passes step 1's filters), `logprobs.jsonl` and `gens.jsonl`.
+
+Under "## Modules", each bullet starts with a module's name and, in
+parentheses, the public names that `prefrank` resolves from it.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -124,3 +130,29 @@ def test_library_block_runs(walkthrough):
     order, total = done.stdout.splitlines()
     assert sorted(json.loads(order)) == list(range(len(ANSWERS)))
     assert math.isfinite(float(total))
+
+
+def readme_modules() -> dict[str, tuple[str, ...]]:
+    """Each "## Modules" bullet's module and the names in parentheses after it, in order."""
+    section = README.read_text(encoding="utf-8").split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+)`(?: \(([^)]*)\))?:", section, re.MULTILINE)
+    return {module: tuple(re.findall(r"`(\w+)`", names)) for module, names in bullets}
+
+
+def test_readme_lists_every_module_with_its_exports():
+    modules = sorted(path.stem for path in Path(prefrank.__file__).parent.glob("*.py") if path.stem != "__init__")
+    assert set(prefrank._EXPORTS) <= set(modules)
+    assert readme_modules() == {module: prefrank._EXPORTS.get(module, ()) for module in modules}
+
+
+def test_each_export_is_defined_in_the_module_that_lists_it():
+    exported = {name: module for module, names in prefrank._EXPORTS.items() for name in names}
+    assert sorted(exported) == prefrank.__all__
+    assert [name for name in exported if not inspect.isclass(getattr(prefrank, name))
+            and not inspect.isfunction(getattr(prefrank, name))] == []
+    homes = {name: getattr(prefrank, name).__module__ for name in exported}
+    assert homes == {name: f"prefrank.{module}" for name, module in exported.items()}
+    assert set(exported) | set(prefrank._EXPORTS) <= set(dir(prefrank))
+    # The table reader is one function wherever it resolves.
+    assert prefrank.load_external_embeddings is prefrank.corpus.load_external_embeddings
+    assert prefrank.load_external_embeddings is prefrank.embed.load_external_embeddings

@@ -166,7 +166,8 @@ def test_cli_import_and_decay_config_load_no_numpy():
 def test_loading_the_three_inputs_loads_no_numpy(tmp_path):
     # The benchmark's set-up probe: records, logprobs and an embedding table through the
     # public names, in a fresh interpreter, then the one cosine on two of the table's rows.
-    # `loss` itself still loads `policy`: it reads the logprob file through
+    # The three readers live in `corpus`, so neither `embed` nor its `hashlib` loads before
+    # the cosine.  `loss` itself still loads `policy`: it reads the logprob file through
     # `policy.load_logprob_file`, the name the benchmark's tracer patches.
     paths = write_cli_inputs(tmp_path)
     table = tmp_path / "e.tsv"
@@ -176,6 +177,7 @@ def test_loading_the_three_inputs_loads_no_numpy(tmp_path):
         f"prefrank.read_records({str(paths['records'])!r})\n"
         f"prefrank.load_logprob_file({str(paths['logprobs'])!r})\n"
         f"table = prefrank.load_external_embeddings({str(table)!r})\n"
+        'assert "prefrank.embed" not in sys.modules and "hashlib" not in sys.modules\n'
         'assert -1.0 <= prefrank.cosine(table["r1"], table["r1/a0"]) <= 1.0\n' + LOADED
     )
     loaded = run_python(code, child_env())
