@@ -126,6 +126,11 @@ class ApdfMatrix:
         if self._factors:
             factors = list(zip(*self._factors))  # (g_i, d_i) per candidate
             return ([(g - h) * (d - e) for h, e in factors[i + 1:]] for i, (g, d) in enumerate(factors))
+        if len(self._inputs) == 2 and all(m._factors for m in self._inputs):
+            # Each single's entry, then their product: the float operations of the product path.
+            factors = list(zip(*self._inputs[0]._factors, *self._inputs[1]._factors))  # (g, d, p, s) per candidate
+            return ([(g - h) * (d - e) * ((p - q) * (s - t)) for h, e, q, t in factors[i + 1:]]
+                    for i, (g, d, p, s) in enumerate(factors))
         if self._inputs:
             rows = zip(*(m.upper_rows() for m in self._inputs))
             return (reduce(lambda a, b: list(map(mul, a, b)), parts) for parts in rows)

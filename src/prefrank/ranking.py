@@ -5,10 +5,10 @@ largest surviving pairwise distance is located and the endpoint that
 ranks higher semantically is placed next, then removed from play.  When
 no strictly positive distance survives, the remaining candidates are
 appended in semantic-rank order.  Only the upper triangle (row < col)
-is read.  ``dynamic_rank`` sorts the positive upper-triangle pairs once
-and makes one pass over them, skipping every pair with a placed
-endpoint, O(M^2 log M); it is standard-library code and reads the
-triangle through `ApdfMatrix.upper_rows`, so ``rank`` loads no numpy.
+is read.  ``dynamic_rank`` sorts each triangle row once and merges the
+rows through a heap of their best surviving entries, O(M^2 log M); it is
+standard-library code and reads the triangle through
+`ApdfMatrix.upper_rows`, so ``rank`` loads no numpy.
 ``brute_force_rank`` implements the same contract by rescanning the
 full matrix against an exclusion set at every step, O(M^3), and exists
 as an independent check on ``dynamic_rank``.
@@ -17,7 +17,7 @@ as an independent check on ``dynamic_rank``.
 from __future__ import annotations
 
 from array import array
-from operator import itemgetter
+from heapq import heapify, heappop, heapreplace
 from typing import Sequence
 
 from .apdf import ApdfMatrix
@@ -87,27 +87,42 @@ def _check_inputs(multi: ApdfMatrix, arank: SemanticRank) -> None:
 def dynamic_rank(multi: ApdfMatrix, arank: SemanticRank) -> DynamicRanking:
     """Greedy placement by maximal surviving distance, semantic rank deciding.
 
-    The positive entries (row, col) with row < col are read in row-major
-    order and sorted once by descending value; the sort is stable, so ties
-    on the maximal entry go to the lexicographically smallest pair.  Placing
-    a candidate retires every pair it belongs to, so one pass over the
-    entries in that order is the greedy walk: a pair with a
-    placed endpoint is skipped, any other places its semantically better
-    endpoint.  Candidates the walk does not reach follow in semantic-rank
-    order.  O(M^2 log M), the sort.
+    Each row's columns are sorted once by descending value, stably, so
+    equal values keep column order.  A heap holds each live row's best
+    surviving entry keyed (-value, row, position): its top is the largest
+    entry with both endpoints unplaced, ties going to the smallest (row,
+    col), and places its semantically better endpoint.  A placed row leaves
+    the heap; a row whose head column is placed moves on to its next
+    positive entry with an unplaced column.  Candidates the walk does not
+    reach follow in semantic-rank order.  O(M^2 log M): the row sorts, and
+    at most one heap step per entry.
     """
     _check_inputs(multi, arank)
-    walk = [(value, row, col) for row, values in enumerate(multi.upper_rows())
-            for col, value in enumerate(values, row + 1) if value > 0.0]
-    walk.sort(key=itemgetter(0), reverse=True)
+    rows = list(multi.upper_rows())
+    by_value = [sorted(range(len(values)), key=values.__getitem__, reverse=True) for values in rows]
+    heap = [(-values[cols[0]], row, 0) for row, (values, cols) in enumerate(zip(rows, by_value))
+            if cols and values[cols[0]] > 0.0]
+    heapify(heap)
     rank_of = arank.rank_of
     placed = [False] * multi.size
     order: list[int] = []
-    for _, row, col in walk:
-        if not (placed[row] or placed[col]):
-            winner = row if rank_of[row] < rank_of[col] else col
-            placed[winner] = True
-            order.append(winner)
+    while heap:
+        _, row, position = heap[0]
+        if not placed[row]:
+            values, cols = rows[row], by_value[row]
+            col = row + 1 + cols[position]
+            if not placed[col]:
+                winner = row if rank_of[row] < rank_of[col] else col
+                placed[winner] = True
+                order.append(winner)
+            if not placed[row]:
+                position += 1
+                while position < len(cols) and placed[row + 1 + cols[position]]:
+                    position += 1
+                if position < len(cols) and values[cols[position]] > 0.0:
+                    heapreplace(heap, (-values[cols[position]], row, position))
+                    continue
+        heappop(heap)
     order += [c for c in arank.by_rank() if not placed[c]]
     return DynamicRanking(order)
 

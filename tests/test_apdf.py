@@ -3,8 +3,10 @@
 import itertools
 import math
 import re
+from array import array
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -262,6 +264,18 @@ class TestMultiApdf:
         b = ApdfMatrix("b", np.array([[0.0, 0.3], [0.3, 0.0]]))
         fused = multi_apdf([a, b])
         assert fused.values[0, 1] == pytest.approx(0.07986837213931891, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_fused_rows_are_the_product_of_the_singles_rows(self, data):
+        # Bit for bit, so the sign of every zero must match too.
+        gains = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(min_value=0.0, max_value=4.0)
+        size = data.draw(st.integers(1, 12))
+        a, b = (single_apdf(GainVector(name, data.draw(st.lists(gains, min_size=size, max_size=size))))
+                for name in "ab")
+        rows = zip(multi_apdf([a, b]).upper_rows(), a.upper_rows(), b.upper_rows(), strict=True)
+        for fused, row_a, row_b in rows:
+            assert array("d", fused).tobytes() == array("d", map(mul, row_a, row_b)).tobytes()
 
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(4)

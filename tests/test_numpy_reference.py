@@ -84,3 +84,12 @@ def test_a_256_candidate_pool_matches_the_numpy_reference():
     rank_of = rng.permutation(256).tolist()
     assert_same_as_reference([semantic, popularity], [False, False], rank_of)
     assert_same_as_reference([semantic, popularity], [False, True], rank_of)
+    # Gains on three levels: most rows hold ties and off-diagonal zeros.
+    levels = [rng.choice([0.5, 1.0, 2.0], 256).tolist() for _ in range(2)]
+    assert_same_as_reference(levels, [False, False], rank_of)
+    # Monotone gains in both attributes with the largest gains ranked first: each
+    # placement takes a row's head column, so nearly every row's head goes stale.
+    monotone = [float(c) for c in range(256)]
+    assert_same_as_reference([monotone, monotone], [False, False], list(range(255, -1, -1)))
+    # Three attributes take the product path, not the two-single fused rows.
+    assert_same_as_reference([semantic, popularity, levels[0]], [False, False, False], rank_of)

@@ -185,8 +185,10 @@ class TestOracleEquivalence:
             assert dynamic_rank(multi, arank).order == brute_force_rank(multi, arank).order
 
     def test_benchmark_pool_size(self):
-        # M = 64 as in the benchmark's large pools; half the instances take
-        # gains from three levels, so many entries tie and many are zero.
+        # M = 64, one of the benchmark's large pool sizes (16, 64 and 256; the
+        # O(M^3) oracle keeps it below 256, which test_numpy_reference covers).
+        # Half the instances take gains from three levels, so many entries tie
+        # and many are zero.
         rng = np.random.default_rng(15)
         size = 64
         for quantized in (False, True) * 6:
