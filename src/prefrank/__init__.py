@@ -59,7 +59,6 @@ _EXPORTS = {
         "perceptual_alignment_loss",
         "perceptual_comparison_loss",
         "plackett_luce_loss",
-        "total_loss",
     ),
     "pipeline": ("PerceptionBundle", "PreparedRecord", "build_perception", "prepare_records"),
     "policy": ("ToyPolicy", "score", "train"),

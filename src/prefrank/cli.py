@@ -164,7 +164,7 @@ def _external_score(row) -> tuple[str, float]:
 
 def cmd_ingest(args) -> int:
     result = corpus.parse_dump(args.dump)
-    entries = list(result.entries)
+    entries = result.entries
     counts = {"parsed": len(entries)}
     entries = corpus.filter_accepted(entries)
     counts["accepted"] = len(entries)

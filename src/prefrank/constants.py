@@ -11,7 +11,7 @@ POPULARITY = "popularity"
 MODE_LITERAL = "literal"
 MODE_TOP_ANCHORED = "top_anchored"
 COMPARISON_MODES = (MODE_LITERAL, MODE_TOP_ANCHORED)
-DEFAULT_MODE = MODE_TOP_ANCHORED  # `loss`'s and `train-toy`'s; the library's functions default to literal
+DEFAULT_MODE = MODE_TOP_ANCHORED
 DEFAULT_ALPHA = 0.05
 # Largest alpha, |learning rate|, weight scale and |token logprob|: far past
 # any useful value and far inside the float range, so that no step or loss

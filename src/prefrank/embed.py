@@ -14,7 +14,8 @@ The embedder, `cosine` and `resolve_vectors` need only the standard
 library, so ``prefrank embed`` runs without numpy and ``prefrank eval``
 loads it only to correlate external scores.  `cosine` is the one cosine:
 ``rank``, ``loss``, ``train-toy`` and ``eval`` all take their
-similarities from it, through `anchor_cosines`.
+similarities from it, through `anchor_cosines`, and order them by
+`similarity_key`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from operator import mul, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .constants import DEFAULT_DIM, DEFAULT_NGRAM
 from .corpus import QARecord, candidate_key
@@ -140,6 +141,11 @@ def anchor_cosines(anchor: Sequence[float], pool: list[Sequence[float]]) -> list
     anchor = list(anchor)
     norm = math.hypot(*anchor)
     return [cosine(anchor, list(vector), norm) for vector in pool]
+
+
+def similarity_key(similarities: Sequence[float], ids: Sequence[str]) -> Callable[[int], tuple[float, str]]:
+    """Key on candidate indices putting the most similar first; an exact tie goes to the lower candidate id."""
+    return lambda c: (-similarities[c], ids[c])
 
 
 def table_vector(table: dict[str, Sequence[float]], key: str) -> Sequence[float]:

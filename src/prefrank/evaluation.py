@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .constants import DEFAULT_KS, NORMALIZER_BY_K, NORMALIZER_PAPER_HALF, NORMALIZERS
 from .corpus import SAFE_NORM, QARecord, Value, generation_key
-from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors
+from .embed import HashedNgramEmbedder, anchor_cosines, resolve_vectors, similarity_key
 from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches evaluation.cosine by name
 from .errors import ValidationError
 
@@ -49,14 +49,14 @@ def best_match(similarities: Sequence[float], ids: Sequence[str]) -> int:
     """Index of the most similar candidate; an exact tie goes to the lower candidate id."""
     if len(similarities) < 1:
         raise ValidationError("similarity vector must be non-empty")
-    return min(range(len(similarities)), key=lambda c: (-similarities[c], ids[c]))
+    return min(range(len(similarities)), key=similarity_key(similarities, ids))
 
 
 def top_k_matches(similarities: Sequence[float], ids: Sequence[str], k: int) -> list[int]:
     """Indices of the k most similar candidates, descending; an exact tie goes to the lower candidate id."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return sorted(range(len(similarities)), key=lambda c: (-similarities[c], ids[c]))[:k]
+    return sorted(range(len(similarities)), key=similarity_key(similarities, ids))[:k]
 
 
 def gold_top_k(gold_ranking, k: int) -> set[int]:
@@ -225,20 +225,20 @@ def spearman_r(xs, ys) -> float:
     return pearson_r(_average_ranks(xs), _average_ranks(ys))
 
 
-class EvalReport:
+class EvalReport(Value):
     """Dataset-level metric bundle plus the configuration that produced it."""
 
-    __slots__ = ("pref_hit", "pref_recall", "safer_hit", "bleu", "rouge_l", "n_records", "ks", "normalizer",
-                 "embedder", "skipped", "external_correlations")
-
-    def __init__(self, pref_hit: dict[int, float], pref_recall: dict[int, float], safer_hit: float | None,
-                 bleu: float, rouge_l: float, n_records: int, ks: tuple[int, ...], normalizer: str,
-                 embedder: str, skipped: Counter | None = None, external_correlations: dict | None = None):
-        self.pref_hit, self.pref_recall, self.safer_hit = pref_hit, pref_recall, safer_hit
-        self.bleu, self.rouge_l, self.n_records = bleu, rouge_l, n_records
-        self.ks, self.normalizer, self.embedder = ks, normalizer, embedder
-        self.skipped = Counter() if skipped is None else skipped
-        self.external_correlations = {} if external_correlations is None else external_correlations
+    pref_hit: dict[int, float]
+    pref_recall: dict[int, float]
+    safer_hit: float | None
+    bleu: float
+    rouge_l: float
+    n_records: int
+    ks: tuple[int, ...]
+    normalizer: str
+    embedder: str
+    skipped: Counter
+    external_correlations: dict
 
     def to_dict(self) -> dict:
         return {

@@ -56,14 +56,11 @@ class FilterConfig(Value):
             raise ValidationError("since must be a timezone-aware datetime or None")
 
 
-class DumpParseResult:
+class DumpParseResult(Value):
     """Parsed entries plus a counter of skipped-row warnings."""
 
-    __slots__ = ("entries", "warnings")
-
-    def __init__(self, entries: list[QARecord] | None = None, warnings: Counter | None = None):
-        self.entries = [] if entries is None else entries
-        self.warnings = Counter() if warnings is None else warnings
+    entries: tuple[QARecord, ...]
+    warnings: Counter
 
 
 def _parse_rows(path: Path) -> Iterator[dict]:
@@ -90,11 +87,11 @@ def parse_dump(path) -> DumpParseResult:
     the row Score clamped to zero, since popularity is nonnegative.
     """
     path = Path(path)
-    result = DumpParseResult()
+    warnings: Counter = Counter()
     with open(path, "rb") as probe:
         head = probe.read(4096)
     if not head.strip() and len(head) < 4096:
-        return result
+        return DumpParseResult((), warnings)
 
     questions: dict[str, dict] = {}
     answers: dict[str, list[dict]] = {}
@@ -110,21 +107,21 @@ def parse_dump(path) -> DumpParseResult:
             continue
         missing = [name for name in required if name not in row]
         if missing:
-            result.warnings[f"missing_{missing[0]}"] += 1
+            warnings[f"missing_{missing[0]}"] += 1
             continue
         try:
             row["_created_at"] = parse_timestamp(row["CreationDate"])
         except ValidationError:
-            result.warnings["bad_CreationDate"] += 1
+            warnings["bad_CreationDate"] += 1
             continue
         if post_type == "2":
             try:
                 row["_votes"] = max(0, int(row["Score"]))
             except ValueError:
-                result.warnings["bad_Score"] += 1
+                warnings["bad_Score"] += 1
                 continue
         if row["Id"] in seen_ids:
-            result.warnings["duplicate_Id"] += 1
+            warnings["duplicate_Id"] += 1
             continue
         seen_ids.add(row["Id"])
         if post_type == "1":
@@ -134,12 +131,13 @@ def parse_dump(path) -> DumpParseResult:
 
     for parent_id in answers:
         if parent_id not in questions:
-            result.warnings["orphan_answer"] += len(answers[parent_id])
+            warnings["orphan_answer"] += len(answers[parent_id])
 
+    entries = []
     for question_id, question in questions.items():
         pool = answers.get(question_id, [])
         if not pool:
-            result.warnings["question_without_answers"] += 1
+            warnings["question_without_answers"] += 1
             continue
         accepted_id = question.get("AcceptedAnswerId")
         candidates = tuple(
@@ -152,15 +150,9 @@ def parse_dump(path) -> DumpParseResult:
             )
             for row in pool
         )
-        result.entries.append(
-            QARecord(
-                question_id=question_id,
-                question_text=question["Body"],
-                question_created_at=question["_created_at"],
-                candidates=candidates,
-            )
-        )
-    return result
+        entries.append(QARecord(question_id=question_id, question_text=question["Body"],
+                                question_created_at=question["_created_at"], candidates=candidates))
+    return DumpParseResult(tuple(entries), warnings)
 
 
 def filter_accepted(entries: Iterable[QARecord]) -> list[QARecord]:

@@ -14,7 +14,7 @@ matrix, sorted ascending and assigned so that candidates ranked higher
 dynamically receive smaller penalties.  Two round schedules are
 supported: ``literal`` takes positives from dynamic-rank positions
 1..M-1 (the top response is handled by the alignment loss alone) and
-``top_anchored`` takes positions 0..M-2.
+``top_anchored``, the default, takes positions 0..M-2.
 
 All rounds are computed at once: ``comparison_rounds`` builds an
 (M-1) x M weight matrix whose row r holds round r's reward at its
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .apdf import ApdfMatrix
-from .constants import COMPARISON_MODES, DEFAULT_ALPHA, MAX_SCALE, MODE_LITERAL, MODE_TOP_ANCHORED
+from .constants import COMPARISON_MODES, DEFAULT_ALPHA, DEFAULT_MODE, MAX_SCALE, MODE_LITERAL, MODE_TOP_ANCHORED
 from .corpus import Value
 from .errors import DegenerateInputError, ValidationError
 from .ranking import DynamicRanking
@@ -45,16 +45,18 @@ DEFAULT_DPO_BETA = 0.1
 
 
 class LossBreakdown(Value):
-    """Combined loss: total == l_pc + alpha * l_pa, exactly as computed."""
+    """The two objectives and their weight; `total` is l_pc + alpha * l_pa."""
 
     l_pa: float
     l_pc: float
     alpha: float
-    total: float
 
     def __post_init__(self):
-        if self.total != self.l_pc + self.alpha * self.l_pa:
-            raise ValidationError("total must equal l_pc + alpha * l_pa")
+        check_alpha(self.alpha)
+
+    @property
+    def total(self) -> float:
+        return self.l_pc + self.alpha * self.l_pa
 
     def to_dict(self) -> dict:
         return {"l_pa": self.l_pa, "l_pc": self.l_pc, "alpha": self.alpha, "total": self.total}
@@ -88,14 +90,14 @@ def perceptual_comparison_loss(
     d_r: DynamicRanking,
     single_matrices: list[ApdfMatrix],
     multi: ApdfMatrix,
-    mode: str = MODE_LITERAL,
+    mode: str = DEFAULT_MODE,
 ) -> float:
     """Weighted list-wise softmax loss over M-1 rounds; >= 0 and finite."""
     return comparison_loss_and_score_grad(pi_s, d_r, single_matrices, multi, mode)[0]
 
 
 def comparison_rounds(
-    d_r: DynamicRanking, single_matrices: list[ApdfMatrix], multi: ApdfMatrix, mode: str = MODE_LITERAL
+    d_r: DynamicRanking, single_matrices: list[ApdfMatrix], multi: ApdfMatrix, mode: str = DEFAULT_MODE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each round's positive and the (M-1) x M matrix of its reward and penalty weights.
 
@@ -172,7 +174,7 @@ def comparison_loss_and_score_grad(
     d_r: DynamicRanking,
     single_matrices: list[ApdfMatrix],
     multi: ApdfMatrix,
-    mode: str = MODE_LITERAL,
+    mode: str = DEFAULT_MODE,
 ) -> tuple[float, np.ndarray]:
     """Comparison loss plus its gradient with respect to the score vector."""
     pi_s = validate_policy_scores(pi_s, multi.size)
@@ -187,19 +189,14 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def total_loss(l_pc: float, l_pa: float, alpha: float = DEFAULT_ALPHA) -> LossBreakdown:
-    """Combine the two objectives: total = l_pc + alpha * l_pa."""
-    check_alpha(alpha)
-    return LossBreakdown(l_pa=l_pa, l_pc=l_pc, alpha=alpha, total=l_pc + alpha * l_pa)
-
-
 def record_loss(
-    pi_s: np.ndarray, perception: PerceptionBundle, alpha: float = DEFAULT_ALPHA, mode: str = MODE_LITERAL
+    pi_s: np.ndarray, perception: PerceptionBundle, alpha: float = DEFAULT_ALPHA, mode: str = DEFAULT_MODE
 ) -> LossBreakdown:
     """One record's combined loss from its candidates' policy scores and its perception."""
     l_pa = perceptual_alignment_loss(pi_s, perception.dynamic)
+    # Through the module global, the name that bench/tracing.py times `loss`'s comparison loss by.
     l_pc = perceptual_comparison_loss(pi_s, perception.dynamic, perception.singles, perception.multi, mode)
-    return total_loss(l_pc, l_pa, alpha)
+    return LossBreakdown(l_pa, l_pc, alpha)
 
 
 def dpo_pair_loss(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import objective
 from .constants import DEFAULT_INIT_SCALE, DEFAULT_LEARNING_RATE, DEFAULT_QUESTION_SCALE, MAX_SCALE
-from .corpus import QARecord, load_logprob_file  # noqa: F401  cli and bench/ call load_logprob_file here
+from .corpus import QARecord, Value, load_logprob_file  # noqa: F401  cli and bench/ call load_logprob_file here
 from .errors import DegenerateInputError, SchemaError, ValidationError, naming_record
 from .pipeline import PerceptionBundle, PreparedRecord
 
@@ -194,7 +194,7 @@ def loss_gradient(
     record: QARecord,
     perception: PerceptionBundle,
     alpha: float = objective.DEFAULT_ALPHA,
-    mode: str = objective.MODE_LITERAL,
+    mode: str = objective.DEFAULT_MODE,
 ) -> tuple[objective.LossBreakdown, np.ndarray]:
     """Loss and its exact gradient with respect to the policy weights.
 
@@ -214,7 +214,7 @@ def loss_gradient(
         pi_s, perception.dynamic, perception.singles, perception.multi, mode
     )
     d_pi[perception.dynamic.top()] -= alpha
-    breakdown = objective.total_loss(l_pc, l_pa, alpha)
+    breakdown = objective.LossBreakdown(l_pa, l_pc, alpha)
 
     lengths = np.array([lp.size for lp in log_probs])
     token_weight = np.repeat(-d_pi / lengths, lengths)
@@ -225,13 +225,10 @@ def loss_gradient(
     return breakdown, grad
 
 
-class TrainResult:
+class TrainResult(Value):
     """The per-step loss trace, one entry per record update."""
 
-    __slots__ = ("trace",)
-
-    def __init__(self, trace: list[objective.LossBreakdown] | None = None):
-        self.trace = [] if trace is None else trace
+    trace: tuple[objective.LossBreakdown, ...]
 
     @property
     def totals(self) -> np.ndarray:
@@ -243,7 +240,7 @@ def train(
     prepared: list[PreparedRecord],
     epochs: int = 1,
     alpha: float = objective.DEFAULT_ALPHA,
-    mode: str = objective.MODE_LITERAL,
+    mode: str = objective.DEFAULT_MODE,
 ) -> TrainResult:
     """Plain gradient descent over records in id order, mutating the policy.
 
@@ -258,15 +255,13 @@ def train(
         raise ValidationError("epochs must be >= 0")
     objective.check_alpha(alpha)
     ordered = sorted(prepared, key=lambda p: p.record.question_id)
-    result = TrainResult()
-    step = 0
+    trace = []
     for _ in range(epochs):
         for item in ordered:
             with naming_record(item.record.question_id):
                 breakdown, grad = loss_gradient(policy, item.record, item.perception, alpha, mode)
                 if not np.isfinite(breakdown.total):
-                    raise DegenerateInputError(f"non-finite loss at step {step}")
-            result.trace.append(breakdown)
+                    raise DegenerateInputError(f"non-finite loss at step {len(trace)}")
+            trace.append(breakdown)
             policy.weights -= policy.learning_rate * grad
-            step += 1
-    return result
+    return TrainResult(tuple(trace))

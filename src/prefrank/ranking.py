@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .apdf import ApdfMatrix
 from .corpus import Value
-from .embed import cosine  # noqa: F401  unused; bench/tracing.py patches ranking.cosine by name
+from .embed import cosine, similarity_key  # noqa: F401  cosine is unused; bench/tracing.py patches ranking.cosine
 from .errors import ValidationError
 
 
@@ -73,7 +73,7 @@ def semantic_rank(similarities: Sequence[float], ids: Sequence[str]) -> Semantic
         raise ValidationError("candidate pool must be non-empty")
     if len(ids) != len(similarities):
         raise ValidationError(f"{len(ids)} candidate ids for {len(similarities)} similarities")
-    by_rank = sorted(range(len(ids)), key=lambda c: (-similarities[c], ids[c]))
+    by_rank = sorted(range(len(ids)), key=similarity_key(similarities, ids))
     return SemanticRank(sorted(range(len(ids)), key=by_rank.__getitem__))  # the inverse permutation
 
 

@@ -179,7 +179,7 @@ class TestRank:
                 objective.MODE_TOP_ANCHORED,  # the CLI's default schedule
             )
             row = {"record_id": record.question_id, "mode": "top_anchored"}
-            row.update(objective.total_loss(l_pc, l_pa, objective.DEFAULT_ALPHA).to_dict())
+            row.update(objective.LossBreakdown(l_pa, l_pc, objective.DEFAULT_ALPHA).to_dict())
             expected_losses.append(row)
         assert expected_losses[-1]["record_id"] == "r3"
         assert losses.read_text() == jsonl(expected_losses)
@@ -257,6 +257,16 @@ class TestLoss:
         for row in rows:
             assert row["total"] == row["l_pc"]
             assert row["mode"] == "top_anchored"
+
+    def test_rows_equal_library_record_loss_at_its_defaults(self, records_file, tmp_path):
+        # Neither side names a mode or an alpha; `--no-decay` matches the library's `decay=None`.
+        record = read_records(records_file)[0]
+        logprobs, out = tmp_path / "logprobs.jsonl", tmp_path / "loss.jsonl"
+        write_logprob_file(logprobs, logprob_table(ToyPolicy.fresh(seed=2), [record]))
+        assert run(["loss", "--records", records_file, "--logprobs", logprobs, "--out", out, "--no-decay"]) == 0
+        pi_s = objective.policy_scores_from_logprobs(logprob_rows(load_logprob_file(logprobs), record))
+        breakdown = objective.record_loss(pi_s, build_perception(record, embedder=HashedNgramEmbedder()))
+        assert json.loads(out.read_text()) == {"record_id": "r3", "mode": "top_anchored", **breakdown.to_dict()}
 
     def test_degenerate_pool_exits_4(self, tmp_path):
         # Identical texts and votes: both matrices are all-zero, so the

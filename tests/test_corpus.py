@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+from collections import Counter
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -29,6 +30,7 @@ from prefrank.corpus import (
 )
 from prefrank.errors import DumpParseError, SchemaError, ValidationError
 from prefrank.ingest import (
+    DumpParseResult,
     FilterConfig,
     apply_quality_filters,
     assign_gold_ranking,
@@ -667,12 +669,18 @@ class TestValueRecords:
         assert make_record() == make_record() and make_candidate(0) == make_candidate(0)
         assert make_record() != make_record(question_id="q2")
         assert FilterConfig() == FilterConfig(min_pool_size=0) != FilterConfig(min_pool_size=1)
-        assert LossBreakdown(1.0, 2.0, 0.5, 2.5) != (1.0, 2.0, 0.5, 2.5)
+        assert LossBreakdown(1.0, 2.0, 0.5) != (1.0, 2.0, 0.5)
         assert DecayConfig(T0) != FilterConfig(since=T0)
 
     def test_equal_values_hash_equal(self):
         assert hash(make_record()) == hash(make_record())
         assert len({make_candidate(0), make_candidate(0), make_candidate(1)}) == 2
+
+    def test_a_result_holding_a_counter_compares_but_does_not_hash(self):
+        result = DumpParseResult((make_record(),), Counter(bad_Score=1))
+        assert result == DumpParseResult((make_record(),), Counter(bad_Score=1)) != result.replace(entries=())
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
 
     def test_fields_refuse_assignment_and_deletion(self):
         record = make_record()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from prefrank.apdf import ApdfMatrix
 from prefrank.errors import DegenerateInputError, ValidationError
 from prefrank.objective import (
+    DEFAULT_ALPHA,
     LossBreakdown,
     MODE_LITERAL,
     MODE_TOP_ANCHORED,
@@ -21,7 +22,6 @@ from prefrank.objective import (
     perceptual_comparison_loss,
     plackett_luce_loss,
     policy_scores_from_logprobs,
-    total_loss,
     weighted_rounds,
 )
 from prefrank.ranking import DynamicRanking, dynamic_rank
@@ -307,10 +307,10 @@ class TestPerceptualComparisonLoss:
     def test_monotone_in_positive_and_negative_scores(self):
         matrix = uniform_matrix(2)
         d_r = DynamicRanking([0, 1])
-        base = perceptual_comparison_loss(np.array([0.0, 0.0]), d_r, [matrix], matrix)
+        base = perceptual_comparison_loss(np.array([0.0, 0.0]), d_r, [matrix], matrix, MODE_LITERAL)
         # Candidate 1 is the literal round's positive.
-        raised_positive = perceptual_comparison_loss(np.array([0.0, 0.5]), d_r, [matrix], matrix)
-        raised_negative = perceptual_comparison_loss(np.array([0.5, 0.0]), d_r, [matrix], matrix)
+        raised_positive = perceptual_comparison_loss(np.array([0.0, 0.5]), d_r, [matrix], matrix, MODE_LITERAL)
+        raised_negative = perceptual_comparison_loss(np.array([0.5, 0.0]), d_r, [matrix], matrix, MODE_LITERAL)
         assert raised_positive < base < raised_negative
 
     def test_nonnegative_and_finite_on_random_inputs(self):
@@ -533,38 +533,42 @@ class TestDiscountScaleInvariance:
 
 class TestTotalLoss:
     def test_alpha_zero(self):
-        breakdown = total_loss(1.7, 99.0, alpha=0.0)
+        breakdown = LossBreakdown(l_pa=99.0, l_pc=1.7, alpha=0.0)
         assert breakdown.total == 1.7
 
     def test_default_alpha_example(self):
-        breakdown = total_loss(2.0, 3.0)
+        breakdown = LossBreakdown(3.0, 2.0, DEFAULT_ALPHA)
         assert breakdown.alpha == 0.05
         assert breakdown.total == pytest.approx(2.15, abs=1e-15)
 
     def test_zero_alignment_component(self):
         for alpha in (0.0, 0.05, 1.0, 7.5):
-            assert total_loss(2.5, 0.0, alpha).total == 2.5
+            assert LossBreakdown(0.0, 2.5, alpha).total == 2.5
 
     def test_linear_in_alpha(self):
         l_pc, l_pa = 1.3, 0.8
-        t0 = total_loss(l_pc, l_pa, 0.0).total
-        t1 = total_loss(l_pc, l_pa, 1.0).total
+        t0 = LossBreakdown(l_pa, l_pc, 0.0).total
+        t1 = LossBreakdown(l_pa, l_pc, 1.0).total
         for alpha in (0.25, 0.5, 2.0):
             expected = t0 + alpha * (t1 - t0)
-            assert total_loss(l_pc, l_pa, alpha).total == pytest.approx(expected, rel=1e-15)
+            assert LossBreakdown(l_pa, l_pc, alpha).total == pytest.approx(expected, rel=1e-15)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
-            total_loss(1.0, 1.0, alpha=-0.1)
+            LossBreakdown(1.0, 1.0, alpha=-0.1)
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValidationError, match="alpha must be finite"):
-            total_loss(1.0, 1.0, alpha=alpha)
+            LossBreakdown(1.0, 1.0, alpha=alpha)
 
-    def test_a_breakdown_built_directly_must_add_up(self):
-        with pytest.raises(ValidationError, match=re.escape("total must equal l_pc + alpha * l_pa")):
-            LossBreakdown(l_pa=1.0, l_pc=2.0, alpha=0.5, total=3.0)
+    def test_total_is_derived_not_stored(self):
+        breakdown = LossBreakdown(2.0, 1.0, 0.5)
+        assert breakdown.to_dict() == {"l_pa": 2.0, "l_pc": 1.0, "alpha": 0.5, "total": 2.0}
+        assert list(breakdown.to_dict()) == ["l_pa", "l_pc", "alpha", "total"]
+        assert breakdown.replace(alpha=1.5).total == 4.0
+        with pytest.raises(TypeError):
+            LossBreakdown(2.0, 1.0, 0.5, 2.0)
 
 
 class TestDpoPairLoss:

@@ -15,11 +15,14 @@ not produce: `Posts.xml` (question 12345, whose pool of three answers
 passes step 1's filters), `logprobs.jsonl` and `gens.jsonl`.
 
 Under "## Modules", each bullet starts with a module's name and, in
-parentheses, the public names that `prefrank` resolves from it.
+parentheses, the public names that `prefrank` resolves from it.  Under
+"## Library use", the parentheses after "Records, configs and results"
+list every `Value` subclass that the package defines.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import math
@@ -33,6 +36,7 @@ from pathlib import Path
 import pytest
 
 import prefrank
+from prefrank.corpus import Value
 
 from conftest import CODE_BODY, answer_row, posts_xml, question_row
 
@@ -156,3 +160,25 @@ def test_each_export_is_defined_in_the_module_that_lists_it():
     # The table reader is one function wherever it resolves.
     assert prefrank.load_external_embeddings is prefrank.corpus.load_external_embeddings
     assert prefrank.load_external_embeddings is prefrank.embed.load_external_embeddings
+
+
+def package_value_classes() -> list[type]:
+    """Every `Value` subclass defined in a module of the package, by name."""
+    modules = [importlib.import_module(f"prefrank.{path.stem}")
+               for path in Path(prefrank.__file__).parent.glob("*.py") if path.stem != "__init__"]
+    return sorted((cls for module in modules for cls in vars(module).values() if inspect.isclass(cls)
+                   and issubclass(cls, Value) and cls is not Value and cls.__module__ == module.__name__),
+                  key=lambda cls: cls.__name__)
+
+
+def test_readme_lists_every_value_class():
+    library = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"Records, configs and results \(([^)]*)\)", library).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert sorted(names) == [cls.__name__ for cls in package_value_classes()]
+    assert "`ToyPolicy` is the one plain mutable class" in " ".join(library.split())
+    assert not issubclass(prefrank.ToyPolicy, Value)
+
+
+def test_value_classes_take_the_shared_constructor():
+    assert [cls.__name__ for cls in package_value_classes() if "__init__" in vars(cls)] == []
