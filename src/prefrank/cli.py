@@ -6,11 +6,14 @@ dynamic rankings, ``loss`` scores records against a log-probability
 file, ``train-toy`` fits the bigram policy, ``eval`` produces a metric
 report, and ``export-heatmap`` dumps a distance matrix as CSV.
 
-Every run writes a manifest next to its main artifact (config echo,
-input digests, package version) so outputs can be reproduced
-byte-for-byte.  Exit codes: 0 success, 1 internal (an exception not
-mapped below, reported as its type and message), 2 validation, 3 I/O or
-file format, 4 numerically degenerate input.  No traceback is printed.
+Each subcommand reads its inputs, computes, writes its artifact and
+returns its manifest blocks and stdout lines.  After it returns, `main`
+writes the run's one manifest next to the main artifact (config echo,
+input digests, package version, those blocks) so outputs can be
+reproduced byte-for-byte, then prints the lines.  Exit codes: 0
+success, 1 internal (an exception not mapped below, reported as its
+type and message), 2 validation, 3 I/O or file format, 4 numerically
+degenerate input.  No traceback is printed.
 
 This module imports only the standard library, `corpus`, `errors` and
 `constants`; each subcommand imports the modules it runs when it
@@ -63,8 +66,13 @@ def _sha256(path) -> str:
 
 # The flags that name an input file; a manifest digests each one that is set and is a regular file.
 _INPUT_FLAGS = ("dump", "records", "logprobs", "generations", "embeddings", "external_scores")
-# The flags that name an output file; a manifest is written beside --out and --out-policy.
+# The flags that name an output file; every subcommand has --out or --out-policy.
 _OUTPUT_FLAGS = ("out", "out_policy", "trace")
+
+
+def _artifact(args) -> str:
+    """The main artifact's flag, the first output flag the subcommand has; the manifest goes beside it."""
+    return next(name for name in _OUTPUT_FLAGS if name in vars(args))
 
 
 def _refuse_overwrites(args) -> None:
@@ -74,7 +82,8 @@ def _refuse_overwrites(args) -> None:
     flag["dump"] = "the dump"
     owner = {os.path.realpath(values[name]): flag[name] for name in _INPUT_FLAGS if values.get(name)}
     outputs = [(flag[name], values[name]) for name in _OUTPUT_FLAGS if values.get(name)]
-    outputs += [(f"the {f} manifest", f"{path}.manifest.json") for f, path in outputs if f != "--trace"]
+    artifact = _artifact(args)
+    outputs.append((f"the {flag[artifact]} manifest", f"{values[artifact]}.manifest.json"))
     for output, path in outputs:
         other = owner.setdefault(os.path.realpath(path), output)
         if other != output:
@@ -87,7 +96,7 @@ def _write_json(path, document) -> None:
         handle.write("\n")
 
 
-def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = None):
+def _write_manifest(args: argparse.Namespace, blocks: dict):
     config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
     inputs = [path for path in map(vars(args).get, _INPUT_FLAGS) if path]
     manifest = {
@@ -97,9 +106,7 @@ def _write_manifest(out_path, args: argparse.Namespace, extra: dict | None = Non
         "inputs": {str(p): _sha256(p) if os.path.isfile(p) else None for p in inputs},
         "version": __version__,
     }
-    if extra:
-        manifest.update(extra)
-    _write_json(str(out_path) + ".manifest.json", manifest)
+    _write_json(f"{vars(args)[_artifact(args)]}.manifest.json", {**manifest, **blocks})
 
 
 def _parse_ks(value: str) -> tuple[int, ...]:
@@ -143,6 +150,10 @@ def _decay_config(args, records) -> DecayConfig | None:
     return DecayConfig(reference_time=reference, half_life=timedelta(days=days))
 
 
+def _tsv(pairs: dict) -> list[str]:
+    return [f"{key}\t{value}" for key, value in pairs.items()]
+
+
 def _vectors(args) -> dict:
     """The `embedder` and `table` keywords from the embedding flags."""
     if args.embeddings:
@@ -150,6 +161,12 @@ def _vectors(args) -> dict:
     from .embed import HashedNgramEmbedder
 
     return {"embedder": HashedNgramEmbedder(dim=args.dim, ngram=args.ngram), "table": None}
+
+
+def _prepare(args, records):
+    from . import pipeline
+
+    return pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
 
 
 def _generation(row) -> tuple[str, str]:
@@ -162,7 +179,7 @@ def _external_score(row) -> tuple[str, float]:
     return str(corpus.require_field(row, "record_id")), corpus.require_field(row, "score", float)
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> tuple[dict, list[str]]:
     result = corpus.parse_dump(args.dump)
     entries = result.entries
     counts = {"parsed": len(entries)}
@@ -184,20 +201,15 @@ def cmd_ingest(args) -> int:
     )
     entries, rejections = corpus.apply_quality_filters(entries, cfg)
     counts["quality"] = len(entries)
+    counts.update((f"rejected_{reason}", count) for reason, count in sorted(rejections.items()))
+    counts.update((f"warning_{reason}", count) for reason, count in sorted(result.warnings.items()))
     decay = _decay_config(args, entries)
     entries = [corpus.assign_gold_ranking(r, decay) for r in entries]
     corpus.write_records(args.out, entries)
-    _write_manifest(args.out, args, extra={"counts": counts})
-    for stage, count in counts.items():
-        print(f"{stage}\t{count}")
-    for reason, count in sorted(rejections.items()):
-        print(f"rejected_{reason}\t{count}")
-    for reason, count in sorted(result.warnings.items()):
-        print(f"warning_{reason}\t{count}")
-    return EXIT_OK
+    return {"counts": counts}, _tsv(counts)
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[dict, list[str]]:
     from . import embed
 
     records = corpus.read_records(args.records)
@@ -215,36 +227,28 @@ def cmd_embed(args) -> int:
             raise ValidationError(f"embedding key {key!r} is written twice")
         table[key] = embedder.embed(text)
     write_external_embeddings(args.out, table)
-    _write_manifest(args.out, args)
-    print(f"embedded\t{len(table)}")
-    return EXIT_OK
+    return {}, [f"embedded\t{len(table)}"]
 
 
-def cmd_rank(args) -> int:
-    from . import pipeline
-
-    records = corpus.read_records(args.records)
-    prepared = pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
+def cmd_rank(args) -> tuple[dict, list[str]]:
+    prepared = _prepare(args, corpus.read_records(args.records))
     rows = ({"record_id": p.record.question_id, "order": p.perception.dynamic.order} for p in prepared)
     corpus.write_jsonl(args.out, rows)
-    _write_manifest(args.out, args)
-    print(f"ranked\t{len(prepared)}")
-    return EXIT_OK
+    return {}, [f"ranked\t{len(prepared)}"]
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args) -> tuple[dict, list[str]]:
     import numpy as np
 
-    from . import objective, pipeline, policy
+    from . import objective, policy
 
     objective.check_alpha(args.alpha)
     records = corpus.read_records(args.records)
     table_logprobs = policy.load_logprob_file(args.logprobs)
     # Deterministic reduction order: records sorted by id.
     records = sorted(records, key=lambda r: r.question_id)
-    prepared = pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
     rows = []
-    for item in prepared:
+    for item in _prepare(args, records):
         record, perception = item.record, item.perception
         pi_s = objective.policy_scores_from_logprobs(corpus.logprob_rows(table_logprobs, record))
         with naming_record(record.question_id):
@@ -255,17 +259,13 @@ def cmd_loss(args) -> int:
     for key in ("l_pa", "l_pc", "total"):
         summary[f"mean_{key}"] = float(np.mean([r[key] for r in rows])) if rows else 0.0
     summary.update(alpha=args.alpha, mode=args.mode)
-    _write_manifest(args.out, args, extra={"summary": summary})
-    for key, value in summary.items():
-        print(f"{key}\t{value}")
-    return EXIT_OK
+    return {"summary": summary}, _tsv(summary)
 
 
-def cmd_train_toy(args) -> int:
-    from . import pipeline, policy
+def cmd_train_toy(args) -> tuple[dict, list[str]]:
+    from . import policy
 
-    records = corpus.read_records(args.records)
-    prepared = pipeline.prepare_records(records, **_vectors(args), decay=_decay_config(args, records))
+    prepared = _prepare(args, corpus.read_records(args.records))
     toy = policy.ToyPolicy.fresh(
         seed=args.seed,
         init_scale=args.init_scale,
@@ -285,13 +285,10 @@ def cmd_train_toy(args) -> int:
         "first_epoch_mean_loss": float(per_epoch[0]) if totals.size else None,
         "last_epoch_mean_loss": float(per_epoch[-1]) if totals.size else None,
     }
-    _write_manifest(args.out_policy, args, extra={"summary": summary})
-    for key, value in summary.items():
-        print(f"{key}\t{value}")
-    return EXIT_OK
+    return {"summary": summary}, _tsv(summary)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, list[str]]:
     from . import evaluation
 
     ks = _parse_ks(args.k)
@@ -300,24 +297,14 @@ def cmd_eval(args) -> int:
     scores = None
     if args.external_scores:
         scores = corpus.read_keyed_jsonl(args.external_scores, _external_score, "external score")
-    hashed = f"hashed_ngram(dim={args.dim},ngram={args.ngram})"
     report = evaluation.evaluate_dataset(
-        records,
-        generations,
-        **_vectors(args),
-        ks=ks,
-        normalizer=args.normalizer,
-        embedder_name=f"external:{args.embeddings}" if args.embeddings else hashed,
-        external_scores=scores,
+        records, generations, **_vectors(args), ks=ks, normalizer=args.normalizer, external_scores=scores
     )
     _write_json(args.out, report.to_dict())
-    _write_manifest(args.out, args)
-    for line in report.summary_lines():
-        print(line)
-    return EXIT_OK
+    return {}, report.summary_lines()
 
 
-def cmd_export_heatmap(args) -> int:
+def cmd_export_heatmap(args) -> tuple[dict, list[str]]:
     import numpy as np
 
     from . import pipeline
@@ -330,9 +317,7 @@ def cmd_export_heatmap(args) -> int:
     by_name = {m.attribute_name: m for m in perception.singles}
     by_name["multi"] = perception.multi
     np.savetxt(args.out, by_name[args.attribute].values, delimiter=",")
-    _write_manifest(args.out, args)
-    print(f"exported\t{args.attribute}\t{perception.multi.size}x{perception.multi.size}")
-    return EXIT_OK
+    return {}, [f"exported\t{args.attribute}\t{perception.multi.size}x{perception.multi.size}"]
 
 
 def _add_embedding_flags(parser: argparse.ArgumentParser, with_external: bool = True):
@@ -448,7 +433,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _refuse_overwrites(args)
-        return args.func(args)
+        blocks, lines = args.func(args)
+        _write_manifest(args, blocks)
+        for line in lines:
+            print(line)
+        return EXIT_OK
     except DegenerateInputError as exc:
         return _fail("degenerate_input", exc, EXIT_DEGENERATE)
     except (SchemaError, OSError) as exc:

@@ -334,7 +334,6 @@ def evaluate_dataset(
     normalizer: str = NORMALIZER_PAPER_HALF,
     embedder: HashedNgramEmbedder | None = None,
     table: dict[str, Sequence[float]] | None = None,
-    embedder_name: str = "hashed_ngram",
     external_scores: dict[str, float] | None = None,
 ) -> EvalReport:
     """Full metric report over a dataset of records and generations.
@@ -344,7 +343,8 @@ def evaluate_dataset(
     records are present (their gold-best is the safer response).
     `external_scores` (record id -> score) adds their Pearson/Spearman r
     against the gold-best similarity: none if under two records pair,
-    None for a constant sample.
+    None for a constant sample.  The report names its vectors: ``external``
+    for a table, ``hashed_ngram(dim=…,ngram=…)`` for an embedder.
     """
     outcomes, skipped = build_outcomes(records, generations, embedder=embedder, table=table)
     if not outcomes:
@@ -368,7 +368,7 @@ def evaluate_dataset(
         n_records=len(outcomes),
         ks=tuple(ks),
         normalizer=normalizer,
-        embedder=embedder_name,
+        embedder=f"hashed_ngram(dim={embedder.dim},ngram={embedder.ngram})" if table is None else "external",
         skipped=skipped,
         external_correlations=_external_correlations(outcomes, external_scores or {}),
     )

@@ -22,7 +22,7 @@ from .ranking import DynamicRanking, SemanticRank, dynamic_rank, semantic_rank
 class PerceptionBundle(Value):
     """Everything perception derives from one record's pool."""
 
-    singles: list[ApdfMatrix]
+    singles: tuple[ApdfMatrix, ...]
     multi: ApdfMatrix
     arank: SemanticRank
     dynamic: DynamicRanking
@@ -53,7 +53,7 @@ def build_perception(
             decay,
         ),
     ]
-    singles = [single_apdf(g) for g in gains]
+    singles = tuple(single_apdf(g) for g in gains)
     multi = multi_apdf(singles)
     arank = semantic_rank(similarities, [c.id for c in record.candidates])
     dynamic = dynamic_rank(multi, arank)

@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior, exit codes, and manifests."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import prefrank
 from prefrank import objective, pipeline, policy
+from prefrank import cli
 from prefrank.cli import build_parser, main
 from prefrank.corpus import logprob_rows, read_records, write_logprob_file, write_records
 from prefrank.embed import HashedNgramEmbedder, write_external_embeddings
@@ -118,6 +120,22 @@ class TestIngest:
         [record] = read_records(out)
         assert record.question_text == "Is there a canonical reference for this?"
         assert [(c.id, c.votes) for c in record.candidates] == [("11", 2), ("12", 5)]
+
+    def test_manifest_counts_are_the_printed_counts(self, tmp_path, capsys):
+        rows = [
+            question_row(1, PLAIN_BODY, accepted_id=11),
+            answer_row(11, 1, score=2),
+            answer_row(11, 1, score=3),
+            question_row(2, PLAIN_BODY, accepted_id=21),
+            *(answer_row(20 + i, 2, score=i) for i in range(1, 4)),
+        ]
+        dump, out = tmp_path / "Posts.xml", tmp_path / "records.jsonl"
+        dump.write_text(posts_xml(rows), encoding="utf-8")
+        assert run(["ingest", dump, "--out", out, "--max-pool-size", 2]) == 0
+        printed = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert printed["rejected_pool_too_large"] == printed["warning_duplicate_Id"] == "1"
+        counts = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())["counts"]
+        assert counts == {key: int(value) for key, value in printed.items()}
 
 
 class TestRank:
@@ -226,7 +244,7 @@ class TestRank:
         if command == "eval":
             reports = [json.loads(files.pop("report.json")) for files in artifacts]
             embedders = [report.pop("embedder") for report in reports]
-            assert embedders == ["hashed_ngram(dim=256,ngram=3)", f"external:{emb}"]
+            assert embedders == ["hashed_ngram(dim=256,ngram=3)", "external"]
             assert reports[0] == reports[1]
         assert artifacts[0] == artifacts[1]
 
@@ -1009,6 +1027,47 @@ class TestManifests:
         config = json.loads((tmp_path / "train-toy.out.manifest.json").read_text())["config"]
         assert (config["half_life_days"], config["init_scale"]) == (365.0, 0.001)
         assert json.loads((tmp_path / "eval.out.manifest.json").read_text())["config"]["k"] == "1,3"
+
+
+    @pytest.mark.parametrize("command", ["ingest", *CLI_READERS])
+    def test_each_run_writes_one_manifest_beside_its_artifact(self, dump_plan_file, tmp_path, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if command == "ingest":
+            argv = ["ingest", dump_plan_file, "--out", out_dir / "ingest.out"]
+        else:
+            argv = cli_argv(command, write_cli_inputs(tmp_path), out_dir)
+        if command == "train-toy":
+            argv += ["--trace", out_dir / "trace.jsonl"]
+        assert run(argv) == 0
+        [manifest] = tmp_path.rglob("*.manifest.json")
+        assert manifest == out_dir / f"{command}.out.manifest.json"
+        blocks = {"ingest": {"counts"}, "loss": {"summary"}, "train-toy": {"summary"}}.get(command, set())
+        assert json.loads(manifest.read_text()).keys() == {"command", "config", "inputs", "version", *blocks}
+
+    def test_a_run_refused_after_reading_its_inputs_leaves_no_manifest(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        lines = paths["logprobs"].read_text().splitlines(keepends=True)
+        paths["logprobs"].write_text("".join(lines[:-1]))
+        assert run(cli_argv("loss", paths, tmp_path)) == 2
+        assert "no log-probabilities for record" in json.loads(capsys.readouterr().err)["message"]
+        assert not list(tmp_path.glob("*.manifest.json"))
+
+    def test_only_main_writes_manifests_and_subcommands_neither_print_nor_exit(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        callers = [
+            f.name
+            for f in functions
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_manifest"
+        ]
+        assert callers == ["main"]
+        commands = [f for f in functions if f.name.startswith("cmd_")]
+        assert len(commands) == 7
+        names = {node.id for f in commands for node in ast.walk(f) if isinstance(node, ast.Name)}
+        assert "print" not in names
+        assert not {name for name in names if name.startswith("EXIT_")}
 
 
 class TestOverwrites:

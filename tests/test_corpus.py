@@ -682,6 +682,12 @@ class TestValueRecords:
         with pytest.raises(TypeError, match="unhashable"):
             hash(result)
 
+    def test_a_perception_bundle_holds_its_singles_in_a_tuple(self):
+        bundle = prefrank.build_perception(make_record(), embedder=prefrank.HashedNgramEmbedder(dim=64))
+        with pytest.raises(AttributeError, match="append"):
+            bundle.singles.append(1)
+        assert [m.attribute_name for m in bundle.singles] == ["semantic", "popularity"]
+
     def test_fields_refuse_assignment_and_deletion(self):
         record = make_record()
         with pytest.raises(AttributeError, match="question_id"):

@@ -527,6 +527,17 @@ class TestEvaluateDataset:
         for needle in ("pref_hit@1", "pref_recall@1", "bleu", "rouge_l", "n_records"):
             assert needle in text
 
+    def test_the_report_names_its_vectors(self):
+        embedder = HashedNgramEmbedder(dim=64)
+        [record] = records = [graded_pool_record("g1")]
+        generations = {"g1": "the generated answer"}
+        table = {candidate_key(record, c.id): embedder.embed(c.content) for c in record.candidates}
+        table[generation_key("g1")] = embedder.embed(generations["g1"])
+        hashed = evaluate_dataset(records, generations, ks=(1,), embedder=embedder)
+        external = evaluate_dataset(records, generations, ks=(1,), table=table)
+        assert (hashed.embedder, external.embedder) == ("hashed_ngram(dim=64,ngram=3)", "external")
+        assert external.replace(embedder=hashed.embedder) == hashed
+
     def test_nothing_evaluable_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_dataset([make_record("q")], {}, embedder=HashedNgramEmbedder(dim=64))
