@@ -4,8 +4,9 @@ Embeddings feed two cosine vectors: a record's question/candidate
 cosines, which give both the semantic gain and the semantic rank that
 breaks ties in dynamic ranking, and a generation's candidate cosines for
 the hit/recall metrics.  The default embedder hashes character n-grams
-into a fixed number of signed buckets; it is a test-grade stand-in for
-any real encoder.  Vectors precomputed by an external encoder can be
+into a fixed number of signed buckets, and keeps its own memo of each
+n-gram's bucket and sign; it is a test-grade stand-in for any real
+encoder.  Vectors precomputed by an external encoder can be
 loaded from a TSV file instead (`corpus` reads and writes that format
 and owns its keys, and keeps each row as written); `resolve_vectors`
 picks a table or an embedder.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from operator import mul, sub
+from operator import mul
 from typing import Callable, Sequence
 
 from .constants import DEFAULT_DIM, DEFAULT_NGRAM
@@ -33,13 +34,8 @@ from .errors import ValidationError
 # A hashed vector is dense in memory, so its width is capped far above any useful size.
 MIN_DIM, MAX_DIM = 8, 1 << 16
 
-# Per-process memos from an n-gram to its count slot, one per dim, for at
-# most _MEMO_DIMS dims.  A full memo (or a memo for one dim too many) is
-# replaced by an empty one rather than cleared, so a call holding the old
-# memo (another thread's) never loses a key it just added.
-_SLOT_MEMO_LIMIT = 1 << 18
-_MEMO_DIMS = 4
-_slot_memos: dict[int, _SlotMemo] = {}
+# An embedder's memo is replaced by an empty one past this many n-grams.
+_MEMO_LIMIT = 1 << 18
 
 
 def _digest(data: bytes) -> int:
@@ -47,28 +43,17 @@ def _digest(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
-class _SlotMemo(dict):
-    """N-gram (a tuple of byte values) -> slot ``2 * bucket + sign bit``, filled on first lookup."""
+class _BucketMemo(dict):
+    """N-gram (a tuple of byte values) -> (bucket, sign), filled on first lookup."""
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, gram: tuple[int, ...]) -> int:
+    def __missing__(self, gram: tuple[int, ...]) -> tuple[int, int]:
         digest = _digest(bytes(gram))
-        slot = self[gram] = (digest >> 1) % self.dim * 2 + (digest & 1)
-        return slot
-
-
-def _slot_memo(dim: int) -> _SlotMemo:
-    global _slot_memos
-    memo = _slot_memos.get(dim)
-    if memo is None or len(memo) > _SLOT_MEMO_LIMIT:
-        memo = _SlotMemo(dim)
-        if len(_slot_memos) >= _MEMO_DIMS:
-            _slot_memos = {}
-        _slot_memos[dim] = memo
-    return memo
+        entry = self[gram] = ((digest >> 1) % self.dim, 1 if digest & 1 else -1)
+        return entry
 
 
 class HashedNgramEmbedder:
@@ -76,8 +61,8 @@ class HashedNgramEmbedder:
 
     Each n-gram's digest picks a bucket (``(digest >> 1) % dim``) and a
     sign (low bit set: +1, clear: -1).  Each distinct n-gram is hashed
-    once per process and dim: a module-level memo per dim (emptied past
-    2**18 entries) maps it to its bucket and sign.  Vectors are
+    once per embedder: its memo (replaced by an empty one past 2**18
+    entries) maps the n-gram to its bucket and sign.  Vectors are
     bit-identical to hashing every n-gram on every call.  The memo is
     safe to share between threads (a filled memo is replaced, never
     cleared under a reader) and is not part of a pickled embedder.
@@ -90,6 +75,10 @@ class HashedNgramEmbedder:
             raise ValidationError(f"ngram must be >= 1, got {ngram}")
         self.dim = dim
         self.ngram = ngram
+        self._memo = _BucketMemo(dim)
+
+    def __reduce__(self):  # a copy or an unpickled embedder starts with an empty memo
+        return type(self), (self.dim, self.ngram)
 
     def embed(self, text: str) -> list[float]:
         """A unit-norm vector of `dim` floats (all-zero only for empty text), bit-stable across calls.
@@ -106,11 +95,13 @@ class HashedNgramEmbedder:
             grams = zip(*(encoded[i:] for i in range(ngram)))
         else:
             grams = (tuple(encoded),)
-        counts = [0] * (2 * dim)
-        for slot in map(_slot_memo(dim).__getitem__, grams):
-            counts[slot] += 1
-        signed = list(map(sub, counts[1::2], counts[0::2]))
-        squares = sum(map(mul, signed, signed))
+        memo = self._memo
+        if len(memo) > _MEMO_LIMIT:
+            memo = self._memo = _BucketMemo(dim)
+        counts = [0] * dim
+        for bucket, sign in map(memo.__getitem__, grams):
+            counts[bucket] += sign
+        squares = sum(map(mul, counts, counts))
         if not squares:
             # Signed collisions cancelled everything out; fall back to a
             # single bucket so non-empty text always has unit norm.
@@ -118,7 +109,7 @@ class HashedNgramEmbedder:
             vec[(_digest(encoded) >> 1) % dim] = 1.0
             return vec
         norm = math.sqrt(squares)
-        return [value / norm for value in signed]
+        return [value / norm for value in counts]
 
 
 def cosine(a: Sequence[float], b: Sequence[float], norm_a: float | None = None) -> float:

@@ -249,13 +249,13 @@ def apply_quality_filters(
 
 def assign_gold_ranking(record: QARecord, decay: DecayConfig | None) -> QARecord:
     """Attach the gold label: accepted answer first, then the rest by
-    time-decayed votes descending, ties by earlier creation then index."""
+    time-decayed votes descending, ties by earlier creation then candidate id."""
     accepted = record.accepted_index()
 
     def sort_key(i: int):
         candidate = record.candidates[i]
         decayed = decayed_popularity(candidate.votes, candidate.created_at, decay)
-        return (-decayed, candidate.created_at, i)
+        return (-decayed, candidate.created_at, candidate.id)
 
     rest = sorted((i for i in range(record.pool_size) if i != accepted), key=sort_key)
     order = ([accepted] if accepted is not None else []) + rest

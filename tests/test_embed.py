@@ -124,7 +124,7 @@ class TestHashedNgramEmbed:
     @example(text="ab", ngram=3, dims=(8, 256))
     @example(text="é", ngram=5, dims=(64, 17))
     def test_bit_identical_to_per_gram_loop(self, text, ngram, dims):
-        # Both dims in one call: each dim has its own memo, and a gram
+        # Two embedders in one call: each keeps its own memo, so a gram
         # hashed for one dim is hashed again for the other.
         for dim in dims:
             got = HashedNgramEmbedder(dim, ngram).embed(text)
@@ -147,44 +147,37 @@ class TestHashedNgramEmbed:
         assert np.count_nonzero(vec) == 1 and vec.max() == 1.0
 
     def test_full_memo_is_replaced(self, monkeypatch):
-        monkeypatch.setattr(embed, "_SLOT_MEMO_LIMIT", 16)
-        monkeypatch.setattr(embed, "_slot_memos", {})
+        monkeypatch.setattr(embed, "_MEMO_LIMIT", 16)
+        embedder = HashedNgramEmbedder()
         for i in range(40):
             text = f"row {i} of the table"
-            got = HashedNgramEmbedder().embed(text)
+            got = embedder.embed(text)
             assert np.asarray(got).tobytes() == reference_embed(text, 256, 3).tobytes()
             # Replaced before a call once past the limit, so at most one
             # text's grams beyond it.
-            assert len(embed._slot_memos[256]) <= 16 + len(text)
-
-    def test_memos_are_kept_for_a_bounded_number_of_dims(self, monkeypatch):
-        monkeypatch.setattr(embed, "_slot_memos", {})
-        for dim in range(8, 8 + 3 * embed._MEMO_DIMS):
-            got = HashedNgramEmbedder(dim).embed("bounded memo")
-            assert np.asarray(got).tobytes() == reference_embed("bounded memo", dim, 3).tobytes()
-            assert dim in embed._slot_memos
-            assert len(embed._slot_memos) <= embed._MEMO_DIMS
+            assert len(embedder._memo) <= 16 + len(text)
 
     def test_threads_share_a_memo_that_keeps_filling_up(self, monkeypatch):
-        # Two dims with room for one memo: the threads also replace each other's memos.
-        monkeypatch.setattr(embed, "_SLOT_MEMO_LIMIT", 8)
-        monkeypatch.setattr(embed, "_MEMO_DIMS", 1)
+        # Four threads on one embedder whose memo is replaced every few texts.
+        monkeypatch.setattr(embed, "_MEMO_LIMIT", 8)
         texts = [f"thread-safe text {i} " * (1 + i % 3) for i in range(200)]
-        dims = (64, 72, 64, 72)
-        expected = [[reference_embed(text, dim, 3).tobytes() for text in texts] for dim in dims]
+        expected = [reference_embed(text, 64, 3).tobytes() for text in texts]
+        embedder = HashedNgramEmbedder(64, 3)
 
-        def embed_all(embedder):
-            return [np.asarray(embedder.embed(t)).tobytes() for t in texts]
+        def embed_all(offset):
+            # Each thread starts at its own text, so the threads miss on different grams.
+            order = texts[offset:] + texts[:offset]
+            return [np.asarray(embedder.embed(t)).tobytes() for t in order]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(embed_all, HashedNgramEmbedder(dim, 3)) for dim in dims]
+                futures = [pool.submit(embed_all, offset) for offset in (0, 50, 100, 150)]
                 results = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert results == expected
+        assert results == [expected[offset:] + expected[:offset] for offset in (0, 50, 100, 150)]
 
     def test_memo_stays_out_of_pickled_embedder(self):
         embedder = HashedNgramEmbedder()

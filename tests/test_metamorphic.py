@@ -11,6 +11,9 @@ transformed copy of it, and checks how the two runs' outputs relate:
 - reordering the records leaves every record's rows unchanged;
 - a copy of a record under a new id gets the original's `rank` and
   `loss` rows;
+- shuffling a dump's answers maps `ingest`'s gold ranking back, full
+  twins (equal text, votes and time) included, since a full tie goes to
+  the lower candidate id;
 - `embed` followed by `rank`, `loss` and `train-toy --trace` with
   `--embeddings` writes the hashed runs' ranks, losses, policy and trace
   byte for byte (or fails as they fail, on a degenerate pool), and
@@ -47,7 +50,7 @@ from prefrank.corpus import question_key, read_records, write_logprob_file, writ
 from prefrank.embed import HashedNgramEmbedder, cosine, resolve_vectors
 from prefrank.policy import ToyPolicy, logprob_table
 
-from conftest import cli_argv, make_candidate, make_record, write_cli_inputs
+from conftest import answer_row, cli_argv, make_candidate, make_record, posts_xml, question_row, write_cli_inputs
 
 RTOL = 1e-12
 VOCAB = (
@@ -222,6 +225,35 @@ def test_a_copied_record_gets_the_originals_rows(corpus, tmp_path_factory, index
     for command in ("rank", "loss"):
         assert out[command].pop("copy") == corpus.outputs[command][original.question_id]
         assert out[command] == corpus.outputs[command]
+
+
+# (id, body, votes, day): the accepted answer, full twins 8 and 10, answer 9
+# with their votes and time but its own text, and a 0-vote answer.  Ids
+# compare as strings, so the tie goes 10, 8, 9 whatever the dump's order.
+TWIN_POOL = (
+    (70, "<p>abc bad cab</p>", 9, 2),
+    (8, "<p>cab bed</p>", 5, 4),
+    (10, "<p>cab bed</p>", 5, 4),
+    (9, "<p>dab ace</p>", 5, 4),
+    (11, "<p>bee</p>", 0, 3),
+)
+
+
+@BUDGET
+@given(order=st.permutations(range(len(TWIN_POOL))))
+def test_shuffling_a_dumps_answers_maps_the_gold_ranking_back(tmp_path_factory, order):
+    answers = [
+        answer_row(aid, 7, body=body, created=f"2024-01-{day:02d}T00:00:00", score=votes)
+        for aid, body, votes, day in TWIN_POOL
+    ]
+    directory = tmp_path_factory.mktemp("twins")
+    dump = directory / "Posts.xml"
+    rows = [question_row(7, "<p>which cab is bed</p>", accepted_id=70), *(answers[i] for i in order)]
+    dump.write_text(posts_xml(rows), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", str(dump), "--out", str(directory / "records.jsonl")]) == 0
+    [record] = read_records(directory / "records.jsonl")
+    assert [record.candidates[c].id for c in record.gold_ranking] == ["70", "10", "8", "9", "11"]
 
 
 TEXTS = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6).map(" ".join)
